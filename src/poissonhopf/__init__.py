@@ -71,7 +71,6 @@ from .free_hopf import (
     free_poisson_hopf,
     hopf_coproduct_antipode,
     hopf_ideal_generators,
-    s_prime,
     staged_coproduct,
     verify_antipode,
 )

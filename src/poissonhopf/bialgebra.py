@@ -31,16 +31,14 @@ from .colimits import (
     poisson_coequalizer,
     poisson_coproduct,
 )
-from .linalg import SparseVec, unit_vec
-from .lyndon import LyndonWord, standard_factorization
+from .linalg import SparseVec, lincomb, map_pairs, unit_vec
+from .lyndon import LyndonWord, word_image
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
     PoissElt,
     PoissMonomial,
     monomial_str,
-    poiss_bracket,
-    poiss_product,
     render,
 )
 from .verify import (
@@ -50,24 +48,12 @@ from .verify import (
     check_counit,
     check_poisson_compat,
     render_vec,
+    tensor_bracket,
 )
 
 
 def flip_pairs(t: SparseVec) -> SparseVec:
     return SparseVec({(b, a): c for (a, b), c in t.items()})
-
-
-def outer(left: SparseVec, right: SparseVec) -> SparseVec:
-    out = {}
-    for a, ca in left.items():
-        for b, cb in right.items():
-            key = (a, b)
-            c = out.get(key, Fraction(0)) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-    return SparseVec(out)
 
 
 class PresentedPoissonBialgebra:
@@ -112,20 +98,13 @@ class PresentedPoissonBialgebra:
 
     # -- comultiplication and counit on ambient representatives --
 
+    def _delta_letter(self, letter: int) -> SparseVec:
+        return self.delta_table[self.ambient.alphabet[letter]]
+
     def delta_of_word(self, w: LyndonWord) -> SparseVec:
-        cached = self._delta_word.get(w)
-        if cached is not None:
-            return cached
-        if w.degree == 1:
-            name = self.ambient.alphabet[w.letters[0]]
-            out = self.delta_table[name]
-        else:
-            # independent of the twist: the sign of the element expression
-            # s(w) = sign*{s(u), s(v)} cancels the twisted tensor bracket
-            u, v = standard_factorization(w)
-            out = self.pair_bracket_std(self.delta_of_word(u), self.delta_of_word(v))
-        self._delta_word[w] = out
-        return out
+        # independent of the twist: the sign of the element expression
+        # s(w) = sign*{s(u), s(v)} cancels the twisted tensor bracket
+        return word_image(w, self._delta_letter, self.pair_bracket_std, self._delta_word)
 
     def delta_of_monomial(self, m: PoissMonomial) -> SparseVec:
         cached = self._delta_mono.get(m)
@@ -138,10 +117,7 @@ class PresentedPoissonBialgebra:
         return out
 
     def delta(self, elt: PoissElt) -> SparseVec:
-        out = SparseVec()
-        for m, c in elt.vec.items():
-            out = out.axpy(c, self.delta_of_monomial(m))
-        return out
+        return lincomb((c, self.delta_of_monomial(m)) for m, c in elt.vec.items())
 
     def epsilon_of_monomial(self, m: PoissMonomial) -> Fraction:
         total = Fraction(1)
@@ -162,36 +138,16 @@ class PresentedPoissonBialgebra:
 
     def pair_mul(self, s: SparseVec, t: SparseVec) -> SparseVec:
         n = self.truncation
-        out = {}
-        for (a, b), c1 in s.items():
-            for (p, q), c2 in t.items():
-                left, right = a * p, b * q
-                if left.degree > n or right.degree > n:
-                    continue
-                key = (left, right)
-                c = out.get(key, Fraction(0)) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        return SparseVec(out)
+        return SparseVec(
+            ((a * p, b * q), c1 * c2)
+            for (a, b), c1 in s.items()
+            for (p, q), c2 in t.items()
+            if a.degree + p.degree <= n and b.degree + q.degree <= n
+        )
 
     def pair_bracket_std(self, s: SparseVec, t: SparseVec) -> SparseVec:
         """Tensor-square bracket with the standard ambient bracket."""
-        amb = self.ambient
-        out = SparseVec()
-        for (a, b), c1 in s.items():
-            ea, eb = amb.monomial_elt(a), amb.monomial_elt(b)
-            for (p, q), c2 in t.items():
-                c = c1 * c2
-                ep, eq = amb.monomial_elt(p), amb.monomial_elt(q)
-                left = poiss_product(ea, ep)
-                right = poiss_bracket(eb, eq)
-                out = out.axpy(c, outer(left.vec, right.vec))
-                left = poiss_bracket(ea, ep)
-                right = poiss_product(eb, eq)
-                out = out.axpy(c, outer(left.vec, right.vec))
-        return out
+        return tensor_bracket(self.ambient, s, t)
 
     # -- quotient reductions: slotwise normal form --
 
@@ -201,25 +157,19 @@ class PresentedPoissonBialgebra:
     def reduce_pair(self, t: SparseVec) -> SparseVec:
         if self.quotient.ideal.rank == 0:
             return t
-        q = self.quotient
-        out = SparseVec()
-        for (a, b), c in t.items():
-            out = out.axpy(c, outer(q.nf_vec(unit_vec(a)), q.nf_vec(unit_vec(b))))
-        return out
+        return map_pairs(t, self.quotient.nf_label)
 
     def reduce_triple(self, t: SparseVec) -> SparseVec:
         if self.quotient.ideal.rank == 0:
             return t
-        q = self.quotient
-        out = SparseVec()
-        for (a, b, c), coeff in t.items():
-            va, vb, vc = (q.nf_vec(unit_vec(x)) for x in (a, b, c))
-            for la, ca in va.items():
-                for lb, cb in vb.items():
-                    part = ca * cb * coeff
-                    for lc, cc in vc.items():
-                        out = out.axpy(part * cc, unit_vec((la, lb, lc)))
-        return out
+        nf = self.quotient.nf_label
+        return SparseVec(
+            ((la, lb, lc), coeff * ca * cb * cc)
+            for (a, b, c), coeff in t.items()
+            for la, ca in nf(a).items()
+            for lb, cb in nf(b).items()
+            for lc, cc in nf(c).items()
+        )
 
     # -- protocol for the axiom checkers --
 
@@ -312,17 +262,11 @@ class FreeFactorization:
         self.images = dict(images)
         self._word_cache: dict = {}
 
+    def _letter_image(self, letter: int) -> SparseVec:
+        return self.images[self.bialgebra.ambient.alphabet[letter]]
+
     def apply_word(self, w: LyndonWord) -> SparseVec:
-        cached = self._word_cache.get(w)
-        if cached is not None:
-            return cached
-        if w.degree == 1:
-            out = self.images[self.bialgebra.ambient.alphabet[w.letters[0]]]
-        else:
-            u, v = standard_factorization(w)
-            out = self.target.bracket(self.apply_word(u), self.apply_word(v))
-        self._word_cache[w] = out
-        return out
+        return word_image(w, self._letter_image, self.target.bracket, self._word_cache)
 
     def apply_monomial(self, m: PoissMonomial) -> SparseVec:
         acc = self.target.one()
@@ -331,20 +275,14 @@ class FreeFactorization:
         return acc
 
     def apply(self, elt: PoissElt) -> SparseVec:
-        out = SparseVec()
-        for m, c in elt.vec.items():
-            out = out.axpy(c, self.apply_monomial(m))
-        return out
+        return lincomb((c, self.apply_monomial(m)) for m, c in elt.vec.items())
 
     def coalgebra_map_report(self, max_degree=None) -> Report:
         """Delta_T(image) must equal the image of Delta on every basis monomial."""
         report = Report()
         for m in self.bialgebra.labels_upto(max_degree):
             lhs = self.target.delta(self.apply_monomial(m))
-            rhs = SparseVec()
-            for (a, b), c in self.bialgebra.delta_of_monomial(m).items():
-                rhs = rhs.axpy(c, outer(self.apply_monomial(a), self.apply_monomial(b)))
-            residual = lhs - rhs
+            residual = lhs - map_pairs(self.bialgebra.delta_of_monomial(m), self.apply_monomial)
             report.checked += 1
             if residual:
                 report.violations.append(
@@ -397,9 +335,7 @@ def factor_through_free(spec: CoalgebraSpec, images: dict, target, truncation: i
     for name in spec.basis:
         img = images[name]
         lhs = target.delta(img)
-        rhs = SparseVec()
-        for (l, r), c in spec.delta_vec(name).items():
-            rhs = rhs.axpy(c, outer(images[l], images[r]))
+        rhs = map_pairs(spec.delta_vec(name), images.__getitem__)
         pre.checked += 1
         if lhs - rhs:
             pre.violations.append(
@@ -447,12 +383,9 @@ def bialgebra_coproduct(operands, check: bool = True) -> BialgebraCoproduct:
         amb = B.ambient
         for i, name in enumerate(amb.alphabet):
             tagged = cp.quotient.ambient.alphabet[lm[i]]
-            pairs = SparseVec()
-            for (a, b), c in B.delta_table[name].items():
-                va = inj.apply(amb.monomial_elt(a)).vec
-                vb = inj.apply(amb.monomial_elt(b)).vec
-                pairs = pairs.axpy(c, outer(va, vb))
-            delta_table[tagged] = pairs
+            delta_table[tagged] = map_pairs(
+                B.delta_table[name], lambda m: inj.apply(amb.monomial_elt(m)).vec
+            )
             epsilon_table[tagged] = B.epsilon_table[name]
     result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1, None)
     report = check_bialgebra(result) if check else Report()
@@ -465,15 +398,15 @@ def bialgebra_morphism_report(table: MorphismTable) -> Report:
     """Poisson well-definedness plus the coalgebra-map laws on generators."""
     src, tgt = table.source, table.target
     report = table.well_defined_report()
+
+    def image_vec(m):
+        return table.apply(src.ambient.monomial_elt(m)).vec
+
     for name in src.ambient.alphabet:
         gen_m = PoissMonomial((LyndonWord((src.ambient.index(name),)),))
         image = table.apply(src.ambient.gen(name))
         lhs = tgt.delta(image)
-        rhs = SparseVec()
-        for (a, b), c in src.delta_table[name].items():
-            va = table.apply(src.ambient.monomial_elt(a)).vec
-            vb = table.apply(src.ambient.monomial_elt(b)).vec
-            rhs = rhs.axpy(c, outer(va, vb))
+        rhs = map_pairs(src.delta_table[name], image_vec)
         residual = tgt.reduce_pair(lhs - rhs)
         report.checked += 1
         if residual:

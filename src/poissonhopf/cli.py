@@ -218,6 +218,14 @@ def run_laws(structure, laws, has_antipode: bool) -> dict:
     return out
 
 
+def artifact_int(desc: dict, key: str, least: int) -> int:
+    value = desc.get(key)
+    # bool is a subclass of int, but true is no budget
+    if type(value) is not int or value < least:
+        raise SpecParseError(f"artifact {key} must be an integer >= {least}")
+    return value
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.artifact, "r", encoding="utf-8") as fh:
@@ -233,32 +241,35 @@ def cmd_verify(args) -> int:
     if unknown:
         raise SpecParseError(f"unknown laws: {sorted(unknown)}")
     construct = desc["construct"]
-    degree = int(desc.get("degree", 0) or 0)
-    if degree < 1:
-        raise SpecParseError("artifact needs a positive degree")
+    if construct not in ("induce", "free-hopf", "coproduct"):
+        raise SpecParseError(f"unknown construct {construct!r}")
+    spec = desc.get("spec")
+    if construct == "coproduct":
+        if not (
+            isinstance(spec, list) and len(spec) == 2 and all(isinstance(r, str) for r in spec)
+        ):
+            raise SpecParseError("coproduct artifact spec must be a list of two paths")
+    elif not isinstance(spec, str):
+        raise SpecParseError(f"{construct} artifact spec must be a path")
+    degree = artifact_int(desc, "degree", 1)
     extra = {}
     if construct == "induce":
-        structure = induce_bialgebra(resolve_spec(desc["spec"]), degree)
+        structure = induce_bialgebra(resolve_spec(spec), degree)
         has_antipode = False
     elif construct == "free-hopf":
-        stages = int(desc.get("stages", 0) or 0)
-        if stages < 2:
-            raise SpecParseError("free-hopf artifact needs stages >= 2")
-        H = free_poisson_hopf(resolve_spec(desc["spec"]), stages, degree)
+        stages = artifact_int(desc, "stages", 2)
+        H = free_poisson_hopf(resolve_spec(spec), stages, degree)
         structure = H
         has_antipode = True
         extra["certificates"] = {k: report_obj(r) for k, r in sorted(H.certificates.items())}
         if "antipode" in laws:
             extra["antipode_residuals"] = report_obj(verify_antipode(H, depth=1))
-    elif construct == "coproduct":
+    else:
         from .bialgebra import bialgebra_coproduct
 
-        refs = desc["spec"]
-        operands = [induce_bialgebra(resolve_spec(r), degree) for r in refs]
+        operands = [induce_bialgebra(resolve_spec(r), degree) for r in spec]
         structure = bialgebra_coproduct(operands, check=False).bialgebra
         has_antipode = False
-    else:
-        raise SpecParseError(f"unknown construct {construct!r}")
     results = run_laws(structure, laws, has_antipode)
     obj = {
         "command": "verify",

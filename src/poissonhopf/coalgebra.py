@@ -45,23 +45,15 @@ class CoalgebraSpec:
         known = set(basis)
         delta_rows = []
         for name in basis:
-            merged: dict = {}
-            for left, right, coeff in delta.get(name, ()):
+            triples = delta.get(name, ())
+            for left, right, _ in triples:
                 if left not in known or right not in known:
                     raise SpecError(
                         f"delta of {name!r} references unknown name "
                         f"{left if left not in known else right!r}"
                     )
-                c = Fraction(coeff)
-                key = (left, right)
-                s = merged.get(key, Fraction(0)) + c
-                if s:
-                    merged[key] = s
-                else:
-                    merged.pop(key, None)
-            delta_rows.append(
-                (name, tuple((l, r, merged[(l, r)]) for l, r in sorted(merged)))
-            )
+            merged = SparseVec(((l, r), Fraction(c)) for l, r, c in triples)
+            delta_rows.append((name, tuple((l, r, c) for (l, r), c in sorted(merged.items()))))
         eps_rows = tuple((name, Fraction(epsilon.get(name, 0))) for name in basis)
         return CoalgebraSpec(basis=basis, delta=tuple(delta_rows), epsilon=eps_rows)
 

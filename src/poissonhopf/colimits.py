@@ -5,9 +5,9 @@ truncated free Poisson ambient together with the reduced-echelon basis of
 the degree-bounded part of a Poisson ideal, and the induced normal-form
 projector.  Saturation closes the span of the generators under
 multiplication by Lyndon-word variables and bracketing by letters, keeping
-a result only when it is exact within the degree budget; both operations
-are degree-additive, so the closure runs degree by degree and lower degrees
-are final before higher ones begin.
+a result only when it is exact within the degree budget.  It runs a
+worklist: every new echelon row is queued, and its in-budget products and
+letter brackets are inserted when it is taken off the queue.
 
 Coproducts are computed on presentations: the coproduct of P(V)/I and
 P(W)/J is P(V (+) W) over the union of the lifted relation sets, with the
@@ -18,11 +18,12 @@ componentwise and kernel constructions on the underlying graded spaces.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import EchelonBasis, SparseVec, SubspaceBasis, unit_vec
-from .lyndon import LyndonWord, standard_factorization
+from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
+from .lyndon import LyndonWord, word_image
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
@@ -63,10 +64,25 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators, max_degree=None) -> 
 
     Least fixpoint of closing under ``w -> u*w`` for Lyndon-word variables u
     and ``w -> {x, w}`` for letters x, admitting a result only when no term
-    was truncated away (exactness within the budget).
+    was truncated away (exactness within the budget).  Each new row that
+    ``EchelonBasis.insert`` returns goes on a FIFO worklist, and taking a
+    row off the worklist inserts its in-budget products and letter brackets.
+    Below the top degree n both operations are linear in the row, so one
+    expansion per row suffices.  The exactness of a letter bracket of a row
+    of top degree n depends on the row's degree-n part, so the rows that a
+    new row of top degree n is back-substituted into are queued again.
     """
     n = ambient.truncation if max_degree is None else min(max_degree, ambient.truncation)
     acc = EchelonBasis(key=quotient_key)
+    worklist = deque()
+
+    def insert(vec):
+        row = acc.insert(vec)
+        if row is not None:
+            worklist.append(row)
+            if max(m.degree for m in row) == n:
+                worklist.extend(acc.rewritten)
+
     for g in generators:
         if g.algebra != ambient:
             raise ValueError("generators must live in the ambient algebra")
@@ -74,41 +90,24 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators, max_degree=None) -> 
             raise ValueError("generators must be exact within the truncation")
         if g.top_degree() > n:
             raise ValueError("generator degree exceeds the budget")
-        acc.insert(g.vec)
+        insert(g.vec)
 
-    variables = []
-    for d in range(1, n):
-        for w in ambient.lyndon_basis(d):
-            variables.append(ambient.monomial_elt(PoissMonomial((w,))))
+    variables = [
+        (d, ambient.monomial_elt(PoissMonomial((w,))))
+        for d in range(1, n)
+        for w in ambient.lyndon_basis(d)
+    ]
     letters = ambient.gens()
-
-    done = set()
-    while True:
-        rank_before = acc.rank
-        rows = [r for _, r in acc.rows_by_pivot()]
-        for row in rows:
-            elt = ambient.elt(row)
-            top = elt.top_degree()
-            for k, var in enumerate(variables):
-                vdeg = var.top_degree()
-                if vdeg + top > n:
-                    continue
-                key = (row, "m", k)
-                if key in done:
-                    continue
-                done.add(key)
-                acc.insert(poiss_product(var, elt).vec)
-            for k, x in enumerate(letters):
-                key = (row, "b", k)
-                if key in done:
-                    continue
-                done.add(key)
-                out = poiss_bracket(x, elt)
-                if out.lossy or out.top_degree() > n:
-                    continue
-                acc.insert(out.vec)
-        if acc.rank == rank_before:
-            break
+    while worklist:
+        elt = ambient.elt(worklist.popleft())
+        top = elt.top_degree()
+        for d, var in variables:
+            if d + top <= n:
+                insert(poiss_product(var, elt).vec)
+        for x in letters:
+            out = poiss_bracket(x, elt)
+            if not out.lossy and out.top_degree() <= n:
+                insert(out.vec)
     return acc.freeze()
 
 
@@ -129,15 +128,15 @@ class TruncatedQuotient:
             f"{', degenerate' if self.degenerate else ''})"
         )
 
+    def nf_label(self, m: PoissMonomial) -> SparseVec:
+        """Normal form of one monomial, cached per quotient."""
+        r = self._nf_cache.get(m)
+        if r is None:
+            r = self._nf_cache[m] = self.ideal.reduce(unit_vec(m))
+        return r
+
     def nf_vec(self, vec: SparseVec) -> SparseVec:
-        out = SparseVec()
-        for m, c in vec.items():
-            r = self._nf_cache.get(m)
-            if r is None:
-                r = self.ideal.reduce(unit_vec(m))
-                self._nf_cache[m] = r
-            out = out.axpy(c, r)
-        return out
+        return lincomb((c, self.nf_label(m)) for m, c in vec.items())
 
     def normal_form(self, elt: PoissElt) -> PoissElt:
         if elt.algebra != self.ambient:
@@ -248,38 +247,30 @@ class MorphismTable:
     def target_quotient(self) -> TruncatedQuotient:
         return self.target.quotient if hasattr(self.target, "quotient") else self.target
 
-    def _word_image(self, w: LyndonWord) -> PoissElt:
-        cached = self._word_cache.get(w)
-        if cached is not None:
-            return cached
-        tq = self.target_quotient()
-        if w.degree == 1:
-            name = self.source_quotient().ambient.alphabet[w.letters[0]]
-            try:
-                out = self.images[name]
-            except KeyError:
-                raise ValueError(f"no image for generator {name!r}") from None
-            out = tq.normal_form(out)
-        else:
-            u, v = standard_factorization(w)
-            out = tq.bracket(self._word_image(u), self._word_image(v))
-        self._word_cache[w] = out
-        return out
+    def _letter_image(self, letter: int) -> PoissElt:
+        name = self.source_quotient().ambient.alphabet[letter]
+        try:
+            out = self.images[name]
+        except KeyError:
+            raise ValueError(f"no image for generator {name!r}") from None
+        return self.target_quotient().normal_form(out)
 
     def apply(self, elt: PoissElt) -> PoissElt:
         sq, tq = self.source_quotient(), self.target_quotient()
         if elt.algebra != sq.ambient:
             raise ValueError("element not in the morphism source")
-        out = tq.ambient.zero()
+        terms = []
+        lossy = elt.lossy
         for m, c in elt.vec.items():
             if self.source_bracket_sign == -1:
                 c = c * op_sign(m)
             acc = tq.one()
             for f in m.factors:
-                acc = tq.product(acc, self._word_image(f))
-            out = out + acc.scaled(c)
-        out.lossy = out.lossy or elt.lossy
-        return tq.normal_form(out)
+                image = word_image(f, self._letter_image, tq.bracket, self._word_cache)
+                acc = tq.product(acc, image)
+            lossy = lossy or acc.lossy
+            terms.append((c, acc.vec))
+        return tq.normal_form(tq.ambient.elt(lincomb(terms), lossy))
 
     def well_defined_report(self) -> Report:
         """Every defining relation of the source must map into the target ideal."""
@@ -307,10 +298,6 @@ class MorphismTable:
 
     def is_well_defined(self) -> bool:
         return self.well_defined_report().ok
-
-
-def identity_table(q: TruncatedQuotient) -> MorphismTable:
-    return MorphismTable(q, q, {n: q.normal_form(q.ambient.gen(n)) for n in q.ambient.alphabet})
 
 
 @dataclass

@@ -10,7 +10,7 @@ bit-exact and canonical forms are decidable by structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -85,24 +85,10 @@ class SparseVec:
         return hash(frozenset(self._entries.items()))
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
-        data = dict(self._entries)
-        for label, c in other._entries.items():
-            s = data.get(label, _ZERO) + c
-            if s:
-                data[label] = s
-            else:
-                data.pop(label, None)
-        return SparseVec._raw(data)
+        return self.axpy(_ONE, other)
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
-        data = dict(self._entries)
-        for label, c in other._entries.items():
-            s = data.get(label, _ZERO) - c
-            if s:
-                data[label] = s
-            else:
-                data.pop(label, None)
-        return SparseVec._raw(data)
+        return self.axpy(-_ONE, other)
 
     def __neg__(self) -> "SparseVec":
         return SparseVec._raw({l: -c for l, c in self._entries.items()})
@@ -138,17 +124,7 @@ class SparseVec:
 
     def map_terms(self, fn) -> "SparseVec":
         """Rebuild through ``fn(label, coeff) -> iterable of (label, coeff)``."""
-        out = {}
-        for label, c in self._entries.items():
-            for l2, c2 in fn(label, c):
-                if not c2:
-                    continue
-                s = out.get(l2, _ZERO) + c2
-                if s:
-                    out[l2] = s
-                else:
-                    del out[l2]
-        return SparseVec._raw(out)
+        return SparseVec(term for label, c in self._entries.items() for term in fn(label, c))
 
     def sorted_items(self, key=label_key):
         return sorted(self._entries.items(), key=lambda kv: key(kv[0]))
@@ -158,7 +134,39 @@ class SparseVec:
         return f"SparseVec({{{body}}})"
 
 
-ZERO_VEC = SparseVec()
+def lincomb(terms) -> SparseVec:
+    """Sum of c * v over ``(c, v)`` pairs, accumulated in a single dict."""
+    data = {}
+    get = data.get
+    for c, v in terms:
+        if not c:
+            continue
+        for label, x in v._entries.items():
+            s = get(label, _ZERO) + c * x
+            if s:
+                data[label] = s
+            else:
+                del data[label]
+    return SparseVec._raw(data)
+
+
+def outer(left: SparseVec, right: SparseVec) -> SparseVec:
+    """Tensor product of two vectors, over (left label, right label) pairs."""
+    return SparseVec._raw(
+        {(a, b): ca * cb for a, ca in left._entries.items() for b, cb in right._entries.items()}
+    )
+
+
+def map_pairs(t: SparseVec, f) -> SparseVec:
+    """Apply the linear map with label images ``f(label)`` to both tensor slots."""
+    return lincomb((c, outer(f(a), f(b))) for (a, b), c in t.items())
+
+
+def _reduce_by_pivots(rows: dict, v: SparseVec) -> SparseVec:
+    # rows are mutually reduced, so the pivot coefficients of v are final and
+    # one combination clears every pivot label
+    hits = [(-c, rows[l]) for l, c in v._entries.items() if l in rows]
+    return lincomb([(_ONE, v), *hits]) if hits else v
 
 
 def unit_vec(label, coeff=1) -> SparseVec:
@@ -171,29 +179,25 @@ class EchelonBasis:
 
     Rows are kept fully reduced: every pivot coefficient is 1 and pivot
     labels do not occur in any other row.  ``freeze`` returns the immutable
-    canonical ``SubspaceBasis``.
+    canonical ``SubspaceBasis``.  ``rewritten`` holds the new versions of
+    the rows that the last ``insert`` back-substituted into.
     """
 
     def __init__(self, key=label_key):
         self.key = key
         self._rows: dict = {}  # pivot label -> SparseVec
+        self.rewritten: list = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def reduce(self, v: SparseVec) -> SparseVec:
-        rows = self._rows
-        hits = [l for l in v.labels() if l in rows]
-        # rows are mutually reduced, so one pass clears every pivot label
-        for label in hits:
-            c = v.get(label)
-            if c:
-                v = v.axpy(-c, rows[label])
-        return v
+        return _reduce_by_pivots(self._rows, v)
 
     def insert(self, v: SparseVec):
         """Add v to the span; returns the new normalized row, or None."""
+        self.rewritten = []
         r = self.reduce(v)
         if not r:
             return None
@@ -202,7 +206,8 @@ class EchelonBasis:
         for p, row in list(self._rows.items()):
             cp = row.get(pivot)
             if cp:
-                self._rows[p] = row.axpy(-cp, r)
+                self._rows[p] = row = row.axpy(-cp, r)
+                self.rewritten.append(row)
         self._rows[pivot] = r
         return r
 
@@ -228,28 +233,23 @@ class SubspaceBasis:
 
     rows: tuple
     pivots: tuple
+    _by_pivot: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_pivot", dict(zip(self.pivots, self.rows)))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, v: SparseVec) -> SparseVec:
-        by_pivot = dict(zip(self.pivots, self.rows))
-        hits = [l for l in v.labels() if l in by_pivot]
-        for label in hits:
-            c = v.get(label)
-            if c:
-                v = v.axpy(-c, by_pivot[label])
-        return v
+        return _reduce_by_pivots(self._by_pivot, v)
 
     def contains(self, v: SparseVec) -> bool:
         return not self.reduce(v)
 
     def pivot_set(self) -> frozenset:
         return frozenset(self.pivots)
-
-
-EMPTY_BASIS = SubspaceBasis(rows=(), pivots=())
 
 
 def row_reduce(vectors: Iterable[SparseVec], key=label_key) -> SubspaceBasis:

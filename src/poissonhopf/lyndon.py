@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import SparseVec, unit_vec
+from .linalg import SparseVec, lincomb, unit_vec
 
 
 def is_lyndon(letters: tuple) -> bool:
@@ -101,6 +100,27 @@ def standard_factorization(w: LyndonWord):
     return LyndonWord(w.letters[:i]), LyndonWord(w.letters[i:])
 
 
+def word_image(w: LyndonWord, letter_image, bracket, memo: dict):
+    """Image of a Lyndon word under the Lie map fixed by its letter images.
+
+    A letter maps to ``letter_image(letter)``; a longer word maps to the
+    ``bracket`` of the images of its standard factors.  Images are memoised
+    in ``memo``, which belongs to the map.
+    """
+    out = memo.get(w)
+    if out is None:
+        if w.degree == 1:
+            out = letter_image(w.letters[0])
+        else:
+            u, v = standard_factorization(w)
+            out = bracket(
+                word_image(u, letter_image, bracket, memo),
+                word_image(v, letter_image, bracket, memo),
+            )
+        memo[w] = out
+    return out
+
+
 _bracket_memo: dict = {}
 
 
@@ -135,10 +155,7 @@ def bracket_words(u: LyndonWord, v: LyndonWord) -> SparseVec:
 
 
 def _bracket_word_vec(u: LyndonWord, vec: SparseVec) -> SparseVec:
-    out = SparseVec()
-    for w, c in vec.items():
-        out = out.axpy(c, bracket_words(u, w))
-    return out
+    return lincomb((c, bracket_words(u, w)) for w, c in vec.items())
 
 
 @dataclass(frozen=True)
@@ -184,10 +201,9 @@ def lie_word(alphabet_size: int, letters) -> LieElt:
 def lie_bracket(x: LieElt, y: LieElt) -> LieElt:
     """Bilinear bracket, normalized into the Lyndon basis."""
     x._check(y)
-    out = SparseVec()
-    for u, cu in x.vec.items():
-        for v, cv in y.vec.items():
-            out = out.axpy(cu * cv, bracket_words(u, v))
+    out = lincomb(
+        (cu * cv, bracket_words(u, v)) for u, cu in x.vec.items() for v, cv in y.vec.items()
+    )
     return LieElt(x.alphabet_size, out)
 
 
@@ -221,16 +237,10 @@ class TensorElt:
 
     def __mul__(self, other: "TensorElt") -> "TensorElt":
         self._check(other)
-        data = {}
-        for wa, ca in self.vec.items():
-            for wb, cb in other.vec.items():
-                w = wa + wb
-                c = data.get(w, Fraction(0)) + ca * cb
-                if c:
-                    data[w] = c
-                else:
-                    data.pop(w, None)
-        return TensorElt(self.alphabet_size, SparseVec(data))
+        data = SparseVec(
+            (wa + wb, ca * cb) for wa, ca in self.vec.items() for wb, cb in other.vec.items()
+        )
+        return TensorElt(self.alphabet_size, data)
 
     def commutator(self, other: "TensorElt") -> "TensorElt":
         return self * other - other * self
@@ -243,21 +253,15 @@ def _word_tensor(letters: tuple) -> SparseVec:
     w = LyndonWord(letters)
     u, v = standard_factorization(w)
     tu, tv = _word_tensor(u.letters), _word_tensor(v.letters)
-    data: dict = {}
-    for wa, ca in tu.items():
-        for wb, cb in tv.items():
-            for word, sign in ((wa + wb, 1), ((wb + wa), -1)):
-                c = data.get(word, Fraction(0)) + sign * ca * cb
-                if c:
-                    data[word] = c
-                else:
-                    data.pop(word, None)
-    return SparseVec(data)
+    return SparseVec(
+        term
+        for wa, ca in tu.items()
+        for wb, cb in tv.items()
+        for term in ((wa + wb, ca * cb), (wb + wa, -ca * cb))
+    )
 
 
 def lie_to_tensor(x: LieElt) -> TensorElt:
     """Commutator expansion of the standard bracketing; injective on the basis."""
-    out = SparseVec()
-    for w, c in x.vec.items():
-        out = out.axpy(c, _word_tensor(w.letters))
+    out = lincomb((c, _word_tensor(w.letters)) for w, c in x.vec.items())
     return TensorElt(x.alphabet_size, out)

@@ -154,6 +154,14 @@ class FreePoissonAlgebra:
     def monomial_elt(self, m: PoissMonomial) -> "PoissElt":
         return PoissElt(self, unit_vec(m), False)
 
+    # -- the label protocol of ``verify``, on the free algebra itself --
+
+    def product_labels(self, a: PoissMonomial, b: PoissMonomial) -> SparseVec:
+        return poiss_product(self.monomial_elt(a), self.monomial_elt(b)).vec
+
+    def bracket_labels(self, a: PoissMonomial, b: PoissMonomial) -> SparseVec:
+        return poiss_bracket(self.monomial_elt(a), self.monomial_elt(b)).vec
+
 
 def _check_compatible(u: "PoissElt", v: "PoissElt"):
     if u.algebra.alphabet != v.algebra.alphabet:
@@ -219,10 +227,6 @@ class PoissElt:
     def bracket(self, other: "PoissElt") -> "PoissElt":
         return poiss_bracket(self, other)
 
-    def homogeneous(self, degree: int) -> "PoissElt":
-        data = {m: c for m, c in self.vec.items() if m.degree == degree}
-        return PoissElt(self.algebra, SparseVec(data), False)
-
     def __str__(self) -> str:
         return render(self)
 
@@ -234,21 +238,20 @@ def poiss_product(u: PoissElt, v: PoissElt) -> PoissElt:
     """Commutative product; terms above the truncation are dropped and flagged."""
     _check_compatible(u, v)
     cutoff = u.algebra.truncation
-    data: dict = {}
     lossy = u.lossy or v.lossy
-    for ma, ca in u.vec.items():
-        da = ma.degree
-        for mb, cb in v.vec.items():
-            if da + mb.degree > cutoff:
-                lossy = True
-                continue
-            m = ma * mb
-            c = data.get(m, Fraction(0)) + ca * cb
-            if c:
-                data[m] = c
-            else:
-                del data[m]
-    return PoissElt(u.algebra, SparseVec(data), lossy)
+
+    def terms():
+        nonlocal lossy
+        for ma, ca in u.vec.items():
+            da = ma.degree
+            for mb, cb in v.vec.items():
+                if da + mb.degree > cutoff:
+                    lossy = True
+                else:
+                    yield ma * mb, ca * cb
+
+    vec = SparseVec(terms())
+    return PoissElt(u.algebra, vec, lossy)
 
 
 def _mono_bracket_terms(a: PoissMonomial, b: PoissMonomial):
@@ -265,26 +268,28 @@ def _mono_bracket_terms(a: PoissMonomial, b: PoissMonomial):
 
 
 def poiss_bracket(u: PoissElt, v: PoissElt) -> PoissElt:
-    """Poisson bracket extending the free Lie bracket as a biderivation."""
+    """Poisson bracket extending the free Lie bracket as a biderivation.
+
+    Only a pair past the cutoff whose bracket has a term makes the result lossy.
+    """
     _check_compatible(u, v)
     cutoff = u.algebra.truncation
-    data: dict = {}
     lossy = u.lossy or v.lossy
-    for ma, ca in u.vec.items():
-        da = ma.degree
-        for mb, cb in v.vec.items():
-            overflow = da + mb.degree > cutoff
-            coeff = ca * cb
-            for m, c in _mono_bracket_terms(ma, mb):
-                if overflow:
-                    lossy = True
-                    break
-                s = data.get(m, Fraction(0)) + coeff * c
-                if s:
-                    data[m] = s
-                else:
-                    del data[m]
-    return PoissElt(u.algebra, SparseVec(data), lossy)
+
+    def terms():
+        nonlocal lossy
+        for ma, ca in u.vec.items():
+            da = ma.degree
+            for mb, cb in v.vec.items():
+                if da + mb.degree > cutoff:
+                    lossy = lossy or next(_mono_bracket_terms(ma, mb), None) is not None
+                    continue
+                coeff = ca * cb
+                for m, c in _mono_bracket_terms(ma, mb):
+                    yield m, coeff * c
+
+    vec = SparseVec(terms())
+    return PoissElt(u.algebra, vec, lossy)
 
 
 @functools.lru_cache(maxsize=None)

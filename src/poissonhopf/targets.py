@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseVec, unit_vec
+from .linalg import SparseVec, lincomb, unit_vec
 
 
 class GroupAlgebra:
@@ -45,16 +45,11 @@ class GroupAlgebra:
         return unit_vec(tuple(exps))
 
     def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        out = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                c = out.get(key, Fraction(0)) + ca * cb
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        return SparseVec(out)
+        return SparseVec(
+            (tuple(x + y for x, y in zip(a, b)), ca * cb)
+            for a, ca in u.items()
+            for b, cb in v.items()
+        )
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return SparseVec()
@@ -108,11 +103,11 @@ class SymmetricLieHopf:
             if self._gen_bracket(i, i):
                 raise ValueError("bracket table not antisymmetric")
         for i, j, k in itertools.product(range(n), repeat=3):
-            acc = SparseVec()
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self._gen_bracket(b, c)
-                for (m,), cm in inner.items():
-                    acc = acc.axpy(cm, self._gen_bracket(a, m))
+            acc = lincomb(
+                (cm, self._gen_bracket(a, m))
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                for (m,), cm in self._gen_bracket(b, c).items()
+            )
             if acc:
                 raise ValueError("structure constants violate the Jacobi identity")
 
@@ -126,58 +121,44 @@ class SymmetricLieHopf:
         return unit_vec((i,))
 
     def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        out = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                if len(a) + len(b) > self.truncation:
-                    continue
-                key = tuple(sorted(a + b))
-                c = out.get(key, Fraction(0)) + ca * cb
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        return SparseVec(out)
+        return SparseVec(
+            (tuple(sorted(a + b)), ca * cb)
+            for a, ca in u.items()
+            for b, cb in v.items()
+            if len(a) + len(b) <= self.truncation
+        )
 
-    def _mono_bracket(self, a: tuple, b: tuple) -> SparseVec:
-        out = SparseVec()
+    def _mono_bracket_terms(self, a: tuple, b: tuple):
         for i in range(len(a)):
             rest_a = a[:i] + a[i + 1 :]
             for j in range(len(b)):
-                lie = self._gen_bracket(a[i], b[j])
-                if not lie:
-                    continue
                 rest = rest_a + b[:j] + b[j + 1 :]
-                for (k,), c in lie.items():
+                for (k,), c in self._gen_bracket(a[i], b[j]).items():
                     mono = tuple(sorted(rest + (k,)))
                     if len(mono) <= self.truncation:
-                        out = out.axpy(c, unit_vec(mono))
-        return out
+                        yield mono, c
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        out = SparseVec()
-        for a, ca in u.items():
-            for b, cb in v.items():
-                out = out.axpy(ca * cb, self._mono_bracket(a, b))
-        return out
+        return SparseVec(
+            (mono, ca * cb * c)
+            for a, ca in u.items()
+            for b, cb in v.items()
+            for mono, c in self._mono_bracket_terms(a, b)
+        )
 
     def delta(self, u: SparseVec) -> SparseVec:
         """Primitive on generators, extended multiplicatively (binomial splits)."""
-        out = SparseVec()
+        terms = []
         for mono, c in u.items():
             acc = unit_vec(((), ()))
             for idx in mono:
-                nxt = {}
-                for (l, r), cv in acc.items():
-                    for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,))))):
-                        s = nxt.get(key, Fraction(0)) + cv
-                        if s:
-                            nxt[key] = s
-                        else:
-                            del nxt[key]
-                acc = SparseVec(nxt)
-            out = out.axpy(c, acc)
-        return out
+                acc = SparseVec(
+                    (key, cv)
+                    for (l, r), cv in acc.items()
+                    for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,)))))
+                )
+            terms.append((c, acc))
+        return lincomb(terms)
 
     def epsilon(self, u: SparseVec) -> Fraction:
         return u.get(())
@@ -222,10 +203,6 @@ class SymmetricLieHopf:
 
     reduce_pair = reduce_vec
     reduce_triple = reduce_vec
-
-
-def abelian_lie_hopf(names, truncation: int) -> SymmetricLieHopf:
-    return SymmetricLieHopf(names, {}, truncation)
 
 
 def sl2_hopf(truncation: int) -> SymmetricLieHopf:

@@ -23,9 +23,8 @@ if every listed residual is exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import SparseVec, unit_vec
+from .linalg import SparseVec, lincomb, outer, unit_vec
 
 
 @dataclass(frozen=True)
@@ -90,50 +89,22 @@ def render_vec(structure, vec: SparseVec) -> str:
 
 
 def op_vec_vec(op, va: SparseVec, vb: SparseVec) -> SparseVec:
-    out = SparseVec()
-    for a, ca in va.items():
-        for b, cb in vb.items():
-            out = out.axpy(ca * cb, op(a, b))
-    return out
+    return lincomb((ca * cb, op(a, b)) for a, ca in va.items() for b, cb in vb.items())
 
 
 def delta_vec(structure, v: SparseVec) -> SparseVec:
-    out = SparseVec()
-    for l, c in v.items():
-        out = out.axpy(c, structure.delta_label(l))
-    return out
-
-
-def epsilon_vec(structure, v: SparseVec) -> Fraction:
-    total = Fraction(0)
-    for l, c in v.items():
-        total += c * structure.epsilon_label(l)
-    return total
+    return lincomb((c, structure.delta_label(l)) for l, c in v.items())
 
 
 def tensor_bracket(structure, ta: SparseVec, tb: SparseVec) -> SparseVec:
     """[p(x)q, r(x)s] = pr (x) [q,s] + [p,r] (x) qs, extended bilinearly."""
-    out = {}
-    for (p, q), c1 in ta.items():
-        for (r, s), c2 in tb.items():
-            c = c1 * c2
-            for x, cx in structure.product_labels(p, r).items():
-                for y, cy in structure.bracket_labels(q, s).items():
-                    key = (x, y)
-                    t = out.get(key, Fraction(0)) + c * cx * cy
-                    if t:
-                        out[key] = t
-                    else:
-                        del out[key]
-            for x, cx in structure.bracket_labels(p, r).items():
-                for y, cy in structure.product_labels(q, s).items():
-                    key = (x, y)
-                    t = out.get(key, Fraction(0)) + c * cx * cy
-                    if t:
-                        out[key] = t
-                    else:
-                        del out[key]
-    return SparseVec(out)
+    mul, br = structure.product_labels, structure.bracket_labels
+    return lincomb(
+        (c1 * c2, term)
+        for (p, q), c1 in ta.items()
+        for (r, s), c2 in tb.items()
+        for term in (outer(mul(p, r), br(q, s)), outer(br(p, r), mul(q, s)))
+    )
 
 
 def _pairs_within(structure, max_degree):
@@ -152,14 +123,17 @@ def check_coassociativity(structure, max_degree=None) -> Report:
     """(delta (x) id) delta = (id (x) delta) delta on every basis label."""
     report = Report()
     for l in structure.labels_upto(max_degree):
-        t = structure.delta_label(l)
-        left = SparseVec()
-        right = SparseVec()
-        for (m1, m2), c in t.items():
-            for (a, b), c2 in structure.delta_label(m1).items():
-                left = left.axpy(c * c2, unit_vec((a, b, m2)))
-            for (a, b), c2 in structure.delta_label(m2).items():
-                right = right.axpy(c * c2, unit_vec((m1, a, b)))
+        t = structure.delta_label(l).items()
+        left = SparseVec(
+            ((a, b, m2), c * c2)
+            for (m1, m2), c in t
+            for (a, b), c2 in structure.delta_label(m1).items()
+        )
+        right = SparseVec(
+            ((m1, a, b), c * c2)
+            for (m1, m2), c in t
+            for (a, b), c2 in structure.delta_label(m2).items()
+        )
         residual = structure.reduce_triple(left - right)
         report.checked += 1
         if residual:
@@ -177,12 +151,9 @@ def check_counit(structure, max_degree=None) -> Report:
     """Both one-sided counit laws on every basis label."""
     report = Report()
     for l in structure.labels_upto(max_degree):
-        t = structure.delta_label(l)
-        left = SparseVec()
-        right = SparseVec()
-        for (m1, m2), c in t.items():
-            left = left.axpy(c * structure.epsilon_label(m1), unit_vec(m2))
-            right = right.axpy(c * structure.epsilon_label(m2), unit_vec(m1))
+        t = structure.delta_label(l).items()
+        left = SparseVec((m2, c * structure.epsilon_label(m1)) for (m1, m2), c in t)
+        right = SparseVec((m1, c * structure.epsilon_label(m2)) for (m1, m2), c in t)
         target = unit_vec(l)
         for side, v in (("left", left), ("right", right)):
             residual = structure.reduce_vec(v - target)
@@ -292,13 +263,13 @@ def check_antipode_antimorphism(structure, max_degree=None) -> Report:
     n = max_degree if max_degree is not None else structure.truncation
 
     def s_vec(v):
-        out = SparseVec()
+        terms = []
         for l, c in v.items():
             sv = structure.antipode_label(l)
             if sv is None:
                 return None
-            out = out.axpy(c, sv)
-        return out
+            terms.append((c, sv))
+        return lincomb(terms)
 
     for a, b in _pairs_within(structure, n):
         sa, sb = structure.antipode_label(a), structure.antipode_label(b)

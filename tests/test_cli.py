@@ -165,6 +165,28 @@ def test_verify_selected_laws(capsys, tmp_path, trig_path):
     assert set(obj["laws"]) == {"coassociativity", "counit"}
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"construct": "induce", "degree": 3},
+        {"construct": "free-hopf", "spec": 7, "degree": 3, "stages": 2},
+        {"construct": "coproduct", "spec": "builtin:trig", "degree": 2},
+        {"construct": "coproduct", "spec": ["builtin:trig"], "degree": 2},
+        {"construct": "induce", "spec": "builtin:trig", "degree": "3"},
+        {"construct": "induce", "spec": "builtin:trig", "degree": True},
+        {"construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2.5},
+    ],
+)
+def test_verify_rejects_malformed_artifact_fields(capsys, tmp_path, desc):
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "verify", str(artifact))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "artifact" in err and "missing file" not in err
+
+
 def test_builtin_references_accepted(capsys):
     code, out, _ = run(capsys, "dims", "builtin:grouplike-1", "--degree", "3")
     assert code == 0

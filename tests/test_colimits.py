@@ -2,6 +2,8 @@
 
 import pytest
 
+from poissonhopf.bialgebra import induce_bialgebra
+from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
 from poissonhopf.colimits import (
     MorphismTable,
     PoissonDirectProduct,
@@ -13,6 +15,7 @@ from poissonhopf.colimits import (
     poisson_equalizer,
     quotient,
 )
+from poissonhopf.free_hopf import hopf_ideal_generators, staged_coproduct
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import (
     FreePoissonAlgebra,
@@ -67,6 +70,9 @@ def test_saturate_empty_is_zero():
         ["a*a - b", "{a,b} - a"],
         ["1 - a", "b*b"],
         ["2*a + 3*b*b - 1"],
+        # a row of top degree n whose degree-n part a later row rewrites
+        ["b - a*a - [a,b]", "-1 + [a,b]"],
+        ["a*a - 2*b*b", "-b - 2*b*b"],
     ],
 )
 @pytest.mark.parametrize("n", [2, 3])
@@ -80,6 +86,41 @@ def test_saturation_matches_brute_force_closure(gens, n):
     fast = ideal_saturate(P, elts)
     slow = brute_force_saturation(P, elts, n)
     assert fast == slow
+
+
+def _twisted_grouplike_2():
+    # grouplike-2 in the basis y1 = g1 + g2, y2 = g2
+    return CoalgebraSpec.make(
+        ("y1", "y2"),
+        {
+            "y1": [("y1", "y1", 1), ("y1", "y2", -1), ("y2", "y1", -1), ("y2", "y2", 2)],
+            "y2": [("y2", "y2", 1)],
+        },
+        {"y1": 2, "y2": 1},
+    )
+
+
+@pytest.mark.parametrize(
+    "name, stages, n",
+    [
+        ("grouplike-1", 3, 4),
+        ("grouplike-1", 4, 4),
+        ("grouplike-2", 2, 4),
+        ("trig", 2, 4),
+        ("matrix-2", 2, 2),
+        ("twisted-grouplike-2", 2, 4),
+    ],
+)
+def test_saturation_matches_brute_force_on_hopf_relations(name, stages, n):
+    if name == "twisted-grouplike-2":
+        spec = _twisted_grouplike_2()
+        assert validate_coalgebra(spec).ok
+    else:
+        spec = builtin(name)
+    staged = staged_coproduct(induce_bialgebra(spec, n), stages, check=False)
+    relations = hopf_ideal_generators(staged)
+    fast = ideal_saturate(staged.ambient, relations)
+    assert fast == brute_force_saturation(staged.ambient, relations, n)
 
 
 def test_saturation_soundness_closure_property():

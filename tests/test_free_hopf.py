@@ -225,6 +225,18 @@ def test_single_operand_hopf_coproduct_matches_operand():
     assert out.bialgebra.quotient.graded_dims() == H.quotient.graded_dims()
 
 
+def test_hopf_coproduct_counts_only_formed_residuals(monkeypatch):
+    H = free_poisson_hopf(builtin("trig"), 2, 2, check=False)
+    full = H.antipode_table()
+    assert hopf_coproduct_antipode([H], check=False).report.checked == 2
+    monkeypatch.setattr(H, "antipode_table", lambda: {k: v for k, v in full.items() if k != "s_0"})
+    out = hopf_coproduct_antipode([H], check=False)
+    # delta(c) = c (x) c - s (x) s: without S(s_0) the residual of c_0 cannot be formed
+    assert set(out.antipode_images) == {"c_0_0"}
+    assert out.report.checked == 0
+    assert out.report.ok
+
+
 def test_hopf_coproduct_rejects_non_hopf_operand():
     B = induce_bialgebra(builtin("grouplike-1"), 3)
     with pytest.raises(ValueError, match="missing antipode"):

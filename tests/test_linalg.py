@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from poissonhopf.linalg import (
     EchelonBasis,
     SparseVec,
+    lincomb,
     member,
     normal_form,
     row_reduce,
@@ -105,6 +106,24 @@ def test_incremental_insert_matches_batch():
     for r in rows:
         acc.insert(r)
     assert acc.freeze() == row_reduce(rows)
+
+
+def test_lincomb_matches_axpy_chain():
+    terms = [
+        (Fraction(2), vec(1, 0, 3)),
+        (Fraction(-1, 2), vec(4, 5, 0)),
+        (Fraction(0), vec(7, 7, 7)),
+    ]
+    chain = SparseVec()
+    for c, v in terms:
+        chain = chain.axpy(c, v)
+    assert lincomb(terms) == chain
+    # label 0 cancels and is not stored
+    cancelled = lincomb([(Fraction(1), vec(2, 1)), (Fraction(-2), vec(1))])
+    assert cancelled == vec(0, 1)
+    assert list(cancelled.labels()) == [1]
+    assert lincomb([]) == SparseVec()
+    assert not lincomb([])
 
 
 def test_unit_vec_zero_coeff_is_zero():
