@@ -1,8 +1,10 @@
 """Command-line surface: spec loading, pipelines, deterministic JSON reports.
 
-Exit codes: 0 clean, 2 parse errors (expressions, spec files, map files),
-3 validation failures (coalgebra laws, axiom violations, ill-defined
-morphisms), 4 stage or degree overflow, 1 unexpected internal failure.
+Exit codes: 0 clean, 2 parse errors (expressions; spec, map and artifact
+files, all read by ``read_json``), 3 validation failures (coalgebra laws,
+axiom violations, ill-defined morphisms), 4 stage or degree overflow
+(``eval`` of an expression with terms above the budget), 1 unexpected
+internal failure.
 Reports are emitted with sorted keys and stable ordering, so identical
 invocations produce byte-identical output.
 """
@@ -18,7 +20,14 @@ from .bialgebra import (
     check_bialgebra,
     induce_bialgebra,
 )
-from .coalgebra import SpecError, SpecParseError, builtin, load_spec, validate_coalgebra
+from .coalgebra import (
+    SpecError,
+    SpecParseError,
+    builtin,
+    load_spec,
+    read_json,
+    validate_coalgebra,
+)
 from .colimits import MorphismTable
 from .exprs import ParseError, parse
 from .free_hopf import StageOverflowError, free_poisson_hopf, verify_antipode
@@ -99,7 +108,13 @@ def cmd_induce(args) -> int:
 def cmd_eval(args) -> int:
     spec = resolve_spec(args.spec)
     B = induce_bialgebra(spec, args.degree)
-    value = render(parse(args.expr, B.ambient))
+    elt = parse(args.expr, B.ambient)
+    if elt.lossy:
+        sys.stderr.write(
+            f"overflow: {args.expr!r} has terms above the degree budget {args.degree}\n"
+        )
+        return 4
+    value = render(elt)
     if getattr(args, "out", None):
         emit(args, {"command": "eval", "expr": args.expr, "value": value})
     else:
@@ -128,13 +143,7 @@ def cmd_coproduct(args) -> int:
 
 
 def load_map(path: str, expected_source=None):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise SpecParseError(
-            f"JSON parse error in {path} at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    obj = read_json(path)
     if not isinstance(obj, dict) or set(obj) - {"source_spec", "images"}:
         raise SpecParseError(f"map file {path} must carry source_spec and images")
     source_ref = obj.get("source_spec")
@@ -227,13 +236,7 @@ def artifact_int(desc: dict, key: str, least: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.artifact, "r", encoding="utf-8") as fh:
-            desc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise SpecParseError(
-            f"JSON parse error in {args.artifact} at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    desc = read_json(args.artifact)
     if not isinstance(desc, dict) or "construct" not in desc:
         raise SpecParseError("artifact must carry a construct field")
     laws = LAW_NAMES if args.laws == "all" else tuple(args.laws.split(","))

@@ -214,15 +214,31 @@ def spec_to_json_obj(spec: CoalgebraSpec) -> dict:
     }
 
 
+def read_json(path):
+    """The parsed contents of a JSON file (spec, map file or artifact).
+
+    A file that cannot be read, is not UTF-8, or does not parse raises
+    ``SpecParseError`` with a one-line message; a missing file raises
+    ``FileNotFoundError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (IsADirectoryError, PermissionError) as e:
+        raise SpecParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise SpecParseError(f"{path} is not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise SpecParseError(
+            f"JSON parse error in {path} at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from None
+    except RecursionError:
+        raise SpecParseError(f"JSON in {path} is nested too deeply") from None
+
+
 def load_spec(path) -> CoalgebraSpec:
     """Load and validate a spec file; raises SpecError on any problem."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpecParseError(f"JSON parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
-    spec = spec_from_json_obj(obj)
+    spec = spec_from_json_obj(read_json(path))
     report = validate_coalgebra(spec)
     if not report.ok:
         raise SpecError("invalid coalgebra: " + "; ".join(report.lines()))

@@ -56,7 +56,7 @@ def quotient_key(m: PoissMonomial):
     closes the whole subspace, and quotient basis classes (the non-pivot
     monomials) keep the lowest-degree representatives.
     """
-    return (-m.degree, tuple(f.sort_key for f in m.factors))
+    return (-m.degree, m.sort_key[1])
 
 
 def ideal_saturate(ambient: FreePoissonAlgebra, generators, max_degree=None) -> SubspaceBasis:

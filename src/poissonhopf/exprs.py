@@ -10,6 +10,7 @@ Grammar, loosest binding first::
 Scalars are integer fractions ``p/q``.  Braces and square brackets both
 denote the Poisson bracket; the square form is what the canonical printer
 emits for Lyndon-word factors, so printed elements parse back to themselves.
+Nesting deeper than the interpreter's recursion limit is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -133,7 +134,10 @@ class _Parser:
 def parse(text: str, algebra: FreePoissonAlgebra) -> PoissElt:
     """Parse an expression into the given algebra; raises ParseError."""
     parser = _Parser(tokenize(text), algebra)
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {value!r}", pos)

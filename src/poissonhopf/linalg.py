@@ -4,8 +4,11 @@ Everything is a value: vectors are immutable, a basis is built once and then
 only queried.  Labels may be any hashable objects; the global order used for
 pivoting comes from ``label_key``, which is degree-lexicographic for the
 algebra label types defined elsewhere and plain ordering for ints, strings
-and tuples.  All arithmetic is in ``fractions.Fraction``, so every result is
-bit-exact and canonical forms are decidable by structural equality.
+and tuples.  Scalars are exact rationals: ``int`` when integral,
+``Fraction`` otherwise, so integer structure constants stay in machine-word
+``int`` arithmetic until a true fraction appears.  Every result is
+bit-exact and canonical forms are decidable by structural equality, since
+``1 == Fraction(1)`` and both hash alike.
 """
 
 from __future__ import annotations
@@ -16,8 +19,25 @@ from typing import Iterable, Iterator
 
 Scalar = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def exact(c) -> int | Fraction:
+    """The coefficient as an exact rational: int when integral, else Fraction."""
+    if type(c) is not int:
+        c = c if type(c) is Fraction else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _exact_values(data: dict) -> dict:
+    # sums and products of fractions can be integral again; store those as int
+    for label, c in data.items():
+        if type(c) is Fraction and c.denominator == 1:
+            data[label] = c.numerator
+    return data
 
 
 def label_key(label):
@@ -31,25 +51,33 @@ def label_key(label):
 
 
 class SparseVec:
-    """Finitely supported map from labels to nonzero rationals.
+    """Finitely supported map from labels to nonzero exact rationals.
 
     No zero entry is ever stored, so equality is plain entrywise equality.
+    Integral coefficients are stored as ``int``: a vector built from ints
+    stays in int arithmetic, and the accumulators below turn integral
+    ``Fraction`` results back into ints.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries=()):
         data = {}
+        get = data.get
+        fractions = False
         items = entries.items() if isinstance(entries, dict) else entries
-        for label, coeff in items:
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        for label, c in items:
+            if type(c) is not int:
+                c = exact(c)
+                fractions = True
             if c:
-                c = data.get(label, _ZERO) + c
+                c = get(label, 0) + c
                 if c:
                     data[label] = c
                 else:
                     del data[label]
-        self._entries = data
+        # sums of ints are ints, so only fractional input needs the pass
+        self._entries = _exact_values(data) if fractions else data
 
     @classmethod
     def _raw(cls, data: dict) -> "SparseVec":
@@ -64,7 +92,7 @@ class SparseVec:
     def labels(self):
         return self._entries.keys()
 
-    def get(self, label) -> Fraction:
+    def get(self, label) -> int | Fraction:
         return self._entries.get(label, _ZERO)
 
     def __len__(self) -> int:
@@ -94,15 +122,15 @@ class SparseVec:
         return SparseVec._raw({l: -c for l, c in self._entries.items()})
 
     def scaled(self, c) -> "SparseVec":
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = exact(c)
         if not c:
             return SparseVec._raw({})
-        return SparseVec._raw({l: c * v for l, v in self._entries.items()})
+        return SparseVec._raw(_exact_values({l: c * v for l, v in self._entries.items()}))
 
     def __rmul__(self, c) -> "SparseVec":
         return self.scaled(c)
 
-    def axpy(self, c: Fraction, other: "SparseVec") -> "SparseVec":
+    def axpy(self, c: int | Fraction, other: "SparseVec") -> "SparseVec":
         """self + c * other, in one pass."""
         if not c:
             return self
@@ -113,7 +141,7 @@ class SparseVec:
                 data[label] = s
             else:
                 data.pop(label, None)
-        return SparseVec._raw(data)
+        return SparseVec._raw(_exact_values(data))
 
     def leading(self, key=label_key):
         """(label, coeff) at the smallest label, or None if zero."""
@@ -142,12 +170,12 @@ def lincomb(terms) -> SparseVec:
         if not c:
             continue
         for label, x in v._entries.items():
-            s = get(label, _ZERO) + c * x
+            s = get(label, 0) + c * x
             if s:
                 data[label] = s
             else:
                 del data[label]
-    return SparseVec._raw(data)
+    return SparseVec._raw(_exact_values(data))
 
 
 def outer(left: SparseVec, right: SparseVec) -> SparseVec:
@@ -170,8 +198,8 @@ def _reduce_by_pivots(rows: dict, v: SparseVec) -> SparseVec:
 
 
 def unit_vec(label, coeff=1) -> SparseVec:
-    c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-    return SparseVec._raw({label: c}) if c else SparseVec._raw({})
+    c = coeff if type(coeff) is int else exact(coeff)
+    return SparseVec._raw({label: c} if c else {})
 
 
 class EchelonBasis:
@@ -202,9 +230,9 @@ class EchelonBasis:
         if not r:
             return None
         pivot, c = r.leading(self.key)
-        r = r.scaled(1 / c)
+        r = r.scaled(Fraction(1) / c)
         for p, row in list(self._rows.items()):
-            cp = row.get(pivot)
+            cp = row._entries.get(pivot)
             if cp:
                 self._rows[p] = row = row.axpy(-cp, r)
                 self.rewritten.append(row)

@@ -7,6 +7,11 @@ free Lie algebra.  Arbitrary brackets are normalized into that basis by the
 classical rewriting with antisymmetry and the Jacobi identity; correctness
 is checked against the commutator expansion in the tensor algebra, which is
 implemented independently below.
+
+Two process-wide tables live here, and neither is ever cleared:
+``_word_table`` interns Lyndon words (one entry per distinct word ever
+built), and ``_bracket_memo`` holds the bracket of each ordered word pair
+once it has been normalized.
 """
 
 from __future__ import annotations
@@ -28,21 +33,43 @@ def is_lyndon(letters: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+_word_table: dict = {}
+
+
 class LyndonWord:
-    letters: tuple
+    """A Lyndon word, hash-consed: ``LyndonWord(letters)`` returns the one
+    instance for those letters, so equality is identity.
 
-    def __post_init__(self):
-        if not is_lyndon(self.letters):
-            raise ValueError(f"not a Lyndon word: {self.letters}")
+    ``degree``, ``sort_key`` and the hash are computed once, when the word
+    is first built; ``is_lyndon`` runs then too, and a rejected word never
+    enters the table, so it raises on every attempt.
+    """
 
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
+    __slots__ = ("letters", "degree", "sort_key", "_hash")
 
-    @property
-    def sort_key(self):
-        return (len(self.letters), self.letters)
+    def __new__(cls, letters: tuple):
+        w = _word_table.get(letters)
+        if w is None:
+            if not is_lyndon(letters):
+                raise ValueError(f"not a Lyndon word: {letters}")
+            w = object.__new__(cls)
+            init = object.__setattr__
+            init(w, "letters", letters)
+            init(w, "degree", len(letters))
+            init(w, "sort_key", (len(letters), letters))
+            init(w, "_hash", hash(letters))
+            # setdefault, so threads racing on a new word still share one instance
+            w = _word_table.setdefault(letters, w)
+        return w
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return LyndonWord, (self.letters,)
 
     def __lt__(self, other: "LyndonWord") -> bool:
         return self.sort_key < other.sort_key

@@ -9,35 +9,61 @@ leans on.
 
 Elements print as sorted products of bracketed Lyndon words (``a*[a,b]``),
 a form the expression parser reads back verbatim.
+
+Monomials are interned in the process-wide ``_monomial_table``, one entry
+per distinct monomial ever built, next to the word table and
+``_bracket_memo`` of ``lyndon``; none of the three is ever cleared.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 from .linalg import SparseVec, unit_vec
 from .lyndon import LyndonWord, bracket_words, lyndon_words, standard_factorization
 
 
-@dataclass(frozen=True)
+_SORT_KEY = operator.attrgetter("sort_key")
+
+_monomial_table: dict = {}
+
+
 class PoissMonomial:
-    """Commutative monomial: factors kept sorted, the empty multiset is 1."""
+    """Commutative monomial: factors kept sorted, the empty multiset is 1.
 
-    factors: tuple
+    Hash-consed like ``LyndonWord``: every permutation of the same factors
+    gives the one instance, so equality is identity.  ``degree``,
+    ``sort_key`` and the hash are computed once, when the sorted factor
+    tuple is first seen; only sorted tuples are table keys.
+    """
 
-    def __post_init__(self):
-        fs = tuple(sorted(self.factors, key=lambda w: w.sort_key))
-        object.__setattr__(self, "factors", fs)
+    __slots__ = ("factors", "degree", "sort_key", "_hash")
 
-    @property
-    def degree(self) -> int:
-        return sum(f.degree for f in self.factors)
+    def __new__(cls, factors: tuple):
+        key = tuple(sorted(factors, key=_SORT_KEY)) if len(factors) > 1 else tuple(factors)
+        m = _monomial_table.get(key)
+        if m is None:
+            m = object.__new__(cls)
+            degree = sum(f.degree for f in key)
+            init = object.__setattr__
+            init(m, "factors", key)
+            init(m, "degree", degree)
+            init(m, "sort_key", (degree, tuple(f.sort_key for f in key)))
+            init(m, "_hash", hash(key))
+            # setdefault, so threads racing on a new key still share one instance
+            m = _monomial_table.setdefault(key, m)
+        return m
 
-    @property
-    def sort_key(self):
-        return (self.degree, tuple(f.sort_key for f in self.factors))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return PoissMonomial, (self.factors,)
 
     def __lt__(self, other: "PoissMonomial") -> bool:
         return self.sort_key < other.sort_key

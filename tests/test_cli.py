@@ -210,3 +210,65 @@ def test_reports_are_byte_identical_across_runs(capsys, tmp_path, argv):
     assert main(list(argv) + ["--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_eval_truncated_result_exits_4(capsys):
+    code, out, err = run(capsys, "eval", "builtin:trig", "{c,{c,{c,{c,s}}}}", "--degree", "2")
+    assert code == 4
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("overflow:")
+
+
+def test_eval_deeply_nested_expression_exits_2(capsys):
+    depth = 3000
+    code, out, err = run(capsys, "eval", "builtin:trig", "(" * depth + "c" + ")" * depth,
+                         "--degree", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "nested too deeply" in err
+
+
+def _unreadable_inputs(tmp_path):
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"basis": ["\xe9"]}'.encode("latin-1"))
+    mangled = tmp_path / "mangled.json"
+    mangled.write_text('{"construct": ')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    return {"directory": str(directory), "non-utf8": str(latin1), "bad-json": str(mangled),
+            "deep-json": str(deep)}
+
+
+@pytest.mark.parametrize("case", ["directory", "non-utf8", "bad-json", "deep-json"])
+@pytest.mark.parametrize("command", ["spec", "map", "artifact"])
+def test_unreadable_json_files_exit_2(capsys, tmp_path, case, command):
+    path = _unreadable_inputs(tmp_path)[case]
+    if command == "spec":
+        argv = ("validate", path)
+    elif command == "map":
+        argv = ("coequalize", "builtin:grouplike-2", "--map", path, "--map", path,
+                "--degree", "2")
+    else:
+        argv = ("verify", path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("parse error:") and path in err
+
+
+def test_unreadable_file_permission_exits_2(capsys, tmp_path, monkeypatch):
+    import poissonhopf.coalgebra as coalgebra
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(coalgebra, "open", denied, raising=False)
+    code, out, err = run(capsys, "validate", str(tmp_path / "locked.json"))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"parse error: cannot read {tmp_path / 'locked.json'}: Permission denied"

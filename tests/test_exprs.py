@@ -65,3 +65,9 @@ def test_round_trip_on_canonical_forms(P):
     ]
     for e in corpus:
         assert parse(render(e), P) == e, render(e)
+
+
+def test_deep_nesting_is_a_parse_error(P):
+    depth = 3000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("{a," * depth + "b" + "}" * depth, P)

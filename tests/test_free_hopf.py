@@ -266,3 +266,23 @@ def test_staged_odd_copy_uses_flipped_delta():
     stage1 = pairs("e12_1")
     assert stage0 == {("e11_0", "e12_0"): 1, ("e12_0", "e22_0"): 1}
     assert stage1 == {("e12_1", "e11_1"): 1, ("e22_1", "e12_1"): 1}
+
+
+def test_coefficients_stay_exact_rationals():
+    from fractions import Fraction
+
+    H = free_poisson_hopf(builtin("trig"), 2, 3)
+    verify_antipode(H, depth=1)
+    vectors = [
+        *H.quotient.ideal.rows,
+        *H.quotient._nf_cache.values(),
+        *H._delta_word.values(),
+        *H._delta_mono.values(),
+        *H.staged.bialgebra._delta_word.values(),
+        *H.staged.bialgebra._delta_mono.values(),
+    ]
+    assert H.quotient._nf_cache and H._delta_mono
+    kinds = {type(c) for v in vectors for _, c in v.items()}
+    assert kinds <= {int, Fraction}, kinds
+    # integral values are stored as ints, so a true fraction is the only Fraction
+    assert all(c.denominator != 1 for v in vectors for _, c in v.items() if type(c) is Fraction)

@@ -148,3 +148,28 @@ def test_subspace_basis_invariants():
         for other in basis.rows:
             if other is not row:
                 assert other.get(pivot) == 0
+
+
+def test_integral_coefficients_are_ints():
+    v = unit_vec("m", 2)
+    assert type(v.get("m")) is int and v.get("m") == 2
+    assert type(unit_vec("m", Fraction(4, 2)).get("m")) is int
+    assert type(SparseVec({"m": True}).get("m")) is int
+    half = SparseVec({"m": Fraction(1, 2), "n": Fraction(3, 2)})
+    assert type((2 * half).get("m")) is int
+    assert type(lincomb([(1, half), (1, half)]).get("n")) is int
+    assert type(half.axpy(Fraction(1, 2), unit_vec("m", 1)).get("m")) is int
+
+
+def test_pivot_three_normalizes_to_a_fraction():
+    acc = EchelonBasis()
+    row = acc.insert(SparseVec({0: 3, 1: 1}))
+    assert row.get(0) == 1
+    assert row.get(1) == Fraction(1, 3) and type(row.get(1)) is Fraction
+
+
+def test_int_and_fraction_coefficients_compare_and_hash_alike():
+    a, b = SparseVec({"m": 1}), SparseVec({"m": Fraction(1)})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert str(a.get("m")) == str(Fraction(1))

@@ -132,3 +132,21 @@ def test_antisymmetry_and_jacobi_on_generator_triples():
 def test_alphabet_mismatch_raises():
     with pytest.raises(ValueError, match="alphabet mismatch"):
         lie_bracket(lie_generator(2, 0), lie_generator(3, 0))
+
+
+def test_words_are_interned():
+    assert LyndonWord((0, 1)) is LyndonWord((0, 1))
+    assert LyndonWord((0, 0, 1)) is standard_factorization(LyndonWord((0, 0, 0, 1)))[1]
+    assert hash(LyndonWord((0, 1))) == hash((0, 1))
+
+
+def test_non_lyndon_word_raises_on_every_attempt():
+    LyndonWord((0, 1))  # valid words interned first must not let (1, 0) in
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            LyndonWord((1, 0))
+
+
+def test_interned_words_are_immutable():
+    with pytest.raises(AttributeError):
+        LyndonWord((0, 1)).letters = (0, 2)

@@ -1,6 +1,8 @@
 """Free Poisson algebra: product, bracket, grading, dimension law, printing."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -168,3 +170,59 @@ def test_alphabet_mismatch_errors():
     R = FreePoissonAlgebra(("a", "b"), 4)
     with pytest.raises(ValueError, match="truncation mismatch"):
         poiss_bracket(P.gen("a"), R.gen("b"))
+
+
+def test_permuted_factors_give_the_same_monomial():
+    factors = (w(0), w(0, 1), w(1), w(0))
+    monomials = {PoissMonomial(p) for p in itertools.permutations(factors)}
+    assert len(monomials) == 1
+    (m,) = monomials
+    assert m is PoissMonomial(tuple(sorted(factors, key=lambda f: f.sort_key)))
+    assert m.degree == 5
+    assert m.sort_key == (5, tuple(f.sort_key for f in m.factors))
+    assert hash(m) == hash(m.factors)
+    assert pickle.loads(pickle.dumps(m)) is m
+    assert copy.deepcopy(m) is m
+
+
+def test_monomial_products_are_interned(P2):
+    a, b = P2.gen("a"), P2.gen("b")
+    (ab,) = poiss_product(a, b).vec
+    (ba,) = poiss_product(b, a).vec
+    assert ab is ba
+
+
+def test_interned_monomials_are_immutable():
+    with pytest.raises(AttributeError):
+        PoissMonomial((w(0),)).factors = ()
+
+
+def test_interning_under_racing_threads():
+    import sys
+    import threading
+
+    # fresh letters, so every thread races to insert new table keys
+    letter_sets = [(90 + k, 91 + k) for k in range(0, 400, 2)]
+    results = [[] for _ in range(4)]
+    barrier = threading.Barrier(len(results))
+
+    def build(out):
+        barrier.wait()
+        for letters in letter_sets:
+            word = LyndonWord(letters)
+            out.append((word, PoissMonomial((word, LyndonWord(letters[:1])))))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for out in results[1:]:
+        assert len(out) == len(results[0])
+        assert all(a is b for pa, pb in zip(out, results[0]) for a, b in zip(pa, pb))
