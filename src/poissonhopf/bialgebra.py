@@ -16,6 +16,12 @@ certificate is "slotwise normal form vanishes on every ideal row".
 The op-cop twist keeps the underlying quotient and flips the stored pair
 tables; the negated bracket is carried as a sign so the one ambient serves
 both twists.
+
+The checker protocol's label maps are memoized per structure:
+``product_labels`` and ``bracket_labels`` read the quotient's ``_label_ops``
+table (shared by a bialgebra, its op-cop twist and a Hopf quotient built on
+the same quotient), and ``delta_label`` keeps its slotwise-reduced
+coproducts in ``_delta_label``, beside the ambient ``_delta_mono``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .colimits import (
     poisson_coequalizer,
     poisson_coproduct,
 )
-from .linalg import SparseVec, lincomb, map_pairs, unit_vec
+from .linalg import SparseVec, exact, lincomb, map_pairs, unit_vec
 from .lyndon import LyndonWord, word_image
 from .poisson import (
     UNIT_MONOMIAL,
@@ -67,11 +73,12 @@ class PresentedPoissonBialgebra:
                  bracket_sign: int = 1, coalgebra=None):
         self.quotient = quotient
         self.delta_table = dict(delta_table)
-        self.epsilon_table = {k: Fraction(v) for k, v in epsilon_table.items()}
+        self.epsilon_table = {k: exact(v) for k, v in epsilon_table.items()}
         self.bracket_sign = bracket_sign
         self.coalgebra = coalgebra
         self._delta_word: dict = {}
         self._delta_mono: dict = {}
+        self._delta_label: dict = {}
 
     @property
     def ambient(self) -> FreePoissonAlgebra:
@@ -119,20 +126,18 @@ class PresentedPoissonBialgebra:
     def delta(self, elt: PoissElt) -> SparseVec:
         return lincomb((c, self.delta_of_monomial(m)) for m, c in elt.vec.items())
 
-    def epsilon_of_monomial(self, m: PoissMonomial) -> Fraction:
-        total = Fraction(1)
+    def epsilon_of_monomial(self, m: PoissMonomial) -> int | Fraction:
+        total = 1
         for f in m.factors:
             if f.degree > 1:
-                return Fraction(0)  # the counit kills every bracket
+                return 0  # the counit kills every bracket
             total *= self.epsilon_table[self.ambient.alphabet[f.letters[0]]]
             if not total:
                 return total
         return total
 
-    def epsilon(self, elt: PoissElt) -> Fraction:
-        return sum(
-            (c * self.epsilon_of_monomial(m) for m, c in elt.vec.items()), Fraction(0)
-        )
+    def epsilon(self, elt: PoissElt) -> int | Fraction:
+        return exact(sum(c * self.epsilon_of_monomial(m) for m, c in elt.vec.items()))
 
     # -- ambient tensor-square arithmetic, truncated per side --
 
@@ -180,16 +185,19 @@ class PresentedPoissonBialgebra:
         return m.degree
 
     def delta_label(self, m) -> SparseVec:
-        return self.reduce_pair(self.delta_of_monomial(m))
+        r = self._delta_label.get(m)
+        if r is None:
+            r = self._delta_label[m] = self.reduce_pair(self.delta_of_monomial(m))
+        return r
 
-    def epsilon_label(self, m) -> Fraction:
+    def epsilon_label(self, m) -> int | Fraction:
         return self.epsilon_of_monomial(m)
 
     def product_labels(self, a, b) -> SparseVec:
-        return self.product(self.ambient.monomial_elt(a), self.ambient.monomial_elt(b)).vec
+        return self.quotient.product_labels(a, b)
 
     def bracket_labels(self, a, b) -> SparseVec:
-        return self.bracket(self.ambient.monomial_elt(a), self.ambient.monomial_elt(b)).vec
+        return self.quotient.label_op("bracket" if self.bracket_sign == 1 else "-bracket", a, b)
 
     def render_label(self, m) -> str:
         return monomial_str(m, self.ambient.alphabet)

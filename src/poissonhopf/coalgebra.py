@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseVec
+from .linalg import SparseVec, exact
 from .verify import Report, check_coassociativity, check_counit
 
 
@@ -30,12 +30,13 @@ class CoalgebraSpec:
     """Coalgebra with named basis; delta and epsilon stored canonically.
 
     delta maps each name to a tuple of (left, right, coeff) triples sorted
-    by (left, right); epsilon maps each name to a Fraction.
+    by (left, right); epsilon maps each name to its value.  Scalars are
+    exact rationals, ``int`` when integral (see ``linalg.exact``).
     """
 
     basis: tuple
-    delta: tuple  # tuple of (name, ((left, right, Fraction), ...))
-    epsilon: tuple  # tuple of (name, Fraction)
+    delta: tuple  # tuple of (name, ((left, right, scalar), ...))
+    epsilon: tuple  # tuple of (name, scalar)
 
     @staticmethod
     def make(basis, delta: dict, epsilon: dict) -> "CoalgebraSpec":
@@ -52,9 +53,9 @@ class CoalgebraSpec:
                         f"delta of {name!r} references unknown name "
                         f"{left if left not in known else right!r}"
                     )
-            merged = SparseVec(((l, r), Fraction(c)) for l, r, c in triples)
+            merged = SparseVec(((l, r), c) for l, r, c in triples)
             delta_rows.append((name, tuple((l, r, c) for (l, r), c in sorted(merged.items()))))
-        eps_rows = tuple((name, Fraction(epsilon.get(name, 0))) for name in basis)
+        eps_rows = tuple((name, exact(epsilon.get(name, 0))) for name in basis)
         return CoalgebraSpec(basis=basis, delta=tuple(delta_rows), epsilon=eps_rows)
 
     @property
@@ -67,7 +68,7 @@ class CoalgebraSpec:
                 return SparseVec({(l, r): c for l, r, c in rows})
         raise KeyError(name)
 
-    def epsilon_of(self, name: str) -> Fraction:
+    def epsilon_of(self, name: str) -> int | Fraction:
         for n, value in self.epsilon:
             if n == name:
                 return value
@@ -86,7 +87,7 @@ class CoalgebraSpec:
     def delta_label(self, label) -> SparseVec:
         return self.delta_vec(label)
 
-    def epsilon_label(self, label) -> Fraction:
+    def epsilon_label(self, label) -> int | Fraction:
         return self.epsilon_of(label)
 
     def reduce_vec(self, v: SparseVec) -> SparseVec:

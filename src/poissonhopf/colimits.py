@@ -9,6 +9,11 @@ a result only when it is exact within the degree budget.  It runs a
 worklist: every new echelon row is queued, and its in-budget products and
 letter brackets are inserted when it is taken off the queue.
 
+A quotient never changes once built, so it keeps two tables that live and
+die with it: ``_nf_cache`` (monomial -> normal form) and ``_label_ops``
+((op, a, b) -> normal form of the product or bracket of two monomials,
+the label maps of the checker protocol).
+
 Coproducts are computed on presentations: the coproduct of P(V)/I and
 P(W)/J is P(V (+) W) over the union of the lifted relation sets, with the
 generator inclusions as the canonical injections.  Coequalizers quotient
@@ -120,6 +125,7 @@ class TruncatedQuotient:
         self.generators = tuple(generators)
         self.degenerate = ideal.contains(unit_vec(UNIT_MONOMIAL))
         self._nf_cache: dict = {}
+        self._label_ops: dict = {}
         self._pivots = ideal.pivot_set()
 
     def __repr__(self) -> str:
@@ -189,11 +195,29 @@ class TruncatedQuotient:
     def label_degree(self, m) -> int:
         return m.degree
 
+    def label_op(self, op: str, a, b) -> SparseVec:
+        """Normal form of ``op`` on two monomials, computed once per quotient.
+
+        ``op`` is "product", "bracket", or "-bracket" for the negated
+        bracket of op-cop twists, which share their quotient.
+        """
+        key = (op, a, b)
+        r = self._label_ops.get(key)
+        if r is None:
+            if op == "-bracket":
+                r = -self.label_op("bracket", a, b)
+            else:
+                fn = poiss_product if op == "product" else poiss_bracket
+                elt = self.ambient.monomial_elt
+                r = self.nf_vec(fn(elt(a), elt(b)).vec)
+            self._label_ops[key] = r
+        return r
+
     def product_labels(self, a, b) -> SparseVec:
-        return self.product(self.ambient.monomial_elt(a), self.ambient.monomial_elt(b)).vec
+        return self.label_op("product", a, b)
 
     def bracket_labels(self, a, b) -> SparseVec:
-        return self.bracket(self.ambient.monomial_elt(a), self.ambient.monomial_elt(b)).vec
+        return self.label_op("bracket", a, b)
 
     def reduce_vec(self, v: SparseVec) -> SparseVec:
         return self.nf_vec(v)

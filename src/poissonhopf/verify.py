@@ -8,7 +8,7 @@ bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
     labels_upto(max_degree)   basis labels in canonical order
     label_degree(l)           grading used for truncation budgets
     delta_label(l)            SparseVec over (label, label) pairs
-    epsilon_label(l)          Fraction
+    epsilon_label(l)          exact scalar (int when integral, else Fraction)
     product_labels(a, b)      SparseVec over labels
     bracket_labels(a, b)      SparseVec over labels
     antipode_label(l)         SparseVec over labels, or None where undefined
@@ -18,6 +18,11 @@ bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
 
 Every check is exhaustive at the truncation: a report is empty if and only
 if every listed residual is exactly zero.
+
+The label maps must be pure functions of their labels: the checkers ask for
+the same product, bracket or coproduct many times, so a structure may
+memoize them (quotients and bialgebras do) and must then return an equal
+value for equal labels.
 """
 
 from __future__ import annotations

@@ -1,0 +1,118 @@
+"""Memoized label maps of the checker protocol equal a fresh recomputation."""
+
+from fractions import Fraction
+
+import pytest
+
+import poissonhopf.colimits as colimits
+import poissonhopf.poisson as poisson
+from poissonhopf.bialgebra import check_bialgebra, induce_bialgebra, op_cop
+from poissonhopf.coalgebra import CoalgebraSpec, builtin
+from poissonhopf.free_hopf import free_poisson_hopf
+from poissonhopf.lyndon import LyndonWord
+from poissonhopf.poisson import PoissMonomial, poiss_bracket, poiss_product
+from poissonhopf.verify import _pairs_within, check_poisson_compat
+
+
+def trig_free():
+    return induce_bialgebra(builtin("trig"), 3)
+
+
+def trig_hopf():
+    return free_poisson_hopf(builtin("trig"), 2, 3, check=False)
+
+
+def trig_op_cop():
+    return op_cop(induce_bialgebra(builtin("trig"), 3))
+
+
+STRUCTURES = {"trig-free": trig_free, "trig-hopf": trig_hopf, "trig-op-cop": trig_op_cop}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_memoized_label_maps_match_recomputation(name):
+    B = STRUCTURES[name]()
+    q = B.quotient
+    elt = B.ambient.monomial_elt
+    pairs = list(_pairs_within(B, B.truncation))
+    assert pairs
+    if name == "trig-hopf":
+        assert q.ideal.rank > 0
+    for a, b in pairs:
+        product = q.normal_form(poiss_product(elt(a), elt(b))).vec
+        bracket = B.bracket_sign * q.normal_form(poiss_bracket(elt(a), elt(b))).vec
+        assert B.product_labels(a, b) == product
+        assert B.bracket_labels(a, b) == bracket
+        assert B.product_labels(a, b) is B.product_labels(a, b)
+        assert B.bracket_labels(a, b) is B.bracket_labels(a, b)
+    for m in B.labels_upto():
+        assert B.delta_label(m) == B.reduce_pair(B.delta_of_monomial(m))
+        assert B.delta_label(m) is B.delta_label(m)
+    tables = [*q._label_ops.values(), *B._delta_label.values()]
+    assert all(type(c) is int or c.denominator != 1 for v in tables for _, c in v.items())
+
+
+def test_op_cop_negates_the_shared_bracket_table():
+    B = trig_free()
+    twisted = op_cop(B)
+    assert twisted.quotient is B.quotient
+    for a, b in _pairs_within(B, B.truncation):
+        assert twisted.bracket_labels(a, b) == -B.bracket_labels(a, b)
+        assert twisted.product_labels(a, b) is B.product_labels(a, b)
+
+
+def test_hopf_quotient_shares_the_quotient_table():
+    H = trig_hopf()
+    a, b = [m for m in H.labels_upto(1) if m.degree == 1][:2]
+    assert H.bracket_labels(a, b) is H.quotient.bracket_labels(a, b)
+    assert H.product_labels(a, b) is H.quotient.product_labels(a, b)
+
+
+def test_second_check_does_no_poisson_arithmetic(monkeypatch):
+    B = trig_free()
+    first = check_poisson_compat(B)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for module in (poisson, colimits):
+        monkeypatch.setattr(module, "poiss_product", counted(poiss_product))
+        monkeypatch.setattr(module, "poiss_bracket", counted(poiss_bracket))
+    second = check_poisson_compat(B)
+    assert calls == []
+    assert second == first and first.ok and first.checked > 0
+    # the counter does see a structure whose tables are still empty
+    check_poisson_compat(trig_free(), 2)
+    assert calls
+
+
+def test_memo_leaves_the_bialgebra_report_unchanged():
+    B = trig_hopf()
+    first = check_bialgebra(B)
+    assert check_bialgebra(B) == first and first.ok
+
+
+def test_builtin_counits_are_ints():
+    for name in ("grouplike-1", "grouplike-2", "matrix-2", "trig"):
+        spec = builtin(name)
+        B = induce_bialgebra(spec, 2)
+        assert all(type(spec.epsilon_of(x)) is int for x in spec.basis)
+        assert all(type(v) is int for v in B.epsilon_table.values())
+        assert all(type(B.epsilon_label(m)) is int for m in B.labels_upto())
+
+
+def test_fractional_counit_stays_fraction():
+    # delta(x) = 2 x (x) x with epsilon(x) = 1/2 is a coalgebra
+    spec = CoalgebraSpec.make(("x",), {"x": [("x", "x", 2)]}, {"x": "1/2"})
+    B = induce_bialgebra(spec, 2)
+    assert spec.epsilon_of("x") == Fraction(1, 2) and type(spec.epsilon_of("x")) is Fraction
+    x = PoissMonomial((LyndonWord((0,)),))
+    xx = PoissMonomial((LyndonWord((0,)), LyndonWord((0,))))
+    assert type(B.epsilon_label(x)) is Fraction
+    assert B.epsilon_label(xx) == Fraction(1, 4)
+    assert check_bialgebra(B).ok
