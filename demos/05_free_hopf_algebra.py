@@ -41,7 +41,7 @@ print("  antipode residuals:", verify_antipode(H, depth=1).lines()[0])
 
 print()
 print("Three stages identify the double shift with the original generator:")
-H3 = free_poisson_hopf(builtin("grouplike-1"), 3, 4, check=False)
+H3 = free_poisson_hopf(builtin("grouplike-1"), 3, 4)
 diff = H3.ambient.gen("g_2") - H3.ambient.gen("g_0")
 print("  normal form of g_2 - g_0:", render(H3.quotient.normal_form(diff)))
 

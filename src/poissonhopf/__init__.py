@@ -76,6 +76,7 @@ from .free_hopf import (
 )
 from .verify import (
     Report,
+    Skip,
     Violation,
     check_antipode_antimorphism,
     check_coassociativity,

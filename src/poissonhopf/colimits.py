@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
+from .linalg import EchelonBasis, SparseVec, SubspaceBasis, label_key, lincomb, unit_vec
 from .lyndon import LyndonWord, word_image
 from .poisson import (
     UNIT_MONOMIAL,
@@ -64,7 +63,7 @@ def quotient_key(m: PoissMonomial):
     return (-m.degree, m.sort_key[1])
 
 
-def ideal_saturate(ambient: FreePoissonAlgebra, generators, max_degree=None) -> SubspaceBasis:
+def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
     """Degree-bounded part of the Poisson ideal generated by the inputs.
 
     Least fixpoint of closing under ``w -> u*w`` for Lyndon-word variables u
@@ -77,7 +76,7 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators, max_degree=None) -> 
     of top degree n depends on the row's degree-n part, so the rows that a
     new row of top degree n is back-substituted into are queued again.
     """
-    n = ambient.truncation if max_degree is None else min(max_degree, ambient.truncation)
+    n = ambient.truncation
     acc = EchelonBasis(key=quotient_key)
     worklist = deque()
 
@@ -226,9 +225,9 @@ class TruncatedQuotient:
         return monomial_str(m, self.ambient.alphabet)
 
 
-def quotient(ambient: FreePoissonAlgebra, generators, max_degree=None) -> TruncatedQuotient:
+def quotient(ambient: FreePoissonAlgebra, generators) -> TruncatedQuotient:
     """Quotient by the saturated ideal; a degenerate result is flagged, not fatal."""
-    ideal = ideal_saturate(ambient, generators, max_degree)
+    ideal = ideal_saturate(ambient, generators)
     return TruncatedQuotient(ambient, ideal, generators)
 
 
@@ -491,20 +490,11 @@ def poisson_equalizer(f: MorphismTable, g: MorphismTable) -> EqualizerResult:
     if f.target_quotient().ambient != g.target_quotient().ambient:
         raise ValueError("equalizer needs a common target")
 
-    def key(label):
-        zone, inner = label
-        from .linalg import label_key
-
-        return (zone, label_key(inner))
-
-    acc = EchelonBasis(key=key)
+    acc = EchelonBasis(key=lambda label: (label[0], label_key(label[1])))
     for m in source.basis_monomials():
         elt = source.ambient.monomial_elt(m)
         diff = f.apply(elt) - g.apply(elt)
-        row = SparseVec(
-            {(0, lbl): c for lbl, c in diff.vec.items()}
-        ) + SparseVec({(1, m): Fraction(1)})
-        acc.insert(row)
+        acc.insert(SparseVec({(0, lbl): c for lbl, c in diff.vec.items()}) + unit_vec((1, m)))
     kernel = []
     for pivot, row in acc.rows_by_pivot():
         if pivot[0] == 1:

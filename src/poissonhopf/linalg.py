@@ -154,8 +154,8 @@ class SparseVec:
         """Rebuild through ``fn(label, coeff) -> iterable of (label, coeff)``."""
         return SparseVec(term for label, c in self._entries.items() for term in fn(label, c))
 
-    def sorted_items(self, key=label_key):
-        return sorted(self._entries.items(), key=lambda kv: key(kv[0]))
+    def sorted_items(self):
+        return sorted(self._entries.items(), key=lambda kv: label_key(kv[0]))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{l!r}: {c}" for l, c in self.sorted_items())

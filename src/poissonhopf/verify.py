@@ -16,8 +16,10 @@ bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
                               projection to the quotient (identity if free)
     render_label(l)           printable form
 
-Every check is exhaustive at the truncation: a report is empty if and only
-if every listed residual is exactly zero.
+Every check is exhaustive at the truncation: a report has no violations if
+and only if every listed residual is exactly zero.  A residual that cannot
+be formed is not counted as checked; a caller that records it puts it in
+``skipped`` with its reason.
 
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket or coproduct many times, so a structure may
@@ -50,10 +52,24 @@ class Violation:
         }
 
 
+@dataclass(frozen=True)
+class Skip:
+    law: str
+    witnesses: tuple
+    reason: str
+
+    def line(self) -> str:
+        return f"{self.law} skipped at ({', '.join(self.witnesses)}): {self.reason}"
+
+    def to_json_obj(self) -> dict:
+        return {"law": self.law, "witnesses": list(self.witnesses), "reason": self.reason}
+
+
 @dataclass
 class Report:
     violations: list = field(default_factory=list)
     checked: int = 0
+    skipped: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -62,18 +78,24 @@ class Report:
     def merge(self, other: "Report") -> "Report":
         self.violations.extend(other.violations)
         self.checked += other.checked
+        self.skipped.extend(other.skipped)
         return self
 
     def lines(self) -> list:
         if self.ok:
-            return [f"ok: {self.checked} residuals, all zero"]
-        return [v.line() for v in self.violations]
+            out = [f"ok: {self.checked} residuals, all zero"]
+        else:
+            out = [v.line() for v in self.violations]
+        return out + [s.line() for s in self.skipped]
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "checked": self.checked,
             "violations": [v.to_json_obj() for v in self.violations],
         }
+        if self.skipped:
+            obj["skipped"] = [s.to_json_obj() for s in self.skipped]
+        return obj
 
 
 def render_vec(structure, vec: SparseVec) -> str:
@@ -194,11 +216,10 @@ def check_poisson_compat(structure, max_degree=None) -> Report:
     return report
 
 
-def check_leibniz(structure, max_degree=None, bracket=None, product=None) -> Report:
+def check_leibniz(structure, max_degree=None) -> Report:
     """{p, qr} = {p,q}r + q{p,r} on label triples within the budget."""
     report = Report()
-    br = bracket or structure.bracket_labels
-    mul = product or structure.product_labels
+    br, mul = structure.bracket_labels, structure.product_labels
     n = max_degree if max_degree is not None else structure.truncation
     labels = list(structure.labels_upto(n))
     for p in labels:
@@ -227,10 +248,10 @@ def check_leibniz(structure, max_degree=None, bracket=None, product=None) -> Rep
     return report
 
 
-def check_jacobi(structure, max_degree=None, bracket=None) -> Report:
+def check_jacobi(structure, max_degree=None) -> Report:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on label triples within the budget."""
     report = Report()
-    br = bracket or structure.bracket_labels
+    br = structure.bracket_labels
     n = max_degree if max_degree is not None else structure.truncation
     labels = list(structure.labels_upto(n))
     for i, x in enumerate(labels):

@@ -117,7 +117,7 @@ def test_saturation_matches_brute_force_on_hopf_relations(name, stages, n):
         assert validate_coalgebra(spec).ok
     else:
         spec = builtin(name)
-    staged = staged_coproduct(induce_bialgebra(spec, n), stages, check=False)
+    staged = staged_coproduct(induce_bialgebra(spec, n), stages)
     relations = hopf_ideal_generators(staged)
     fast = ideal_saturate(staged.ambient, relations)
     assert fast == brute_force_saturation(staged.ambient, relations, n)

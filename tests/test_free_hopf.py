@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from poissonhopf.bialgebra import induce_bialgebra
+from poissonhopf import free_hopf
+from poissonhopf.bialgebra import check_bialgebra, induce_bialgebra
 from poissonhopf.coalgebra import builtin
 from poissonhopf.free_hopf import (
     StageOverflowError,
@@ -17,6 +18,7 @@ from poissonhopf.free_hopf import (
 )
 from poissonhopf.poisson import poiss_bracket, poiss_product
 from poissonhopf.exprs import parse
+from poissonhopf.verify import Report, Violation
 
 
 def test_staged_coproduct_grouplike_two_stages():
@@ -43,7 +45,7 @@ def test_stage_one_bracket_is_negated():
     staged = staged_coproduct(B, 2)
     from poissonhopf.bialgebra import bialgebra_coproduct, op_cop
 
-    cp = bialgebra_coproduct([B, op_cop(B)], check=False)
+    cp = bialgebra_coproduct([B, op_cop(B)])
     amb = staged.ambient
     base_bracket = poiss_bracket(B.ambient.gen("c"), B.ambient.gen("s"))
     img0 = cp.injections[0].apply(base_bracket)
@@ -175,7 +177,7 @@ def test_shift_identity_on_relations():
     # S' of the left relation at stage n is the right relation at stage n+1
     for name in ("grouplike-1", "trig"):
         B = induce_bialgebra(builtin(name), 3)
-        staged = staged_coproduct(B, 3, check=False)
+        staged = staged_coproduct(B, 3)
         for base in B.ambient.alphabet:
             shifted = staged.s_prime(staged.convolution_relation(base, 0, "left"))
             assert shifted == staged.convolution_relation(base, 1, "right")
@@ -207,7 +209,7 @@ def test_antipode_is_partial():
 
 def test_hopf_coproduct_transports_antipodes():
     H = free_poisson_hopf(builtin("grouplike-1"), 2, 3, check=False)
-    out = hopf_coproduct_antipode([H, H], check=False)
+    out = hopf_coproduct_antipode([H, H])
     assert out.report.ok, out.report.lines()
     amb = out.bialgebra.ambient
     assert set(out.antipode_images) == {"g_0_0", "g_0_1"}
@@ -220,7 +222,7 @@ def test_hopf_coproduct_transports_antipodes():
 
 def test_single_operand_hopf_coproduct_matches_operand():
     H = free_poisson_hopf(builtin("grouplike-1"), 2, 3, check=False)
-    out = hopf_coproduct_antipode([H], check=False)
+    out = hopf_coproduct_antipode([H])
     assert out.report.ok
     assert out.bialgebra.quotient.graded_dims() == H.quotient.graded_dims()
 
@@ -228,13 +230,42 @@ def test_single_operand_hopf_coproduct_matches_operand():
 def test_hopf_coproduct_counts_only_formed_residuals(monkeypatch):
     H = free_poisson_hopf(builtin("trig"), 2, 2, check=False)
     full = H.antipode_table()
-    assert hopf_coproduct_antipode([H], check=False).report.checked == 2
+    assert hopf_coproduct_antipode([H]).report.checked == 2
     monkeypatch.setattr(H, "antipode_table", lambda: {k: v for k, v in full.items() if k != "s_0"})
-    out = hopf_coproduct_antipode([H], check=False)
+    out = hopf_coproduct_antipode([H])
     # delta(c) = c (x) c - s (x) s: without S(s_0) the residual of c_0 cannot be formed
     assert set(out.antipode_images) == {"c_0_0"}
     assert out.report.checked == 0
     assert out.report.ok
+    # ...but it is reported as skipped, so the empty pass is visible
+    assert [(s.law, s.witnesses, s.reason) for s in out.report.skipped] == [
+        ("coproduct-antipode", ("c_0_0",), "S(s_0_0) is undefined")
+    ]
+    assert "coproduct-antipode skipped at (c_0_0)" in out.report.lines()[1]
+
+
+@pytest.mark.parametrize("name,stages,n", [("grouplike-1", 2, 4), ("grouplike-1", 3, 4), ("trig", 2, 3)])
+def test_staged_coproduct_satisfies_bialgebra_axioms(name, stages, n):
+    # constructions do not re-check the staged coproduct; the checker layer does
+    staged = staged_coproduct(induce_bialgebra(builtin(name), n), stages)
+    report = check_bialgebra(staged.bialgebra)
+    assert report.ok, report.lines()
+    assert report.checked > 0
+
+
+def test_free_hopf_check_raises_on_bialgebra_violation(monkeypatch):
+    seen = []
+
+    def failing_check(B):
+        seen.append(B)
+        return Report(violations=[Violation("coassociativity", ("g_0",), "1*g_0")], checked=1)
+
+    monkeypatch.setattr(free_hopf, "check_bialgebra", failing_check)
+    with pytest.raises(RuntimeError, match="coassociativity fails at"):
+        free_poisson_hopf(builtin("grouplike-1"), 2, 3, check=True)
+    assert [B.ambient.alphabet for B in seen] == [("g_0", "g_1")]  # the staged coproduct
+    free_poisson_hopf(builtin("grouplike-1"), 2, 3)  # the default does not check
+    assert len(seen) == 1
 
 
 def test_hopf_coproduct_rejects_non_hopf_operand():
@@ -250,7 +281,7 @@ def test_staged_odd_copy_uses_flipped_delta():
     from poissonhopf.poisson import PoissMonomial
 
     B = induce_bialgebra(builtin("matrix-2"), 2)
-    staged = staged_coproduct(B, 2, check=False)
+    staged = staged_coproduct(B, 2)
     amb = staged.ambient
 
     def mono(name):

@@ -10,6 +10,7 @@ from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import PoissMonomial
 from poissonhopf.verify import (
     Report,
+    Skip,
     Violation,
     check_antipode_antimorphism,
     check_jacobi,
@@ -46,7 +47,7 @@ def test_corrupt_bracket_table_fails_leibniz():
             return unit_vec(a, -1)
         return B.bracket_labels(x, y)
 
-    report = check_leibniz(B, bracket=bad_bracket)
+    report = check_leibniz(Corrupted(B, bracket_labels=bad_bracket))
     assert not report.ok
     witnesses = {v.witnesses for v in report.violations}
     assert ("g1", "g2", "g2") in witnesses
@@ -62,7 +63,7 @@ def test_corrupt_bracket_fails_jacobi():
             return unit_vec(a)
         return B.bracket_labels(x, y)
 
-    report = check_jacobi(B, bracket=bad_bracket)
+    report = check_jacobi(Corrupted(B, bracket_labels=bad_bracket))
     assert not report.ok
 
 
@@ -118,6 +119,21 @@ def test_report_json_shape_and_lines():
     assert "leibniz fails at (a, b, c)" in report.lines()[0]
     clean = Report(checked=3)
     assert clean.ok and clean.lines() == ["ok: 3 residuals, all zero"]
+    assert "skipped" not in clean.to_json_obj()
+    skip = Skip("coproduct-antipode", ("c_0_0",), "S(s_0_0) is undefined")
+    partial = Report(checked=2).merge(Report(skipped=[skip]))
+    assert partial.ok and partial.skipped == [skip]
+    assert partial.to_json_obj() == {
+        "checked": 2,
+        "violations": [],
+        "skipped": [
+            {"law": "coproduct-antipode", "witnesses": ["c_0_0"], "reason": "S(s_0_0) is undefined"}
+        ],
+    }
+    assert partial.lines() == [
+        "ok: 2 residuals, all zero",
+        "coproduct-antipode skipped at (c_0_0): S(s_0_0) is undefined",
+    ]
 
 
 def test_checker_results_independent_of_basis_order():
