@@ -5,7 +5,8 @@ verifies finite-dimensional coalgebras, free and quotient Poisson
 bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
 *labels* and all operations as maps between sparse vectors over labels:
 
-    labels_upto(max_degree)   basis labels in canonical order
+    truncation                degree budget of every check
+    labels_upto()             basis labels in canonical order, up to truncation
     label_degree(l)           grading used for truncation budgets
     delta_label(l)            SparseVec over (label, label) pairs
     epsilon_label(l)          exact scalar (int when integral, else Fraction)
@@ -134,22 +135,23 @@ def tensor_bracket(structure, ta: SparseVec, tb: SparseVec) -> SparseVec:
     )
 
 
-def _pairs_within(structure, max_degree):
-    labels = list(structure.labels_upto(max_degree))
+def _pairs_within(structure):
+    n = structure.truncation
+    labels = list(structure.labels_upto())
     for a in labels:
         da = structure.label_degree(a)
         for b in labels:
-            if da + structure.label_degree(b) <= max_degree:
+            if da + structure.label_degree(b) <= n:
                 yield a, b
 
 
 # ---- the checkers -----------------------------------------------------------
 
 
-def check_coassociativity(structure, max_degree=None) -> Report:
+def check_coassociativity(structure) -> Report:
     """(delta (x) id) delta = (id (x) delta) delta on every basis label."""
     report = Report()
-    for l in structure.labels_upto(max_degree):
+    for l in structure.labels_upto():
         t = structure.delta_label(l).items()
         left = SparseVec(
             ((a, b, m2), c * c2)
@@ -174,10 +176,10 @@ def check_coassociativity(structure, max_degree=None) -> Report:
     return report
 
 
-def check_counit(structure, max_degree=None) -> Report:
+def check_counit(structure) -> Report:
     """Both one-sided counit laws on every basis label."""
     report = Report()
-    for l in structure.labels_upto(max_degree):
+    for l in structure.labels_upto():
         t = structure.delta_label(l).items()
         left = SparseVec((m2, c * structure.epsilon_label(m1)) for (m1, m2), c in t)
         right = SparseVec((m1, c * structure.epsilon_label(m2)) for (m1, m2), c in t)
@@ -196,11 +198,10 @@ def check_counit(structure, max_degree=None) -> Report:
     return report
 
 
-def check_poisson_compat(structure, max_degree=None) -> Report:
+def check_poisson_compat(structure) -> Report:
     """delta is a bracket morphism into the tensor-square Poisson structure."""
     report = Report()
-    n = max_degree if max_degree is not None else structure.truncation
-    for a, b in _pairs_within(structure, n):
+    for a, b in _pairs_within(structure):
         lhs = delta_vec(structure, structure.bracket_labels(a, b))
         rhs = tensor_bracket(structure, structure.delta_label(a), structure.delta_label(b))
         residual = structure.reduce_pair(lhs - rhs)
@@ -216,12 +217,12 @@ def check_poisson_compat(structure, max_degree=None) -> Report:
     return report
 
 
-def check_leibniz(structure, max_degree=None) -> Report:
+def check_leibniz(structure) -> Report:
     """{p, qr} = {p,q}r + q{p,r} on label triples within the budget."""
     report = Report()
     br, mul = structure.bracket_labels, structure.product_labels
-    n = max_degree if max_degree is not None else structure.truncation
-    labels = list(structure.labels_upto(n))
+    n = structure.truncation
+    labels = list(structure.labels_upto())
     for p in labels:
         dp = structure.label_degree(p)
         for q in labels:
@@ -248,12 +249,12 @@ def check_leibniz(structure, max_degree=None) -> Report:
     return report
 
 
-def check_jacobi(structure, max_degree=None) -> Report:
+def check_jacobi(structure) -> Report:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on label triples within the budget."""
     report = Report()
     br = structure.bracket_labels
-    n = max_degree if max_degree is not None else structure.truncation
-    labels = list(structure.labels_upto(n))
+    n = structure.truncation
+    labels = list(structure.labels_upto())
     for i, x in enumerate(labels):
         dx = structure.label_degree(x)
         for j in range(i, len(labels)):
@@ -283,10 +284,9 @@ def check_jacobi(structure, max_degree=None) -> Report:
     return report
 
 
-def check_antipode_antimorphism(structure, max_degree=None) -> Report:
+def check_antipode_antimorphism(structure) -> Report:
     """S(ab) = S(b)S(a) and S([a,b]) = [S(b), S(a)] where S is defined."""
     report = Report()
-    n = max_degree if max_degree is not None else structure.truncation
 
     def s_vec(v):
         terms = []
@@ -297,7 +297,7 @@ def check_antipode_antimorphism(structure, max_degree=None) -> Report:
             terms.append((c, sv))
         return lincomb(terms)
 
-    for a, b in _pairs_within(structure, n):
+    for a, b in _pairs_within(structure):
         sa, sb = structure.antipode_label(a), structure.antipode_label(b)
         if sa is None or sb is None:
             continue

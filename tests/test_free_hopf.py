@@ -244,7 +244,20 @@ def test_hopf_coproduct_counts_only_formed_residuals(monkeypatch):
     assert "coproduct-antipode skipped at (c_0_0)" in out.report.lines()[1]
 
 
-@pytest.mark.parametrize("name,stages,n", [("grouplike-1", 2, 4), ("grouplike-1", 3, 4), ("trig", 2, 3)])
+@pytest.mark.parametrize(
+    "name,stages,n",
+    [
+        ("grouplike-1", 2, 3),
+        ("grouplike-1", 2, 4),
+        ("grouplike-1", 3, 3),
+        ("grouplike-1", 3, 4),
+        ("grouplike-2", 2, 4),
+        ("matrix-2", 2, 2),
+        ("trig", 2, 3),
+        ("trig", 3, 2),
+        ("trig", 3, 3),
+    ],
+)
 def test_staged_coproduct_satisfies_bialgebra_axioms(name, stages, n):
     # constructions do not re-check the staged coproduct; the checker layer does
     staged = staged_coproduct(induce_bialgebra(builtin(name), n), stages)
@@ -304,6 +317,7 @@ def test_coefficients_stay_exact_rationals():
 
     H = free_poisson_hopf(builtin("trig"), 2, 3)
     verify_antipode(H, depth=1)
+    assert check_bialgebra(H.staged.bialgebra).ok  # fills the staged delta caches
     vectors = [
         *H.quotient.ideal.rows,
         *H.quotient._nf_cache.values(),
@@ -313,6 +327,7 @@ def test_coefficients_stay_exact_rationals():
         *H.staged.bialgebra._delta_mono.values(),
     ]
     assert H.quotient._nf_cache and H._delta_mono
+    assert H.staged.bialgebra._delta_word and H.staged.bialgebra._delta_mono
     kinds = {type(c) for v in vectors for _, c in v.items()}
     assert kinds <= {int, Fraction}, kinds
     # integral values are stored as ints, so a true fraction is the only Fraction
