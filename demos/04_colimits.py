@@ -1,8 +1,7 @@
-"""Colimits and limits of truncated Poisson algebras.
+"""Colimits of truncated Poisson algebras.
 
 Ideal saturation drives everything: quotients, coproducts of presented
-algebras, coequalizers, plus the direct products and equalizers of the
-underlying graded spaces.
+algebras and coequalizers, the colimits the paper uses.
 """
 
 from poissonhopf import (
@@ -13,8 +12,6 @@ from poissonhopf import (
     parse,
     poisson_coequalizer,
     poisson_coproduct,
-    poisson_equalizer,
-    poisson_product,
     quotient,
     render,
 )
@@ -49,14 +46,3 @@ f = MorphismTable(S, T, {"x": T.normal_form(T.ambient.gen("x"))})
 g = MorphismTable(S, T, {"x": T.normal_form(T.ambient.gen("y"))})
 coeq, proj = poisson_coequalizer(f, g)
 print("  graded dims:", coeq.graded_dims())
-
-print()
-print("Limits are computed on the underlying graded spaces:")
-prod = poisson_product(A, B)
-print("  k[x] x k[y] graded dims:", prod.graded_dims())
-C = free_quotient(FreePoissonAlgebra(("x",), 4))
-idm = MorphismTable(C, C, {"x": C.normal_form(C.ambient.gen("x"))})
-neg = MorphismTable(C, C, {"x": -C.normal_form(C.ambient.gen("x"))})
-eq = poisson_equalizer(idm, neg)
-print("  equalizer of x |-> x and x |-> -x:", [render(e) for e in eq.rows])
-print("  closed under product and bracket:", eq.closure.lines()[0])

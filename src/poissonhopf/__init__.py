@@ -4,22 +4,24 @@ Everything is computed over Q with degree-truncated bases, so every law is
 checked bit-exactly.  The layers, bottom up:
 
 - ``linalg``: sparse vectors and reduced row-echelon bases over Q
-- ``lyndon``: Lyndon words, the free Lie algebra, the tensor-algebra oracle
+- ``lyndon``: Lyndon words and the free Lie algebra
 - ``poisson``: the truncated free Poisson algebra S(L(V)) and its printing
 - ``exprs``: the expression grammar that round-trips the printed form
 - ``coalgebra`` / ``targets``: structure-constant coalgebras and the two
   closed-form target Hopf families
-- ``colimits``: ideal saturation, quotients, coproducts, coequalizers,
-  products, equalizers
+- ``colimits``: ideal saturation, quotients, coproducts, coequalizers
 - ``bialgebra``: free Poisson bialgebras on coalgebras, factorization,
   bialgebra colimits, the op-cop twist
 - ``free_hopf``: the staged-coproduct free Poisson Hopf construction
 - ``verify``: exhaustive exact checkers for every axiom, with reports
 - ``cli``: deterministic command-line pipelines
+
+Independent test oracles, the tensor-algebra expansion of Lie brackets among
+them, live in ``tests/oracles.py``, not in the package.
 """
 
-from .linalg import Scalar, SparseVec, SubspaceBasis, member, normal_form, row_reduce
-from .lyndon import LieElt, LyndonWord, lie_bracket, lie_to_tensor, lyndon_words
+from .linalg import SparseVec, SubspaceBasis, row_reduce
+from .lyndon import LieElt, LyndonWord, lie_bracket, lyndon_words
 from .poisson import (
     FreePoissonAlgebra,
     PoissElt,
@@ -39,18 +41,15 @@ from .coalgebra import (
     save_spec,
     validate_coalgebra,
 )
-from .targets import GroupAlgebra, SymmetricLieHopf, TargetHopfSpec
+from .targets import GroupAlgebra, SymmetricLieHopf
 from .colimits import (
     MorphismTable,
-    PoissonDirectProduct,
     TruncatedQuotient,
     factorize_coproduct,
     free_quotient,
     ideal_saturate,
     poisson_coequalizer,
     poisson_coproduct,
-    poisson_equalizer,
-    poisson_product,
     quotient,
 )
 from .bialgebra import (

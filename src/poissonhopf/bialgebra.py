@@ -70,12 +70,11 @@ class PresentedPoissonBialgebra:
     """
 
     def __init__(self, quotient: TruncatedQuotient, delta_table, epsilon_table,
-                 bracket_sign: int = 1, coalgebra=None):
+                 bracket_sign: int = 1):
         self.quotient = quotient
         self.delta_table = dict(delta_table)
         self.epsilon_table = {k: exact(v) for k, v in epsilon_table.items()}
         self.bracket_sign = bracket_sign
-        self.coalgebra = coalgebra
         self._delta_word: dict = {}
         self._delta_mono: dict = {}
         self._delta_label: dict = {}
@@ -222,7 +221,7 @@ def induce_bialgebra(spec: CoalgebraSpec, truncation: int) -> PresentedPoissonBi
         delta_table[name] = pairs
     epsilon_table = {name: spec.epsilon_of(name) for name in spec.basis}
     return PresentedPoissonBialgebra(
-        free_quotient(ambient), delta_table, epsilon_table, 1, spec
+        free_quotient(ambient), delta_table, epsilon_table, 1
     )
 
 
@@ -241,7 +240,6 @@ def op_cop(B: PresentedPoissonBialgebra) -> PresentedPoissonBialgebra:
         {name: flip_pairs(t) for name, t in B.delta_table.items()},
         B.epsilon_table,
         -B.bracket_sign,
-        B.coalgebra,
     )
 
 
@@ -395,7 +393,7 @@ def bialgebra_coproduct(operands) -> BialgebraCoproduct:
                 B.delta_table[name], lambda m: inj.apply(amb.monomial_elt(m)).vec
             )
             epsilon_table[tagged] = B.epsilon_table[name]
-    result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1, None)
+    result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1)
     return BialgebraCoproduct(result, cp.injections)
 
 
@@ -469,7 +467,7 @@ def bialgebra_coequalizer(f: MorphismTable, g: MorphismTable) -> BialgebraCoequa
     gq = MorphismTable(g.source.quotient, tgt.quotient, g.images, g.source_bracket_sign)
     coeq, proj = poisson_coequalizer(fq, gq)
     result = PresentedPoissonBialgebra(
-        coeq, tgt.delta_table, tgt.epsilon_table, tgt.bracket_sign, None
+        coeq, tgt.delta_table, tgt.epsilon_table, tgt.bracket_sign
     )
     certificate = coideal_certificate(result)
     if not certificate.ok:

@@ -35,7 +35,6 @@ from .free_hopf import StageOverflowError, free_poisson_hopf, verify_antipode
 from .lyndon import lyndon_words
 from .poisson import render
 from .verify import (
-    Report,
     check_antipode_antimorphism,
     check_coassociativity,
     check_counit,
@@ -60,10 +59,6 @@ def emit(args, obj) -> None:
         sys.stdout.write(text)
 
 
-def report_obj(report: Report) -> dict:
-    return report.to_json_obj()
-
-
 # ---- command handlers -------------------------------------------------------
 
 
@@ -83,7 +78,7 @@ def cmd_validate(args) -> int:
             "command": "validate",
             "spec": args.spec,
             "basis": list(spec.basis),
-            "report": report_obj(report),
+            "report": report.to_json_obj(),
         },
     )
     return 0 if report.ok else 3
@@ -100,7 +95,7 @@ def cmd_induce(args) -> int:
             "spec": args.spec,
             "degree": args.degree,
             "graded_dims": B.quotient.graded_dims(),
-            "report": report_obj(report),
+            "report": report.to_json_obj(),
         },
     )
     return 0 if report.ok else 3
@@ -136,7 +131,7 @@ def cmd_coproduct(args) -> int:
             "degree": args.degree,
             "generators": list(cp.bialgebra.ambient.alphabet),
             "graded_dims": cp.bialgebra.quotient.graded_dims(),
-            "report": report_obj(report),
+            "report": report.to_json_obj(),
         },
     )
     return 0 if report.ok else 3
@@ -150,6 +145,8 @@ def load_map(path: str, expected_source=None):
     images = obj.get("images")
     if not isinstance(source_ref, str) or not isinstance(images, dict):
         raise SpecParseError(f"map file {path}: bad field shapes")
+    if not all(isinstance(v, str) for v in images.values()):
+        raise SpecParseError(f"map file {path}: images must be expression strings")
     if expected_source is not None and source_ref != expected_source:
         raise SpecError("map files disagree on the source spec")
     return source_ref, images
@@ -178,7 +175,7 @@ def cmd_coequalize(args) -> int:
             "source_spec": src_ref,
             "degree": args.degree,
             "graded_dims": out.bialgebra.quotient.graded_dims(),
-            "coideal_certificate": report_obj(out.certificate),
+            "coideal_certificate": out.certificate.to_json_obj(),
         },
     )
     return 0 if out.certificate.ok else 3
@@ -188,7 +185,7 @@ def cmd_free_hopf(args) -> int:
     spec = resolve_spec(args.spec)
     H = free_poisson_hopf(spec, args.stages, args.degree)
     antipode = verify_antipode(H, depth=1)
-    certificates = {name: report_obj(r) for name, r in sorted(H.certificates.items())}
+    certificates = {name: r.to_json_obj() for name, r in sorted(H.certificates.items())}
     ok = H.certificates_ok() and antipode.ok
     emit(
         args,
@@ -201,30 +198,23 @@ def cmd_free_hopf(args) -> int:
             "filtration_dims": H.quotient.filtration_dims(),
             "graded_dims": H.quotient.graded_dims(),
             "certificates": certificates,
-            "antipode_residuals": report_obj(antipode),
+            "antipode_residuals": antipode.to_json_obj(),
         },
     )
     return 0 if ok else 3
 
 
-LAW_NAMES = ("coassociativity", "counit", "poisson-compat", "leibniz", "jacobi", "antipode")
-
-
-def run_laws(structure, laws, has_antipode: bool) -> dict:
-    out = {}
-    if "coassociativity" in laws:
-        out["coassociativity"] = check_coassociativity(structure)
-    if "counit" in laws:
-        out["counit"] = check_counit(structure)
-    if "poisson-compat" in laws:
-        out["poisson-compat"] = check_poisson_compat(structure)
-    if "leibniz" in laws:
-        out["leibniz"] = check_leibniz(structure)
-    if "jacobi" in laws:
-        out["jacobi"] = check_jacobi(structure)
-    if "antipode" in laws and has_antipode:
-        out["antipode"] = check_antipode_antimorphism(structure)
-    return out
+# law name -> checker, in the order ``verify`` runs them; only a free-hopf
+# artifact has an antipode to check
+CHECKERS = {
+    "coassociativity": check_coassociativity,
+    "counit": check_counit,
+    "poisson-compat": check_poisson_compat,
+    "leibniz": check_leibniz,
+    "jacobi": check_jacobi,
+    "antipode": check_antipode_antimorphism,
+}
+LAW_NAMES = tuple(CHECKERS)
 
 
 def artifact_int(desc: dict, key: str, least: int) -> int:
@@ -258,24 +248,25 @@ def cmd_verify(args) -> int:
     extra = {}
     if construct == "induce":
         structure = induce_bialgebra(resolve_spec(spec), degree)
-        has_antipode = False
     elif construct == "free-hopf":
         stages = artifact_int(desc, "stages", 2)
         H = free_poisson_hopf(resolve_spec(spec), stages, degree)
         structure = H
-        has_antipode = True
-        extra["certificates"] = {k: report_obj(r) for k, r in sorted(H.certificates.items())}
+        extra["certificates"] = {k: r.to_json_obj() for k, r in sorted(H.certificates.items())}
         if "antipode" in laws:
-            extra["antipode_residuals"] = report_obj(verify_antipode(H, depth=1))
+            extra["antipode_residuals"] = verify_antipode(H, depth=1).to_json_obj()
     else:
         operands = [induce_bialgebra(resolve_spec(r), degree) for r in spec]
         structure = bialgebra_coproduct(operands).bialgebra
-        has_antipode = False
-    results = run_laws(structure, laws, has_antipode)
+    results = {
+        law: check(structure)
+        for law, check in CHECKERS.items()
+        if law in laws and (law != "antipode" or construct == "free-hopf")
+    }
     obj = {
         "command": "verify",
         "artifact": args.artifact,
-        "laws": {name: report_obj(r) for name, r in sorted(results.items())},
+        "laws": {name: r.to_json_obj() for name, r in sorted(results.items())},
     }
     obj.update(extra)
     emit(args, obj)

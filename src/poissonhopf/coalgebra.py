@@ -153,7 +153,8 @@ _SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def parse_scalar(text) -> Fraction:
-    if isinstance(text, int):
+    # bool is a subclass of int, but true is no scalar
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text.strip()):
         raise SpecParseError(f"bad scalar {text!r}: expected 'p' or 'p/q'")
@@ -163,10 +164,6 @@ def parse_scalar(text) -> Fraction:
     if den == 0:
         raise SpecParseError(f"bad scalar {text!r}: zero denominator")
     return Fraction(num, den)
-
-
-def format_scalar(c: Fraction) -> str:
-    return str(c)
 
 
 _ALLOWED_FIELDS = {"basis", "delta", "epsilon"}
@@ -194,7 +191,8 @@ def spec_from_json_obj(obj) -> CoalgebraSpec:
             raise SpecParseError(f"delta of {name!r} must be an array")
         rows = []
         for triple in triples:
-            if not (isinstance(triple, list) and len(triple) == 3):
+            if not (isinstance(triple, list) and len(triple) == 3
+                    and all(isinstance(x, str) for x in triple[:2])):
                 raise SpecParseError(f"delta entry of {name!r} must be [name, name, scalar]")
             left, right, coeff = triple
             rows.append((left, right, parse_scalar(coeff)))
@@ -207,11 +205,11 @@ def spec_to_json_obj(spec: CoalgebraSpec) -> dict:
     return {
         "basis": list(spec.basis),
         "delta": {
-            name: [[l, r, format_scalar(c)] for l, r, c in rows]
+            name: [[l, r, str(c)] for l, r, c in rows]
             for name, rows in spec.delta
             if rows
         },
-        "epsilon": {name: format_scalar(c) for name, c in spec.epsilon},
+        "epsilon": {name: str(c) for name, c in spec.epsilon},
     }
 
 

@@ -1,4 +1,4 @@
-"""Poisson-ideal saturation, truncated quotients, and (co)limits.
+"""Poisson-ideal saturation, truncated quotients, coproducts and coequalizers.
 
 Every quotient object in sight is realized as a ``TruncatedQuotient``: a
 truncated free Poisson ambient together with the reduced-echelon basis of
@@ -17,8 +17,8 @@ the label maps of the checker protocol).
 Coproducts are computed on presentations: the coproduct of P(V)/I and
 P(W)/J is P(V (+) W) over the union of the lifted relation sets, with the
 generator inclusions as the canonical injections.  Coequalizers quotient
-by the saturated difference ideal.  Products and equalizers are the
-componentwise and kernel constructions on the underlying graded spaces.
+by the saturated difference ideal.  The paper needs only these colimits
+(for cocompleteness and the free Hopf construction), so no limits are built.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .linalg import EchelonBasis, SparseVec, SubspaceBasis, label_key, lincomb, unit_vec
+from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
 from .lyndon import LyndonWord, word_image
 from .poisson import (
     UNIT_MONOMIAL,
@@ -319,9 +319,6 @@ class MorphismTable:
                 )
         return report
 
-    def is_well_defined(self) -> bool:
-        return self.well_defined_report().ok
-
 
 @dataclass
 class CoproductResult:
@@ -418,100 +415,3 @@ def poisson_coequalizer(f: MorphismTable, g: MorphismTable):
         {n: coeq.normal_form(target.ambient.gen(n)) for n in target.ambient.alphabet},
     )
     return coeq, projection
-
-
-# ---------------------------------------------------------------------------
-# limits: direct products and equalizers of the underlying graded spaces
-
-
-@dataclass(frozen=True)
-class ProductElt:
-    left: PoissElt
-    right: PoissElt
-
-    def __add__(self, other):
-        return ProductElt(self.left + other.left, self.right + other.right)
-
-    def __sub__(self, other):
-        return ProductElt(self.left - other.left, self.right - other.right)
-
-    def __rmul__(self, c):
-        return ProductElt(c * self.left, c * self.right)
-
-
-class PoissonDirectProduct:
-    """Componentwise product and bracket on the direct sum of the factors."""
-
-    def __init__(self, left: TruncatedQuotient, right: TruncatedQuotient):
-        if left.ambient.truncation != right.ambient.truncation:
-            raise ValueError("truncation mismatch")
-        self.left = left
-        self.right = right
-
-    def pair(self, a: PoissElt, b: PoissElt) -> ProductElt:
-        return ProductElt(self.left.normal_form(a), self.right.normal_form(b))
-
-    def one(self) -> ProductElt:
-        return ProductElt(self.left.one(), self.right.one())
-
-    def product(self, u: ProductElt, v: ProductElt) -> ProductElt:
-        return ProductElt(self.left.product(u.left, v.left), self.right.product(u.right, v.right))
-
-    def bracket(self, u: ProductElt, v: ProductElt) -> ProductElt:
-        return ProductElt(self.left.bracket(u.left, v.left), self.right.bracket(u.right, v.right))
-
-    def project_left(self, u: ProductElt) -> PoissElt:
-        return u.left
-
-    def project_right(self, u: ProductElt) -> PoissElt:
-        return u.right
-
-    def graded_dims(self):
-        dl, dr = self.left.graded_dims(), self.right.graded_dims()
-        return [a + b for a, b in zip(dl, dr)]
-
-
-def poisson_product(left: TruncatedQuotient, right: TruncatedQuotient) -> PoissonDirectProduct:
-    """Direct product with componentwise structure and the two projections."""
-    return PoissonDirectProduct(left, right)
-
-
-@dataclass
-class EqualizerResult:
-    rows: tuple  # PoissElt kernel basis in the source quotient
-    closure: Report
-
-
-def poisson_equalizer(f: MorphismTable, g: MorphismTable) -> EqualizerResult:
-    """Kernel of f - g on the source, verified closed under both operations."""
-    source = f.source_quotient()
-    if source.ambient != g.source_quotient().ambient:
-        raise ValueError("equalizer needs a common source")
-    if f.target_quotient().ambient != g.target_quotient().ambient:
-        raise ValueError("equalizer needs a common target")
-
-    acc = EchelonBasis(key=lambda label: (label[0], label_key(label[1])))
-    for m in source.basis_monomials():
-        elt = source.ambient.monomial_elt(m)
-        diff = f.apply(elt) - g.apply(elt)
-        acc.insert(SparseVec({(0, lbl): c for lbl, c in diff.vec.items()}) + unit_vec((1, m)))
-    kernel = []
-    for pivot, row in acc.rows_by_pivot():
-        if pivot[0] == 1:
-            vec = SparseVec({lbl: c for (zone, lbl), c in row.items() if zone == 1})
-            kernel.append(source.ambient.elt(vec))
-
-    closure = Report()
-    for i, a in enumerate(kernel):
-        for b in kernel[i:]:
-            for law, op in (("equalizer-product", source.product), ("equalizer-bracket", source.bracket)):
-                out = op(a, b)
-                if out.lossy:
-                    continue
-                residual = f.apply(out) - g.apply(out)
-                closure.checked += 1
-                if not residual.is_zero():
-                    closure.violations.append(
-                        Violation(law, (render(a), render(b)), render(residual))
-                    )
-    return EqualizerResult(rows=tuple(kernel), closure=closure)

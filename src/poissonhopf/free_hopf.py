@@ -149,18 +149,16 @@ def hopf_ideal_generators(staged: StagedBialgebra) -> list:
 class TruncatedHopf(PresentedPoissonBialgebra):
     """Hopf quotient of the staged coproduct, with certified structure maps.
 
-    Carries the structure of ``presented`` (the quotient with the staged
-    comultiplication) plus the antipode induced by the stage shift.
+    Carries the staged comultiplication, counit and bracket sign on
+    ``quotient`` plus the antipode induced by the stage shift;
+    ``certificates`` holds the quotient's certificate reports once built.
     """
 
-    def __init__(self, staged: StagedBialgebra, presented: PresentedPoissonBialgebra,
-                 relations, certificates: dict, base_spec=None):
-        super().__init__(presented.quotient, presented.delta_table, presented.epsilon_table,
-                         presented.bracket_sign, presented.coalgebra)
+    def __init__(self, staged: StagedBialgebra, quotient: TruncatedQuotient):
+        B = staged.bialgebra
+        super().__init__(quotient, B.delta_table, B.epsilon_table, B.bracket_sign)
         self.staged = staged
-        self.relations = list(relations)
-        self.certificates = certificates
-        self.base_spec = base_spec
+        self.certificates: dict = {}
 
     @property
     def stages(self) -> int:
@@ -224,12 +222,18 @@ def fixpoint_certificate(q: TruncatedQuotient) -> Report:
 
 
 def s_prime_stability_certificate(H: TruncatedHopf) -> Report:
-    """S'(row) stays in the ideal for rows whose stages keep headroom."""
+    """S'(row) stays in the ideal for rows whose stages keep headroom.
+
+    The rows with a letter at the last stage, where S' is undefined, are
+    recorded as one skip carrying their count.
+    """
     report = Report()
     staged = H.staged
+    no_headroom = 0
     for row in H.quotient.ideal.rows:
         elt = H.ambient.elt(row)
         if max(staged.max_stage_of(m) for m in row) + 1 >= H.stages:
+            no_headroom += 1
             continue
         image = staged.s_prime(elt)
         report.checked += 1
@@ -237,6 +241,9 @@ def s_prime_stability_certificate(H: TruncatedHopf) -> Report:
             report.violations.append(
                 Violation("sprime-stability", (render(elt),), render(image))
             )
+    if no_headroom:
+        reason = "a letter at the last stage, so S' is undefined"
+        report.skipped.append(Skip("sprime-stability", (f"{no_headroom} ideal rows",), reason))
     return report
 
 
@@ -248,7 +255,7 @@ def free_poisson_hopf(spec: CoalgebraSpec, stages: int, truncation: int,
     raises ``RuntimeError`` on a violation.
     """
     B = induce_bialgebra(spec, truncation)
-    H = free_poisson_hopf_on_bialgebra(B, stages, base_spec=spec)
+    H = free_poisson_hopf_on_bialgebra(B, stages)
     if check:
         report = check_bialgebra(H.staged.bialgebra)
         if not report.ok:
@@ -256,20 +263,11 @@ def free_poisson_hopf(spec: CoalgebraSpec, stages: int, truncation: int,
     return H
 
 
-def free_poisson_hopf_on_bialgebra(B: PresentedPoissonBialgebra, stages: int,
-                                   base_spec=None) -> TruncatedHopf:
+def free_poisson_hopf_on_bialgebra(B: PresentedPoissonBialgebra, stages: int) -> TruncatedHopf:
     """Free Poisson Hopf algebra on a Poisson bialgebra."""
     staged = staged_coproduct(B, stages)
-    relations = hopf_ideal_generators(staged)
-    q = quotient(staged.ambient, relations)
-    presented = PresentedPoissonBialgebra(
-        q,
-        staged.bialgebra.delta_table,
-        staged.bialgebra.epsilon_table,
-        staged.bialgebra.bracket_sign,
-        None,
-    )
-    H = TruncatedHopf(staged, presented, relations, {}, base_spec)
+    q = quotient(staged.ambient, hopf_ideal_generators(staged))
+    H = TruncatedHopf(staged, q)
     certificates = {
         "poisson-ideal-fixpoint": fixpoint_certificate(q),
         "coideal": coideal_certificate(H),

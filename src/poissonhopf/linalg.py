@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-Scalar = Fraction
-
 _ZERO = 0
 _ONE = 1
 
@@ -271,6 +269,7 @@ class SubspaceBasis:
         return len(self.rows)
 
     def reduce(self, v: SparseVec) -> SparseVec:
+        """v minus its projection onto the span; linear and idempotent."""
         return _reduce_by_pivots(self._by_pivot, v)
 
     def contains(self, v: SparseVec) -> bool:
@@ -286,12 +285,3 @@ def row_reduce(vectors: Iterable[SparseVec], key=label_key) -> SubspaceBasis:
     for v in vectors:
         acc.insert(v)
     return acc.freeze()
-
-
-def normal_form(basis: SubspaceBasis, v: SparseVec) -> SparseVec:
-    """v minus its projection onto span(basis); linear and idempotent."""
-    return basis.reduce(v)
-
-
-def member(basis: SubspaceBasis, v: SparseVec) -> bool:
-    return basis.contains(v)

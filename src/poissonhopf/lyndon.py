@@ -1,12 +1,12 @@
-"""Lyndon words, the free Lie algebra they span, and a tensor-algebra oracle.
+"""Lyndon words and the free Lie algebra they span.
 
 Letters are generator indices 0..k-1; display names belong to the Poisson
 layer.  A Lyndon word is strictly smaller than every proper rotation of
 itself, and the standard bracketings of Lyndon words form a basis of the
 free Lie algebra.  Arbitrary brackets are normalized into that basis by the
-classical rewriting with antisymmetry and the Jacobi identity; correctness
-is checked against the commutator expansion in the tensor algebra, which is
-implemented independently below.
+classical rewriting with antisymmetry and the Jacobi identity; the tests
+check them against the commutator expansion in the tensor algebra, which
+``tests/oracles.py`` implements independently.
 
 Two process-wide tables live here, and neither is ever cleared:
 ``_word_table`` interns Lyndon words (one entry per distinct word ever
@@ -233,62 +233,3 @@ def lie_bracket(x: LieElt, y: LieElt) -> LieElt:
     )
     return LieElt(x.alphabet_size, out)
 
-
-# ---------------------------------------------------------------------------
-# tensor-algebra oracle: words are plain letter tuples, product is
-# concatenation, and a Lyndon word embeds as its expanded standard bracketing
-
-
-@dataclass(frozen=True)
-class TensorElt:
-    alphabet_size: int
-    vec: SparseVec
-
-    def _check(self, other: "TensorElt"):
-        if self.alphabet_size != other.alphabet_size:
-            raise ValueError("alphabet mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorElt(self.alphabet_size, self.vec + other.vec)
-
-    def __sub__(self, other):
-        self._check(other)
-        return TensorElt(self.alphabet_size, self.vec - other.vec)
-
-    def __neg__(self):
-        return TensorElt(self.alphabet_size, -self.vec)
-
-    def __rmul__(self, c):
-        return TensorElt(self.alphabet_size, self.vec.scaled(c))
-
-    def __mul__(self, other: "TensorElt") -> "TensorElt":
-        self._check(other)
-        data = SparseVec(
-            (wa + wb, ca * cb) for wa, ca in self.vec.items() for wb, cb in other.vec.items()
-        )
-        return TensorElt(self.alphabet_size, data)
-
-    def commutator(self, other: "TensorElt") -> "TensorElt":
-        return self * other - other * self
-
-
-@functools.lru_cache(maxsize=None)
-def _word_tensor(letters: tuple) -> SparseVec:
-    if len(letters) == 1:
-        return unit_vec(letters)
-    w = LyndonWord(letters)
-    u, v = standard_factorization(w)
-    tu, tv = _word_tensor(u.letters), _word_tensor(v.letters)
-    return SparseVec(
-        term
-        for wa, ca in tu.items()
-        for wb, cb in tv.items()
-        for term in ((wa + wb, ca * cb), (wb + wa, -ca * cb))
-    )
-
-
-def lie_to_tensor(x: LieElt) -> TensorElt:
-    """Commutator expansion of the standard bracketing; injective on the basis."""
-    out = lincomb((c, _word_tensor(w.letters)) for w, c in x.vec.items())
-    return TensorElt(x.alphabet_size, out)

@@ -16,7 +16,6 @@ sparse vectors over the printed monomial labels given below.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import SparseVec, lincomb, unit_vec
@@ -213,21 +212,3 @@ def sl2_hopf(truncation: int) -> SymmetricLieHopf:
         truncation,
     )
 
-
-@dataclass(frozen=True)
-class TargetHopfSpec:
-    """Descriptor for a target family; build() returns the computable object."""
-
-    kind: str  # "symmetric-on-lie" | "group-algebra"
-    rank: int = 0
-    names: tuple = ()
-    brackets: tuple = ()  # ((i, j, ((k, coeff), ...)), ...)
-    truncation: int = 4
-
-    def build(self):
-        if self.kind == "group-algebra":
-            return GroupAlgebra(self.rank)
-        if self.kind == "symmetric-on-lie":
-            table = {(i, j): dict(terms) for i, j, terms in self.brackets}
-            return SymmetricLieHopf(self.names, table, self.truncation)
-        raise ValueError(f"unknown target kind {self.kind!r}")

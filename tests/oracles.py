@@ -3,12 +3,17 @@
 Each function here recomputes an expected value by a route disjoint from
 the implementation under test: fraction-free integer elimination for ranks,
 exhaustive rotation search for Lyndon words, the Mobius/Witt counting
-formula, generating-function series for graded dimensions, and a naive
-batch-closure loop for ideal saturation.
+formula, generating-function series for graded dimensions, a naive
+batch-closure loop for ideal saturation, and the commutator expansion of
+Lie brackets in the tensor algebra.
 """
 
+import functools
+from dataclasses import dataclass
+
 from poissonhopf.colimits import quotient_key
-from poissonhopf.linalg import row_reduce
+from poissonhopf.linalg import SparseVec, lincomb, row_reduce, unit_vec
+from poissonhopf.lyndon import LieElt, LyndonWord, standard_factorization
 from poissonhopf.poisson import PoissMonomial, poiss_bracket, poiss_product
 
 
@@ -102,3 +107,63 @@ def brute_force_saturation(ambient, generators, n):
         if after.rank == basis.rank:
             return after
         current = list(after.rows)
+
+
+# ---------------------------------------------------------------------------
+# tensor-algebra oracle: words are plain letter tuples, product is
+# concatenation, and a Lyndon word embeds as its expanded standard bracketing
+
+
+@dataclass(frozen=True)
+class TensorElt:
+    alphabet_size: int
+    vec: SparseVec
+
+    def _check(self, other: "TensorElt"):
+        if self.alphabet_size != other.alphabet_size:
+            raise ValueError("alphabet mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return TensorElt(self.alphabet_size, self.vec + other.vec)
+
+    def __sub__(self, other):
+        self._check(other)
+        return TensorElt(self.alphabet_size, self.vec - other.vec)
+
+    def __neg__(self):
+        return TensorElt(self.alphabet_size, -self.vec)
+
+    def __rmul__(self, c):
+        return TensorElt(self.alphabet_size, self.vec.scaled(c))
+
+    def __mul__(self, other: "TensorElt") -> "TensorElt":
+        self._check(other)
+        data = SparseVec(
+            (wa + wb, ca * cb) for wa, ca in self.vec.items() for wb, cb in other.vec.items()
+        )
+        return TensorElt(self.alphabet_size, data)
+
+    def commutator(self, other: "TensorElt") -> "TensorElt":
+        return self * other - other * self
+
+
+@functools.lru_cache(maxsize=None)
+def _word_tensor(letters: tuple) -> SparseVec:
+    if len(letters) == 1:
+        return unit_vec(letters)
+    w = LyndonWord(letters)
+    u, v = standard_factorization(w)
+    tu, tv = _word_tensor(u.letters), _word_tensor(v.letters)
+    return SparseVec(
+        term
+        for wa, ca in tu.items()
+        for wb, cb in tv.items()
+        for term in ((wa + wb, ca * cb), (wb + wa, -ca * cb))
+    )
+
+
+def lie_to_tensor(x: LieElt) -> TensorElt:
+    """Commutator expansion of the standard bracketing; injective on the basis."""
+    out = lincomb((c, _word_tensor(w.letters)) for w, c in x.vec.items())
+    return TensorElt(x.alphabet_size, out)

@@ -9,7 +9,12 @@ import itertools
 import json
 import time
 
-from oracles import brute_force_saturation, generating_function_dims, witt_number
+from oracles import (
+    brute_force_saturation,
+    generating_function_dims,
+    lie_to_tensor,
+    witt_number,
+)
 
 from poissonhopf.bialgebra import (
     bialgebra_coequalizer,
@@ -22,7 +27,7 @@ from poissonhopf.colimits import MorphismTable, free_quotient, ideal_saturate, q
 from poissonhopf.exprs import parse
 from poissonhopf.free_hopf import free_poisson_hopf, verify_antipode
 from poissonhopf.linalg import unit_vec
-from poissonhopf.lyndon import LieElt, bracket_words, lie_to_tensor, lyndon_words
+from poissonhopf.lyndon import LieElt, bracket_words, lyndon_words
 from poissonhopf.poisson import FreePoissonAlgebra, graded_dimension
 from poissonhopf.targets import GroupAlgebra, sl2_hopf
 from poissonhopf.verify import (

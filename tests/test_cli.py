@@ -272,3 +272,37 @@ def test_unreadable_file_permission_exits_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.strip() == f"parse error: cannot read {tmp_path / 'locked.json'}: Permission denied"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"basis": ["a"], "delta": {"a": [[["x"], "a", 1]]}},
+        {"basis": ["a"], "delta": {"a": [["a", 3, 1]]}},
+        {"basis": ["a"], "delta": {"a": [["a", "a", 1]]}, "epsilon": {"a": True}},
+        {"basis": ["a"], "delta": {"a": [["a", "a", False]]}, "epsilon": {"a": 1}},
+    ],
+)
+def test_malformed_spec_fields_exit_2(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("image", [5, None, ["g1"], {"g": "g1"}, True])
+def test_coequalize_non_string_image_exits_2(capsys, tmp_path, image):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"g": image}}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"g": "g1"}}))
+    for maps in ((bad, good), (good, bad)):
+        code, out, err = run(capsys, "coequalize", "builtin:grouplike-2", "--map", str(maps[0]),
+                             "--map", str(maps[1]), "--degree", "2")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("parse error:") and "images" in err

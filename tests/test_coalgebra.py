@@ -7,8 +7,10 @@ import pytest
 from poissonhopf.coalgebra import (
     CoalgebraSpec,
     SpecError,
+    SpecParseError,
     builtin,
     load_spec,
+    parse_scalar,
     save_spec,
     spec_from_json_obj,
     validate_coalgebra,
@@ -125,6 +127,26 @@ def test_spec_scalar_fractions_parse():
     assert spec == builtin("trig")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_scalar_rejects_non_scalars(value):
+    with pytest.raises(SpecParseError, match="bad scalar"):
+        parse_scalar(value)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"basis": ["a"], "delta": {"a": [[["x"], "a", 1]]}},
+        {"basis": ["a"], "delta": {"a": [["a", {"b": 1}, 1]]}},
+        {"basis": ["a"], "delta": {"a": [["a", "a", True]]}},
+        {"basis": ["a"], "delta": {"a": [["a", "a", 1]]}, "epsilon": {"a": True}},
+    ],
+)
+def test_spec_reader_rejects_non_string_names_and_boolean_scalars(obj):
+    with pytest.raises(SpecParseError):
+        spec_from_json_obj(obj)
+
+
 # ---- target Hopf families ----
 
 
@@ -184,22 +206,6 @@ def test_symmetric_hopf_poisson_compatibility_on_generators():
                         for y, cy in right_mul.items():
                             rhs = rhs.axpy(c1 * c2 * cx * cy, unit_vec((x, y)))
             assert lhs == rhs, (i, j)
-
-
-def test_target_hopf_spec_builders():
-    from poissonhopf.targets import TargetHopfSpec
-
-    ga = TargetHopfSpec(kind="group-algebra", rank=2).build()
-    assert ga.rank == 2
-    sym = TargetHopfSpec(
-        kind="symmetric-on-lie",
-        names=("x", "y"),
-        brackets=((0, 1, ((0, 1),)),),  # [x, y] = x
-        truncation=3,
-    ).build()
-    assert sym.bracket(sym.gen(0), sym.gen(1)) == sym.gen(0)
-    with pytest.raises(ValueError, match="unknown target kind"):
-        TargetHopfSpec(kind="mystery").build()
 
 
 def test_symmetric_hopf_passes_all_checkers():

@@ -161,14 +161,9 @@ def test_corrupted_ideal_shows_nonzero_residual():
     staged = staged_coproduct(B, 2)
     gens = hopf_ideal_generators(staged)
     from poissonhopf.colimits import quotient as q_of
-    from poissonhopf.bialgebra import PresentedPoissonBialgebra
 
     # drop every generator: the convolution relations no longer reduce to zero
-    empty = q_of(staged.ambient, [])
-    bial = PresentedPoissonBialgebra(
-        empty, staged.bialgebra.delta_table, staged.bialgebra.epsilon_table, 1, None
-    )
-    H = TruncatedHopf(staged, bial, [], {}, None)
+    H = TruncatedHopf(staged, q_of(staged.ambient, []))
     report = verify_antipode(H, depth=1)
     assert not report.ok
 
@@ -332,3 +327,16 @@ def test_coefficients_stay_exact_rationals():
     assert kinds <= {int, Fraction}, kinds
     # integral values are stored as ints, so a true fraction is the only Fraction
     assert all(c.denominator != 1 for v in vectors for _, c in v.items() if type(c) is Fraction)
+
+
+@pytest.mark.parametrize("stages, degree, checked", [(2, 3, 0), (3, 2, 2)])
+def test_sprime_stability_records_rows_without_headroom(stages, degree, checked):
+    H = free_poisson_hopf(builtin("trig"), stages, degree)
+    cert = H.certificates["sprime-stability"]
+    skipped = H.quotient.ideal.rank - checked
+    assert cert.ok and cert.checked == checked
+    assert [s.to_json_obj() for s in cert.skipped] == [{
+        "law": "sprime-stability",
+        "witnesses": [f"{skipped} ideal rows"],
+        "reason": "a letter at the last stage, so S' is undefined",
+    }]

@@ -11,14 +11,13 @@ from poissonhopf.lyndon import (
     bracket_words,
     lie_bracket,
     lie_generator,
-    lie_to_tensor,
     lie_word,
     lyndon_words,
     standard_factorization,
 )
 
 
-from oracles import brute_force_lyndon, witt_number
+from oracles import brute_force_lyndon, lie_to_tensor, witt_number
 
 
 def test_two_letter_enumeration_matches_spec():
