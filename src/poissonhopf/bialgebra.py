@@ -95,9 +95,6 @@ class PresentedPoissonBialgebra:
 
     # -- Poisson structure on the quotient --
 
-    def product(self, a: PoissElt, b: PoissElt) -> PoissElt:
-        return self.quotient.product(a, b)
-
     def bracket(self, a: PoissElt, b: PoissElt) -> PoissElt:
         out = self.quotient.bracket(a, b)
         return out if self.bracket_sign == 1 else -out
@@ -153,32 +150,17 @@ class PresentedPoissonBialgebra:
         """Tensor-square bracket with the standard ambient bracket."""
         return tensor_bracket(self.ambient, s, t)
 
-    # -- quotient reductions: slotwise normal form --
-
-    def reduce_vec(self, v: SparseVec) -> SparseVec:
-        return self.quotient.nf_vec(v)
+    # -- the quotient projection: slotwise normal form --
 
     def reduce_pair(self, t: SparseVec) -> SparseVec:
         if self.quotient.ideal.rank == 0:
             return t
         return map_pairs(t, self.quotient.nf_label)
 
-    def reduce_triple(self, t: SparseVec) -> SparseVec:
-        if self.quotient.ideal.rank == 0:
-            return t
-        nf = self.quotient.nf_label
-        return SparseVec(
-            ((la, lb, lc), coeff * ca * cb * cc)
-            for (a, b, c), coeff in t.items()
-            for la, ca in nf(a).items()
-            for lb, cb in nf(b).items()
-            for lc, cc in nf(c).items()
-        )
-
     # -- protocol for the axiom checkers --
 
-    def labels_upto(self, max_degree=None):
-        return self.quotient.basis_monomials(max_degree)
+    def labels_upto(self):
+        return self.quotient.basis_monomials()
 
     def label_degree(self, m) -> int:
         return m.degree
@@ -463,9 +445,7 @@ def bialgebra_coequalizer(f: MorphismTable, g: MorphismTable) -> BialgebraCoequa
         if not rep.ok:
             raise ValueError(f"{name} morphism is not a bialgebra morphism: " + "; ".join(rep.lines()))
     tgt = f.target
-    fq = MorphismTable(f.source.quotient, tgt.quotient, f.images, f.source_bracket_sign)
-    gq = MorphismTable(g.source.quotient, tgt.quotient, g.images, g.source_bracket_sign)
-    coeq, proj = poisson_coequalizer(fq, gq)
+    coeq, proj = poisson_coequalizer(f, g)
     result = PresentedPoissonBialgebra(
         coeq, tgt.delta_table, tgt.epsilon_table, tgt.bracket_sign
     )

@@ -78,7 +78,7 @@ class CoalgebraSpec:
 
     truncation = 1
 
-    def labels_upto(self, max_degree=None):
+    def labels_upto(self):
         return self.basis
 
     def label_degree(self, label) -> int:
@@ -89,12 +89,6 @@ class CoalgebraSpec:
 
     def epsilon_label(self, label) -> int | Fraction:
         return self.epsilon_of(label)
-
-    def reduce_vec(self, v: SparseVec) -> SparseVec:
-        return v
-
-    reduce_pair = reduce_vec
-    reduce_triple = reduce_vec
 
     def render_label(self, label) -> str:
         return str(label)
@@ -159,8 +153,11 @@ def parse_scalar(text) -> Fraction:
     if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text.strip()):
         raise SpecParseError(f"bad scalar {text!r}: expected 'p' or 'p/q'")
     m = _SCALAR_RE.fullmatch(text.strip())
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError as e:  # more digits than the interpreter converts
+        raise SpecParseError(f"bad scalar: {e}") from None
     if den == 0:
         raise SpecParseError(f"bad scalar {text!r}: zero denominator")
     return Fraction(num, den)
@@ -216,7 +213,9 @@ def spec_to_json_obj(spec: CoalgebraSpec) -> dict:
 def read_json(path):
     """The parsed contents of a JSON file (spec, map file or artifact).
 
-    A file that cannot be read, is not UTF-8, or does not parse raises
+    A file that cannot be read (a directory, no permission, a NUL byte in
+    the path), is not UTF-8, or does not parse (bad syntax, too deep, an
+    integer with more digits than the interpreter converts) raises
     ``SpecParseError`` with a one-line message; a missing file raises
     ``FileNotFoundError``.
     """
@@ -233,6 +232,8 @@ def read_json(path):
         ) from None
     except RecursionError:
         raise SpecParseError(f"JSON in {path} is nested too deeply") from None
+    except ValueError as e:
+        raise SpecParseError(f"cannot read {path!r}: {e}") from None
 
 
 def load_spec(path) -> CoalgebraSpec:

@@ -51,6 +51,11 @@ def op_sign(m: PoissMonomial) -> int:
     return -1 if exponent % 2 else 1
 
 
+def flip_bracket(vec: SparseVec) -> SparseVec:
+    """The bracket-flip automorphism on a vector over monomials."""
+    return vec.map_terms(lambda m, c: ((m, c * op_sign(m)),))
+
+
 def quotient_key(m: PoissMonomial):
     """Pivot order for ideal bases: highest degree first, then lexicographic.
 
@@ -160,10 +165,9 @@ class TruncatedQuotient:
     def one(self) -> PoissElt:
         return self.normal_form(self.ambient.one())
 
-    def basis_monomials(self, max_degree=None):
+    def basis_monomials(self):
         """Classes of non-pivot monomials form a basis of the quotient."""
-        n = self.ambient.truncation if max_degree is None else max_degree
-        return [m for m in self.ambient.monomials_upto(n) if m not in self._pivots]
+        return [m for m in self.ambient.monomials_upto() if m not in self._pivots]
 
     def graded_dims(self):
         """Count of basis classes whose representative has exact degree d."""
@@ -188,8 +192,8 @@ class TruncatedQuotient:
     def truncation(self) -> int:
         return self.ambient.truncation
 
-    def labels_upto(self, max_degree=None):
-        return [m for m in self.basis_monomials(max_degree) if m.degree >= 1]
+    def labels_upto(self):
+        return [m for m in self.basis_monomials() if m.degree >= 1]
 
     def label_degree(self, m) -> int:
         return m.degree
@@ -217,9 +221,6 @@ class TruncatedQuotient:
 
     def bracket_labels(self, a, b) -> SparseVec:
         return self.label_op("bracket", a, b)
-
-    def reduce_vec(self, v: SparseVec) -> SparseVec:
-        return self.nf_vec(v)
 
     def render_label(self, m) -> str:
         return monomial_str(m, self.ambient.alphabet)
@@ -360,9 +361,7 @@ def poisson_coproduct(operands, signs=None) -> CoproductResult:
     relations = []
     for op, sign, lm in zip(operands, signs, maps):
         for g in op.generators:
-            vec = g.vec
-            if sign == -1:
-                vec = vec.map_terms(lambda m, c: ((m, c * op_sign(m)),))
+            vec = flip_bracket(g.vec) if sign == -1 else g.vec
             relations.append(ambient.elt(rename_letters(vec, lm)))
     result = quotient(ambient, relations)
     injections = []

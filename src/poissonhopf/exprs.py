@@ -46,7 +46,10 @@ def tokenize(text: str):
         number, name, punct = m.groups()
         start = m.end() - len(number or name or punct)
         if number is not None:
-            tokens.append(("int", int(number), start))
+            try:
+                tokens.append(("int", int(number), start))
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError(f"integer of {len(number)} digits is too long", start) from None
         elif name is not None:
             tokens.append(("name", name, start))
         else:

@@ -35,8 +35,7 @@ from .bialgebra import (
     op_cop,
 )
 from .coalgebra import CoalgebraSpec
-from .colimits import TruncatedQuotient, op_sign, quotient
-from .lyndon import LyndonWord
+from .colimits import TruncatedQuotient, flip_bracket, quotient, rename_letters
 from .poisson import PoissElt, PoissMonomial, monomial_str, poiss_bracket, poiss_product, render
 from .verify import Report, Skip, Violation, check_antipode_antimorphism
 
@@ -73,9 +72,6 @@ class StagedBialgebra:
     def generator_name(self, base: str, stage: int) -> str:
         return f"{base}_{stage}"
 
-    def gen(self, base: str, stage: int) -> PoissElt:
-        return self.ambient.gen(self.generator_name(base, stage))
-
     def max_stage_of(self, m: PoissMonomial) -> int:
         stages = [
             self.stage_of[self.ambient.alphabet[i]].stage
@@ -88,24 +84,16 @@ class StagedBialgebra:
         """Stage shift extended multiplicatively and bracket-antimorphically.
 
         Each Lyndon factor of degree d picks up (-1)^(d-1) from reversing
-        its brackets; the letters move up one stage.
+        its brackets; the letters move up one stage.  The shift adds a fixed
+        offset to every letter index, so it preserves letter order.
         """
-
-        def shift(m: PoissMonomial, c):
-            factors = []
-            for f in m.factors:
-                letters = []
-                for i in f.letters:
-                    j = self._shift_letter.get(i)
-                    if j is None:
-                        raise StageOverflowError(
-                            f"stage overflow: {self.ambient.alphabet[i]} has no successor"
-                        )
-                    letters.append(j)
-                factors.append(LyndonWord(tuple(letters)))
-            yield PoissMonomial(tuple(factors)), c * op_sign(m)
-
-        return self.ambient.elt(elt.vec.map_terms(shift), elt.lossy)
+        try:
+            vec = rename_letters(flip_bracket(elt.vec), self._shift_letter)
+        except KeyError as e:
+            raise StageOverflowError(
+                f"stage overflow: {self.ambient.alphabet[e.args[0]]} has no successor"
+            ) from None
+        return self.ambient.elt(vec, elt.lossy)
 
     def convolution_relation(self, base: str, stage: int, side: str) -> PoissElt:
         """(S' * Id - u.eps)(x at stage) for side 'left', (Id * S' - u.eps) for 'right'."""

@@ -172,10 +172,9 @@ class SymmetricLieHopf:
 
     # -- protocol for the axiom checkers: labels are the sorted index tuples --
 
-    def labels_upto(self, max_degree=None):
-        n = self.truncation if max_degree is None else min(max_degree, self.truncation)
+    def labels_upto(self):
         out = [()]
-        for d in range(1, n + 1):
+        for d in range(1, self.truncation + 1):
             out.extend(itertools.combinations_with_replacement(range(len(self.names)), d))
         return out
 
@@ -196,12 +195,6 @@ class SymmetricLieHopf:
 
     def antipode_label(self, label) -> SparseVec:
         return self.antipode(unit_vec(label))
-
-    def reduce_vec(self, v: SparseVec) -> SparseVec:
-        return v
-
-    reduce_pair = reduce_vec
-    reduce_triple = reduce_vec
 
 
 def sl2_hopf(truncation: int) -> SymmetricLieHopf:

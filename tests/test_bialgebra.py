@@ -126,7 +126,7 @@ def test_factorization_agrees_with_any_split():
     T = GroupAlgebra(1)
     fac = factor_through_free(builtin("grouplike-2"), {"g1": T.gen(0), "g2": T.gen(0, 2)}, T, 4)
     B = fac.bialgebra
-    for m in B.labels_upto(4):
+    for m in B.labels_upto():
         whole = fac.apply_monomial(m)
         for cut in range(1, len(m.factors)):
             left = PoissMonomial(m.factors[:cut])

@@ -239,11 +239,13 @@ def _unreadable_inputs(tmp_path):
     mangled.write_text('{"construct": ')
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
+    huge = tmp_path / "huge.json"
+    huge.write_text("1" * 5000)  # more digits than the interpreter converts
     return {"directory": str(directory), "non-utf8": str(latin1), "bad-json": str(mangled),
-            "deep-json": str(deep)}
+            "deep-json": str(deep), "huge-number": str(huge)}
 
 
-@pytest.mark.parametrize("case", ["directory", "non-utf8", "bad-json", "deep-json"])
+@pytest.mark.parametrize("case", ["directory", "non-utf8", "bad-json", "deep-json", "huge-number"])
 @pytest.mark.parametrize("command", ["spec", "map", "artifact"])
 def test_unreadable_json_files_exit_2(capsys, tmp_path, case, command):
     path = _unreadable_inputs(tmp_path)[case]
@@ -306,3 +308,28 @@ def test_coequalize_non_string_image_exits_2(capsys, tmp_path, image):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("parse error:") and "images" in err
+
+
+def _unconvertible_inputs(tmp_path):
+    """Inputs whose reading raises a bare ValueError: a NUL byte, or too many digits."""
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps({"construct": "induce", "spec": "x\u0000", "degree": 2}))
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(
+        json.dumps({"basis": ["g"], "delta": {"g": [["g", "g", "1"]]}, "epsilon": {"g": "1" * 5000}})
+    )
+    return {
+        "nul-path": ("validate", "a\x00b"),
+        "nul-artifact-spec": ("verify", str(artifact)),
+        "scalar-string": ("validate", str(scalar)),
+        "eval-integer": ("eval", "builtin:trig", "7" * 5000, "--degree", "2"),
+    }
+
+
+@pytest.mark.parametrize("case", ["nul-path", "nul-artifact-spec", "scalar-string", "eval-integer"])
+def test_unconvertible_inputs_exit_2(capsys, tmp_path, case):
+    code, out, err = run(capsys, *_unconvertible_inputs(tmp_path)[case])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("parse error:")

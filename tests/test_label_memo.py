@@ -6,8 +6,9 @@ import pytest
 
 import poissonhopf.colimits as colimits
 import poissonhopf.poisson as poisson
-from poissonhopf.bialgebra import check_bialgebra, induce_bialgebra, op_cop
+from poissonhopf.bialgebra import bialgebra_coequalizer, check_bialgebra, induce_bialgebra, op_cop
 from poissonhopf.coalgebra import CoalgebraSpec, builtin
+from poissonhopf.colimits import MorphismTable
 from poissonhopf.free_hopf import free_poisson_hopf
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import PoissMonomial, poiss_bracket, poiss_product
@@ -52,6 +53,40 @@ def test_memoized_label_maps_match_recomputation(name):
     assert all(type(c) is int or c.denominator != 1 for v in tables for _, c in v.items())
 
 
+def grouplike_coequalizer():
+    src = induce_bialgebra(builtin("grouplike-1"), 4)
+    tgt = induce_bialgebra(builtin("grouplike-2"), 4)
+    f, g = (
+        MorphismTable(src, tgt, {"g": tgt.quotient.normal_form(tgt.ambient.gen(name))})
+        for name in ("g1", "g2")
+    )
+    return bialgebra_coequalizer(f, g).bialgebra
+
+
+QUOTIENTS = {
+    "trig-hopf": trig_hopf,
+    "trig-hopf-op-cop": lambda: op_cop(trig_hopf()),
+    "grouplike-coequalizer": grouplike_coequalizer,
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_label_maps_return_basis_labels(name):
+    # the checkers never project: every label map output must already be a
+    # normal form, a combination of basis labels of the quotient
+    B = QUOTIENTS[name]()
+    basis = set(B.quotient.basis_monomials())
+    assert B.quotient.ideal.rank > 0
+    antipode = getattr(B, "antipode_label", lambda m: None)
+    for m in B.labels_upto():
+        assert all(a in basis and b in basis for a, b in B.delta_label(m).labels())
+        image = antipode(m)
+        assert image is None or set(image.labels()) <= basis
+    for a, b in _pairs_within(B):
+        assert set(B.product_labels(a, b).labels()) <= basis
+        assert set(B.bracket_labels(a, b).labels()) <= basis
+
+
 def test_op_cop_negates_the_shared_bracket_table():
     B = trig_free()
     twisted = op_cop(B)
@@ -63,7 +98,7 @@ def test_op_cop_negates_the_shared_bracket_table():
 
 def test_hopf_quotient_shares_the_quotient_table():
     H = trig_hopf()
-    a, b = [m for m in H.labels_upto(1) if m.degree == 1][:2]
+    a, b = [m for m in H.labels_upto() if m.degree == 1][:2]
     assert H.bracket_labels(a, b) is H.quotient.bracket_labels(a, b)
     assert H.product_labels(a, b) is H.quotient.product_labels(a, b)
 
