@@ -236,6 +236,31 @@ def free_quotient(ambient: FreePoissonAlgebra) -> TruncatedQuotient:
     return TruncatedQuotient(ambient, ideal_saturate(ambient, ()), ())
 
 
+def fixpoint_certificate(q: TruncatedQuotient) -> Report:
+    """The ideal is closed under letter products and letter brackets in budget."""
+    report = Report()
+    n = q.ambient.truncation
+    letters = q.ambient.gens()
+    for row in q.ideal.rows:
+        elt = q.ambient.elt(row)
+        for x in letters:
+            prod = poiss_product(x, elt)
+            if not prod.lossy and prod.top_degree() <= n:
+                report.checked += 1
+                if not q.ideal.contains(prod.vec):
+                    report.violations.append(
+                        Violation("ideal-product-closure", (render(x), render(elt)), render(prod))
+                    )
+            br = poiss_bracket(x, elt)
+            if not br.lossy and br.top_degree() <= n:
+                report.checked += 1
+                if not q.ideal.contains(br.vec):
+                    report.violations.append(
+                        Violation("ideal-bracket-closure", (render(x), render(elt)), render(br))
+                    )
+    return report
+
+
 def rename_letters(vec: SparseVec, letter_map) -> SparseVec:
     """Push a vector through an order-preserving letter renaming."""
 
@@ -393,14 +418,19 @@ def factorize_coproduct(coproduct: CoproductResult, legs) -> MorphismTable:
 
 def poisson_coequalizer(f: MorphismTable, g: MorphismTable):
     """Quotient of the common target by the saturated difference ideal."""
-    if f.source_quotient() is not g.source_quotient() and f.source_quotient().ambient != g.source_quotient().ambient:
-        raise ValueError("coequalizer needs a common source")
-    if f.target_quotient() is not g.target_quotient() and f.target_quotient().ambient != g.target_quotient().ambient:
-        raise ValueError("coequalizer needs a common target")
     for name, table in (("first", f), ("second", g)):
         rep = table.well_defined_report()
         if not rep.ok:
             raise ValueError(f"{name} morphism ill-defined: " + "; ".join(rep.lines()))
+    return difference_quotient(f, g)
+
+
+def difference_quotient(f: MorphismTable, g: MorphismTable):
+    """``poisson_coequalizer`` for maps whose well-definedness is already checked."""
+    if f.source_quotient() is not g.source_quotient() and f.source_quotient().ambient != g.source_quotient().ambient:
+        raise ValueError("coequalizer needs a common source")
+    if f.target_quotient() is not g.target_quotient() and f.target_quotient().ambient != g.target_quotient().ambient:
+        raise ValueError("coequalizer needs a common target")
     target = f.target_quotient()
     diffs = []
     for name in f.source_quotient().ambient.alphabet:

@@ -35,8 +35,14 @@ from .bialgebra import (
     op_cop,
 )
 from .coalgebra import CoalgebraSpec
-from .colimits import TruncatedQuotient, flip_bracket, quotient, rename_letters
-from .poisson import PoissElt, PoissMonomial, monomial_str, poiss_bracket, poiss_product, render
+from .colimits import (
+    TruncatedQuotient,
+    fixpoint_certificate,
+    flip_bracket,
+    quotient,
+    rename_letters,
+)
+from .poisson import PoissElt, PoissMonomial, monomial_str, poiss_product, render
 from .verify import Report, Skip, Violation, check_antipode_antimorphism
 
 
@@ -182,31 +188,6 @@ class TruncatedHopf(PresentedPoissonBialgebra):
         if self.staged.max_stage_of(m) + 1 >= self.stages:
             return None
         return self.antipode(self.ambient.monomial_elt(m)).vec
-
-
-def fixpoint_certificate(q: TruncatedQuotient) -> Report:
-    """The ideal is closed under letter products and letter brackets in budget."""
-    report = Report()
-    n = q.ambient.truncation
-    letters = q.ambient.gens()
-    for row in q.ideal.rows:
-        elt = q.ambient.elt(row)
-        for x in letters:
-            prod = poiss_product(x, elt)
-            if not prod.lossy and prod.top_degree() <= n:
-                report.checked += 1
-                if not q.ideal.contains(prod.vec):
-                    report.violations.append(
-                        Violation("ideal-product-closure", (render(x), render(elt)), render(prod))
-                    )
-            br = poiss_bracket(x, elt)
-            if not br.lossy and br.top_degree() <= n:
-                report.checked += 1
-                if not q.ideal.contains(br.vec):
-                    report.violations.append(
-                        Violation("ideal-bracket-closure", (render(x), render(elt)), render(br))
-                    )
-    return report
 
 
 def s_prime_stability_certificate(H: TruncatedHopf) -> Report:

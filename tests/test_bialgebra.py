@@ -20,7 +20,7 @@ from poissonhopf.linalg import SparseVec, unit_vec
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import PoissMonomial
 from poissonhopf.targets import GroupAlgebra, sl2_hopf
-from poissonhopf.verify import check_counit
+from poissonhopf.verify import Report, Violation, check_counit
 
 
 def gm(*letters):
@@ -218,6 +218,44 @@ def test_coequalizer_identifies_grouplikes():
     # epsilon vanishes on every ideal row
     for row in out.bialgebra.quotient.ideal.rows:
         assert out.bialgebra.epsilon(out.bialgebra.ambient.elt(row)) == 0
+
+
+def test_coequalizer_checks_each_morphism_once(monkeypatch):
+    src = induce_bialgebra(builtin("grouplike-1"), 4)
+    tgt = induce_bialgebra(builtin("grouplike-2"), 4)
+    f, g = (
+        MorphismTable(src, tgt, {"g": tgt.quotient.normal_form(tgt.ambient.gen(name))})
+        for name in ("g1", "g2")
+    )
+    checked = []
+    original = MorphismTable.well_defined_report
+
+    def counted(table):
+        checked.append(table)
+        return original(table)
+
+    monkeypatch.setattr(MorphismTable, "well_defined_report", counted)
+    out = bialgebra_coequalizer(f, g)
+    assert out.certificate.ok
+    assert len(checked) == 2 and checked[0] is f and checked[1] is g
+
+
+def test_coequalizer_needs_the_fixpoint_certificate_first(monkeypatch):
+    import poissonhopf.bialgebra as bialgebra
+
+    src = induce_bialgebra(builtin("grouplike-1"), 3)
+    tgt = induce_bialgebra(builtin("grouplike-2"), 3)
+    f, g = (
+        MorphismTable(src, tgt, {"g": tgt.quotient.normal_form(tgt.ambient.gen(name))})
+        for name in ("g1", "g2")
+    )
+    failing = Report(violations=[Violation("ideal-product-closure", ("g1", "g1 - g2"), "g1^2")])
+    coideal_runs = []
+    monkeypatch.setattr(bialgebra, "fixpoint_certificate", lambda q: failing)
+    monkeypatch.setattr(bialgebra, "coideal_certificate", lambda B: coideal_runs.append(B))
+    with pytest.raises(RuntimeError, match="fixpoint certificate failed"):
+        bialgebra_coequalizer(f, g)
+    assert coideal_runs == []
 
 
 def test_coequalizer_of_equal_maps_is_identity():

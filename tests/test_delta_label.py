@@ -1,0 +1,84 @@
+"""The quotient-side coproduct equals the slotwise-reduced ambient one.
+
+``delta_label`` builds each monomial's coproduct inside (Q/I) (x) (Q/I);
+the oracle expands the ambient coproduct ``delta_of_monomial`` and reduces
+it slot by slot.  The two must agree on every ambient monomial, ideal
+pivots included, of every Hopf quotient, twist and coequalizer below.
+"""
+
+import pytest
+
+from poissonhopf.bialgebra import bialgebra_coequalizer, induce_bialgebra, op_cop
+from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
+from poissonhopf.colimits import MorphismTable
+from poissonhopf.free_hopf import free_poisson_hopf
+
+
+def twisted_grouplike_2():
+    # grouplike-2 in the basis g1, g2 <- g1 + g2
+    return CoalgebraSpec.make(
+        ("g1", "g2"),
+        {
+            "g1": [("g1", "g1", 1)],
+            "g2": [("g1", "g1", 2), ("g1", "g2", -1), ("g2", "g1", -1), ("g2", "g2", 1)],
+        },
+        {"g1": 1, "g2": 2},
+    )
+
+
+def twisted_trig():
+    # trig in the basis c <- c + s, s
+    return CoalgebraSpec.make(
+        ("c", "s"),
+        {
+            "c": [("c", "c", 1), ("s", "s", -2)],
+            "s": [("s", "c", 1), ("c", "s", 1), ("s", "s", -2)],
+        },
+        {"c": 1, "s": 0},
+    )
+
+
+def hopf(spec, stages, degree):
+    return lambda: free_poisson_hopf(spec(), stages, degree)
+
+
+def grouplike_coequalizer():
+    src = induce_bialgebra(builtin("grouplike-1"), 4)
+    tgt = induce_bialgebra(builtin("grouplike-2"), 4)
+    f, g = (
+        MorphismTable(src, tgt, {"g": tgt.quotient.normal_form(tgt.ambient.gen(name))})
+        for name in ("g1", "g2")
+    )
+    return bialgebra_coequalizer(f, g).bialgebra
+
+
+CASES = {
+    "grouplike-1-M4-N5": hopf(lambda: builtin("grouplike-1"), 4, 5),
+    "grouplike-2-M2-N4": hopf(lambda: builtin("grouplike-2"), 2, 4),
+    "grouplike-2-M3-N3": hopf(lambda: builtin("grouplike-2"), 3, 3),
+    "trig-M2-N4": hopf(lambda: builtin("trig"), 2, 4),
+    "trig-M3-N3": hopf(lambda: builtin("trig"), 3, 3),
+    "matrix-2-M2-N3": hopf(lambda: builtin("matrix-2"), 2, 3),
+    "trig-hopf-op-cop": lambda: op_cop(free_poisson_hopf(builtin("trig"), 2, 4)),
+    "grouplike-2-coequalizer": grouplike_coequalizer,
+    "twisted-grouplike-2-M2-N4": hopf(twisted_grouplike_2, 2, 4),
+    "twisted-trig-M2-N3": hopf(twisted_trig, 2, 3),
+}
+
+
+def test_twisted_specs_are_coalgebras():
+    assert validate_coalgebra(twisted_grouplike_2()).ok
+    assert validate_coalgebra(twisted_trig()).ok
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_delta_label_equals_reduced_ambient_coproduct(name):
+    B = CASES[name]()
+    assert B.quotient.ideal.rank > 0
+    monomials = B.ambient.monomials_upto()
+    mismatches = [
+        B.render_label(m)
+        for m in monomials
+        if B.delta_label(m) != B.reduce_pair(B.delta_of_monomial(m))
+    ]
+    assert not mismatches, mismatches[:5]

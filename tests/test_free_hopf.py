@@ -316,13 +316,13 @@ def test_coefficients_stay_exact_rationals():
     vectors = [
         *H.quotient.ideal.rows,
         *H.quotient._nf_cache.values(),
-        *H._delta_word.values(),
-        *H._delta_mono.values(),
-        *H.staged.bialgebra._delta_word.values(),
-        *H.staged.bialgebra._delta_mono.values(),
+        *H._delta_label_word.values(),
+        *H._delta_label.values(),
+        *H.staged.bialgebra._delta_label_word.values(),
+        *H.staged.bialgebra._delta_label.values(),
     ]
-    assert H.quotient._nf_cache and H._delta_mono
-    assert H.staged.bialgebra._delta_word and H.staged.bialgebra._delta_mono
+    assert H.quotient._nf_cache and H._delta_label and H._delta_label_word
+    assert H.staged.bialgebra._delta_label_word and H.staged.bialgebra._delta_label
     kinds = {type(c) for v in vectors for _, c in v.items()}
     assert kinds <= {int, Fraction}, kinds
     # integral values are stored as ints, so a true fraction is the only Fraction
