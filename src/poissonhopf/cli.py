@@ -1,10 +1,10 @@
 """Command-line surface: spec loading, pipelines, deterministic JSON reports.
 
 Exit codes: 0 clean, 2 parse errors (expressions; spec, map and artifact
-files, all read by ``read_json``), 3 validation failures (coalgebra laws,
-axiom violations, ill-defined morphisms), 4 stage or degree overflow
-(``eval`` of an expression with terms above the budget), 1 unexpected
-internal failure.
+files, all read by ``read_json``; a ``--degree`` below 1), 3 validation
+failures (coalgebra laws, axiom violations, ill-defined morphisms), 4 stage
+or degree overflow (``eval`` of an expression with terms above the budget),
+1 unexpected internal failure.
 Reports are emitted with sorted keys and stable ordering, so identical
 invocations produce byte-identical output.
 """
@@ -364,6 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the one check of the budget flag; an artifact's degree goes through artifact_int
+    if getattr(args, "degree", 1) < 1:
+        sys.stderr.write("parse error: --degree must be an integer >= 1\n")
+        return 2
     try:
         return args.func(args)
     except ParseError as e:

@@ -153,6 +153,7 @@ class TruncatedHopf(PresentedPoissonBialgebra):
         super().__init__(quotient, B.delta_table, B.epsilon_table, B.bracket_sign)
         self.staged = staged
         self.certificates: dict = {}
+        self._antipode_label: dict = {}
 
     @property
     def stages(self) -> int:
@@ -185,9 +186,16 @@ class TruncatedHopf(PresentedPoissonBialgebra):
     # -- checker protocol: the bialgebra's, plus S --
 
     def antipode_label(self, m):
+        """S of a monomial's class, memoized per structure; None at the last stage."""
+        memo = self._antipode_label
+        if m in memo:
+            return memo[m]
         if self.staged.max_stage_of(m) + 1 >= self.stages:
-            return None
-        return self.antipode(self.ambient.monomial_elt(m)).vec
+            out = None
+        else:
+            out = self.antipode(self.ambient.monomial_elt(m)).vec
+        memo[m] = out
+        return out
 
 
 def s_prime_stability_certificate(H: TruncatedHopf) -> Report:

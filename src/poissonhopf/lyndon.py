@@ -38,14 +38,17 @@ _word_table: dict = {}
 
 class LyndonWord:
     """A Lyndon word, hash-consed: ``LyndonWord(letters)`` returns the one
-    instance for those letters, so equality is identity.
+    instance for those letters, so equality is identity, and so is the
+    hash (``object.__hash__``, computed in C).  Identity hashes differ
+    between processes; no output depends on them, because label dicts keep
+    insertion order and no set of labels is iterated.
 
-    ``degree``, ``sort_key`` and the hash are computed once, when the word
-    is first built; ``is_lyndon`` runs then too, and a rejected word never
-    enters the table, so it raises on every attempt.
+    ``degree`` and ``sort_key`` are computed once, when the word is first
+    built; ``is_lyndon`` runs then too, and a rejected word never enters the
+    table, so it raises on every attempt.
     """
 
-    __slots__ = ("letters", "degree", "sort_key", "_hash")
+    __slots__ = ("letters", "degree", "sort_key")
 
     def __new__(cls, letters: tuple):
         w = _word_table.get(letters)
@@ -57,16 +60,12 @@ class LyndonWord:
             init(w, "letters", letters)
             init(w, "degree", len(letters))
             init(w, "sort_key", (len(letters), letters))
-            init(w, "_hash", hash(letters))
             # setdefault, so threads racing on a new word still share one instance
             w = _word_table.setdefault(letters, w)
         return w
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return LyndonWord, (self.letters,)

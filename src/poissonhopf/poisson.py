@@ -34,12 +34,12 @@ class PoissMonomial:
     """Commutative monomial: factors kept sorted, the empty multiset is 1.
 
     Hash-consed like ``LyndonWord``: every permutation of the same factors
-    gives the one instance, so equality is identity.  ``degree``,
-    ``sort_key`` and the hash are computed once, when the sorted factor
+    gives the one instance, so equality and the hash are identity's.
+    ``degree`` and ``sort_key`` are computed once, when the sorted factor
     tuple is first seen; only sorted tuples are table keys.
     """
 
-    __slots__ = ("factors", "degree", "sort_key", "_hash")
+    __slots__ = ("factors", "degree", "sort_key")
 
     def __new__(cls, factors: tuple):
         key = tuple(sorted(factors, key=_SORT_KEY)) if len(factors) > 1 else tuple(factors)
@@ -51,16 +51,12 @@ class PoissMonomial:
             init(m, "factors", key)
             init(m, "degree", degree)
             init(m, "sort_key", (degree, tuple(f.sort_key for f in key)))
-            init(m, "_hash", hash(key))
             # setdefault, so threads racing on a new key still share one instance
             m = _monomial_table.setdefault(key, m)
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return PoissMonomial, (self.factors,)

@@ -27,9 +27,12 @@ be formed is not counted as checked; a caller that records it puts it in
 ``skipped`` with its reason.
 
 The label maps must be pure functions of their labels: the checkers ask for
-the same product, bracket or coproduct many times, so a structure may
-memoize them (quotients and bialgebras do) and must then return an equal
-value for equal labels.
+the same product, bracket, coproduct or antipode many times, so a structure
+may memoize them (quotients and bialgebras memoize products, brackets and
+coproducts, Hopf quotients the antipode too) and must then return an equal
+value for equal labels.  Labels are dict keys; the interned algebra labels
+hash by identity, so no output may depend on hash order: dicts keep
+insertion order and every rendering is sorted by ``label_key``.
 """
 
 from __future__ import annotations
@@ -153,31 +156,54 @@ def _pairs_within(structure):
 
 
 def check_coassociativity(structure) -> Report:
-    """(delta (x) id) delta = (id (x) delta) delta on every basis label."""
+    """(delta (x) id) delta = (id (x) delta) delta on every basis label.
+
+    With delta(l) = sum c m1 (x) m2, the sides are sliced by the slot they
+    share with delta(l), as sums of memoized coproducts: left = sum_d
+    L[d] (x) d with L[d] = sum c delta(m1) over m2 = d, right = sum_a
+    a (x) R[a] with R[a] = sum c delta(m2) over m1 = a.  Only a failing
+    label expands its residual into triples.
+    """
     report = Report()
+    delta = structure.delta_label
     for l in structure.labels_upto():
-        t = structure.delta_label(l).items()
-        left = SparseVec(
-            ((a, b, m2), c * c2)
-            for (m1, m2), c in t
-            for (a, b), c2 in structure.delta_label(m1).items()
-        )
-        right = SparseVec(
-            ((m1, a, b), c * c2)
-            for (m1, m2), c in t
-            for (a, b), c2 in structure.delta_label(m2).items()
-        )
-        residual = left - right
+        t = delta(l).items()
+        left = _slices((m2, c, delta(m1)) for (m1, m2), c in t)
+        right = _slices((m1, c, delta(m2)) for (m1, m2), c in t)
         report.checked += 1
-        if residual:
-            report.violations.append(
-                Violation(
-                    "coassociativity",
-                    (structure.render_label(l),),
-                    render_vec(structure, residual),
-                )
+        if _sliced_equal(left, right):
+            continue
+        residual = SparseVec(
+            ((a, b, d), c) for d, v in left.items() for (a, b), c in v.items()
+        ) - SparseVec(((a, b, d), c) for a, v in right.items() for (b, d), c in v.items())
+        report.violations.append(
+            Violation(
+                "coassociativity",
+                (structure.render_label(l),),
+                render_vec(structure, residual),
             )
+        )
     return report
+
+
+def _slices(terms) -> dict:
+    # key -> sum of c * vec over the (key, c, vec) terms sharing that key
+    groups: dict = {}
+    for key, c, vec in terms:
+        groups.setdefault(key, []).append((c, vec))
+    return {key: lincomb(group) for key, group in groups.items()}
+
+
+def _sliced_equal(left: dict, right: dict) -> bool:
+    # left[d][(a, b)] and right[a][(b, d)] are the coefficients of one triple
+    if sum(map(len, left.values())) != sum(map(len, right.values())):
+        return False
+    for a, v in right.items():
+        for (b, d), c in v.items():
+            ld = left.get(d)
+            if ld is None or ld.get((a, b)) != c:
+                return False
+    return True
 
 
 def check_counit(structure) -> Report:

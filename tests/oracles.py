@@ -4,8 +4,9 @@ Each function here recomputes an expected value by a route disjoint from
 the implementation under test: fraction-free integer elimination for ranks,
 exhaustive rotation search for Lyndon words, the Mobius/Witt counting
 formula, generating-function series for graded dimensions, a naive
-batch-closure loop for ideal saturation, and the commutator expansion of
-Lie brackets in the tensor algebra.
+batch-closure loop for ideal saturation, the commutator expansion of
+Lie brackets in the tensor algebra, and coassociativity expanded into
+triples.
 """
 
 import functools
@@ -15,6 +16,7 @@ from poissonhopf.colimits import quotient_key
 from poissonhopf.linalg import SparseVec, lincomb, row_reduce, unit_vec
 from poissonhopf.lyndon import LieElt, LyndonWord, standard_factorization
 from poissonhopf.poisson import PoissMonomial, poiss_bracket, poiss_product
+from poissonhopf.verify import Report, Violation, render_vec
 
 
 def bareiss_rank(matrix):
@@ -167,3 +169,36 @@ def lie_to_tensor(x: LieElt) -> TensorElt:
     """Commutator expansion of the standard bracketing; injective on the basis."""
     out = lincomb((c, _word_tensor(w.letters)) for w, c in x.vec.items())
     return TensorElt(x.alphabet_size, out)
+
+
+# ---------------------------------------------------------------------------
+# coassociativity by the triple expansion: both sides of
+# (delta (x) id) delta = (id (x) delta) delta built term by term as
+# (label, label, label) vectors, with the same report as the checker
+
+
+def triple_expansion_coassociativity(structure) -> Report:
+    report = Report()
+    for l in structure.labels_upto():
+        t = structure.delta_label(l).items()
+        left = SparseVec(
+            ((a, b, m2), c * c2)
+            for (m1, m2), c in t
+            for (a, b), c2 in structure.delta_label(m1).items()
+        )
+        right = SparseVec(
+            ((m1, a, b), c * c2)
+            for (m1, m2), c in t
+            for (a, b), c2 in structure.delta_label(m2).items()
+        )
+        residual = left - right
+        report.checked += 1
+        if residual:
+            report.violations.append(
+                Violation(
+                    "coassociativity",
+                    (structure.render_label(l),),
+                    render_vec(structure, residual),
+                )
+            )
+    return report

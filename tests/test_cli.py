@@ -1,9 +1,15 @@
 """CLI surface: commands, exit codes per error category, byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_delta_label import twisted_trig
 
+import poissonhopf
 from poissonhopf.cli import main
 from poissonhopf.coalgebra import builtin, save_spec
 
@@ -210,6 +216,53 @@ def test_reports_are_byte_identical_across_runs(capsys, tmp_path, argv):
     assert main(list(argv) + ["--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def run_with_hash_seed(argv, seed):
+    src = str(Path(poissonhopf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "poissonhopf.cli", *argv],
+        env=env, capture_output=True, check=True, timeout=300,
+    )
+    return proc.stdout
+
+
+def test_reports_do_not_depend_on_hash_seeds(tmp_path):
+    # labels hash by identity and strings by the seeded hash: neither may
+    # reach an output order
+    artifact = tmp_path / "hopf.json"
+    artifact.write_text(
+        json.dumps({"construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2})
+    )
+    twisted = tmp_path / "trig_twist.json"
+    save_spec(twisted_trig(), twisted)
+    for argv in (
+        ["free-hopf", "builtin:trig", "--stages", "2", "--degree", "3"],
+        ["verify", str(artifact), "--laws", "all"],
+        ["coproduct", "builtin:trig", str(twisted), "--degree", "3"],
+    ):
+        first = run_with_hash_seed(argv, 0)
+        assert first and first == run_with_hash_seed(argv, 1), argv
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("induce", "builtin:trig"),
+        ("eval", "builtin:trig", "c"),
+        ("coproduct", "builtin:trig", "builtin:grouplike-1"),
+        ("coequalize", "builtin:grouplike-2", "--map", "a.json", "--map", "b.json"),
+        ("free-hopf", "builtin:trig", "--stages", "2"),
+        ("dims", "builtin:trig"),
+    ],
+)
+def test_degree_below_one_exits_2(capsys, argv, degree):
+    code, out, err = run(capsys, *argv, "--degree", degree)
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: --degree must be an integer >= 1\n"
 
 
 def test_eval_truncated_result_exits_4(capsys):

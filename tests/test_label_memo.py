@@ -132,6 +132,24 @@ def test_memo_leaves_the_bialgebra_report_unchanged():
     assert check_bialgebra(B) == first and first.ok
 
 
+def test_antipode_label_memo_matches_recomputation():
+    H = free_poisson_hopf(builtin("trig"), 3, 3, check=False)
+    other = free_poisson_hopf(builtin("trig"), 3, 3, check=False)
+    undefined = 0
+    for m in H.labels_upto():
+        got = H.antipode_label(m)
+        if H.staged.max_stage_of(m) + 1 >= H.stages:
+            assert got is None
+            undefined += 1
+        else:
+            assert got == H.antipode(H.ambient.monomial_elt(m)).vec
+        assert H.antipode_label(m) is got
+    assert 0 < undefined < len(H._antipode_label)
+    # the memo belongs to the structure, not to the class or the quotient
+    assert other._antipode_label == {}
+    assert other._antipode_label is not H._antipode_label
+
+
 def test_builtin_counits_are_ints():
     for name in ("grouplike-1", "grouplike-2", "matrix-2", "trig"):
         spec = builtin(name)

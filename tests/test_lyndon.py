@@ -136,7 +136,9 @@ def test_alphabet_mismatch_raises():
 def test_words_are_interned():
     assert LyndonWord((0, 1)) is LyndonWord((0, 1))
     assert LyndonWord((0, 0, 1)) is standard_factorization(LyndonWord((0, 0, 0, 1)))[1]
-    assert hash(LyndonWord((0, 1))) == hash((0, 1))
+    # interned, so the identity hash is the whole contract: no Python-level __hash__
+    assert type(LyndonWord((0, 1))).__hash__ is object.__hash__
+    assert hash(LyndonWord((0, 1))) == hash(LyndonWord((0, 1)))
 
 
 def test_non_lyndon_word_raises_on_every_attempt():

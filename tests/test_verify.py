@@ -2,17 +2,23 @@
 
 import json
 
-from poissonhopf.bialgebra import induce_bialgebra
-from poissonhopf.coalgebra import builtin
+import pytest
+from oracles import triple_expansion_coassociativity
+from test_delta_label import twisted_trig
+
+from poissonhopf.bialgebra import bialgebra_coproduct, induce_bialgebra
+from poissonhopf.coalgebra import CoalgebraSpec, builtin
 from poissonhopf.free_hopf import free_poisson_hopf
 from poissonhopf.linalg import unit_vec
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import PoissMonomial
+from poissonhopf.targets import sl2_hopf
 from poissonhopf.verify import (
     Report,
     Skip,
     Violation,
     check_antipode_antimorphism,
+    check_coassociativity,
     check_jacobi,
     check_leibniz,
     check_poisson_compat,
@@ -143,3 +149,63 @@ def test_checker_results_independent_of_basis_order():
     bwd = check_poisson_compat(reversed_labels)
     assert fwd.ok == bwd.ok
     assert fwd.checked == bwd.checked
+
+
+# ---- coassociativity against the triple expansion ----------------------------
+
+
+def broken_spec():
+    # delta(g) = g (x) g + h (x) h with h group-like is not coassociative
+    return CoalgebraSpec.make(
+        ("g", "h"),
+        {"g": [("g", "g", 1), ("h", "h", 1)], "h": [("h", "h", 1)]},
+        {"g": 1, "h": 1},
+    )
+
+
+def one_sided_spec(left_heavy):
+    # delta(g) = g (x) h, or h (x) g, with delta(h) = 0: only one side of the
+    # law has a term, so the check must compare the sides' sizes too
+    pair = ("g", "h") if left_heavy else ("h", "g")
+    return CoalgebraSpec.make(("g", "h"), {"g": [(*pair, 1)]}, {"g": 1})
+
+
+def corrupted_trig():
+    # perturb the coproduct of several labels; every label whose coproduct
+    # reaches a victim through one of its slots fails
+    B = induce_bialgebra(builtin("trig"), 3)
+    victims = set(list(B.labels_upto())[1:9:2])
+
+    def bad_delta(m):
+        out = B.delta_label(m)
+        return out + unit_vec((m, m), 2) if m in victims else out
+
+    return Corrupted(B, delta_label=bad_delta)
+
+
+COASSOCIATIVITY_CASES = {
+    "trig-N3": lambda: induce_bialgebra(builtin("trig"), 3),
+    "trig-with-twisted-trig-N3": lambda: bialgebra_coproduct(
+        [induce_bialgebra(builtin("trig"), 3), induce_bialgebra(twisted_trig(), 3)]
+    ).bialgebra,
+    "sl2-hopf-4": lambda: sl2_hopf(4),
+    "spec-matrix-2": lambda: builtin("matrix-2"),
+    "spec-broken": broken_spec,
+    "spec-left-heavy": lambda: one_sided_spec(True),
+    "spec-right-heavy": lambda: one_sided_spec(False),
+    "corrupted-trig-N3": corrupted_trig,
+}
+
+
+NOT_COASSOCIATIVE = {"spec-broken", "spec-left-heavy", "spec-right-heavy", "corrupted-trig-N3"}
+
+
+@pytest.mark.parametrize("name", sorted(COASSOCIATIVITY_CASES))
+def test_coassociativity_matches_triple_expansion(name):
+    structure = COASSOCIATIVITY_CASES[name]()
+    report = check_coassociativity(structure)
+    assert report.to_json_obj() == triple_expansion_coassociativity(structure).to_json_obj()
+    assert report.checked == len(list(structure.labels_upto()))
+    assert report.ok == (name not in NOT_COASSOCIATIVE)
+    if name == "corrupted-trig-N3":
+        assert len(report.violations) > 1
