@@ -17,7 +17,9 @@ zero there".  ``delta_label`` computes in (Q/I) (x) (Q/I) directly: letter
 images are reduced once, and words and monomials are built from them with
 the quotient's label maps.  The ambient coproduct ``delta_of_monomial``,
 reduced slotwise, gives the same vector once the ideal passes the fixpoint
-certificate; it serves the maps out of the free bialgebra and the tests.
+certificate; it is the tests' oracle, not called at run time.  Maps
+into and out of a bialgebra are checked by ``verify.check_coalgebra_map``
+on ``delta_label``.
 
 The op-cop twist keeps the underlying quotient and flips the stored pair
 tables; the negated bracket is carried as a sign so the one ambient serves
@@ -58,10 +60,11 @@ from .poisson import (
 from .verify import (
     Report,
     Violation,
+    check_coalgebra_map,
     check_coassociativity,
     check_counit,
     check_poisson_compat,
-    render_vec,
+    render_tensor,
     tensor_bracket,
 )
 
@@ -127,9 +130,6 @@ class PresentedPoissonBialgebra:
             out = self.pair_mul(out, self.delta_of_word(f))
         self._delta_mono[m] = out
         return out
-
-    def delta(self, elt: PoissElt) -> SparseVec:
-        return lincomb((c, self.delta_of_monomial(m)) for m, c in elt.vec.items())
 
     def epsilon_of_monomial(self, m: PoissMonomial) -> int | Fraction:
         total = 1
@@ -308,44 +308,8 @@ class FreeFactorization:
 
     def coalgebra_map_report(self) -> Report:
         """Delta_T(image) must equal the image of Delta on every basis monomial."""
-        report = Report()
-        for m in self.bialgebra.labels_upto():
-            lhs = self.target.delta(self.apply_monomial(m))
-            residual = lhs - map_pairs(self.bialgebra.delta_of_monomial(m), self.apply_monomial)
-            report.checked += 1
-            if residual:
-                report.violations.append(
-                    Violation(
-                        "factorization-coalgebra-map",
-                        (self.bialgebra.render_label(m),),
-                        _render_target_vec(self.target, residual),
-                    )
-                )
-            eps_l = self.target.epsilon(self.apply_monomial(m))
-            eps_r = self.bialgebra.epsilon_of_monomial(m)
-            report.checked += 1
-            if eps_l != eps_r:
-                report.violations.append(
-                    Violation(
-                        "factorization-counit",
-                        (self.bialgebra.render_label(m),),
-                        str(eps_l - eps_r),
-                    )
-                )
-        return report
-
-
-def _render_target_vec(target, vec: SparseVec) -> str:
-    if not vec:
-        return "0"
-    parts = []
-    for label, c in sorted(vec.items(), key=lambda kv: repr(kv[0])):
-        if isinstance(label, tuple) and label and isinstance(label[0], tuple):
-            body = " (x) ".join(target.render_label(l) for l in label)
-        else:
-            body = target.render_label(label)
-        parts.append(f"{c}*{body}")
-    return " + ".join(parts)
+        B = self.bialgebra
+        return check_coalgebra_map(B, B.labels_upto(), self.apply_monomial, self.target, "factorization")
 
 
 def factor_through_free(spec: CoalgebraSpec, images: dict, target, truncation: int) -> FreeFactorization:
@@ -355,30 +319,12 @@ def factor_through_free(spec: CoalgebraSpec, images: dict, target, truncation: i
     map laws; otherwise returns the extension, whose postconditions are
     re-checked by ``coalgebra_map_report``.
     """
-    pre = Report()
-    for name in spec.basis:
-        if name not in images:
-            pre.violations.append(Violation("coalgebra-map-total", (name,), "missing image"))
-    if not pre.ok:
-        raise CoalgebraMapError(pre)
-    for name in spec.basis:
-        img = images[name]
-        lhs = target.delta(img)
-        rhs = map_pairs(spec.delta_vec(name), images.__getitem__)
-        pre.checked += 1
-        if lhs - rhs:
-            pre.violations.append(
-                Violation("coalgebra-map-delta", (name,), _render_target_vec(target, lhs - rhs))
-            )
-        pre.checked += 1
-        if target.epsilon(img) != spec.epsilon_of(name):
-            pre.violations.append(
-                Violation(
-                    "coalgebra-map-counit",
-                    (name,),
-                    str(target.epsilon(img) - spec.epsilon_of(name)),
-                )
-            )
+    pre = Report([
+        Violation("coalgebra-map-total", (name,), "missing image")
+        for name in spec.basis if name not in images
+    ])
+    if pre.ok:
+        pre = check_coalgebra_map(spec, spec.basis, images.__getitem__, target, "coalgebra-map")
     if not pre.ok:
         raise CoalgebraMapError(pre)
     bialgebra = induce_bialgebra(spec, truncation)
@@ -422,29 +368,14 @@ def bialgebra_coproduct(operands) -> BialgebraCoproduct:
 
 def bialgebra_morphism_report(table: MorphismTable) -> Report:
     """Poisson well-definedness plus the coalgebra-map laws on generators."""
-    src, tgt = table.source, table.target
-    report = table.well_defined_report()
+    src = table.source
+    letters = [PoissMonomial((LyndonWord((i,)),)) for i in range(len(src.ambient.alphabet))]
 
     def image_vec(m):
         return table.apply(src.ambient.monomial_elt(m)).vec
 
-    for name in src.ambient.alphabet:
-        gen_m = PoissMonomial((LyndonWord((src.ambient.index(name),)),))
-        image = table.apply(src.ambient.gen(name))
-        lhs = tgt.delta(image)
-        rhs = map_pairs(src.delta_table[name], image_vec)
-        residual = tgt.reduce_pair(lhs - rhs)
-        report.checked += 1
-        if residual:
-            report.violations.append(
-                Violation("morphism-delta", (name,), render_vec(tgt, residual))
-            )
-        report.checked += 1
-        if tgt.epsilon(image) != src.epsilon_of_monomial(gen_m):
-            report.violations.append(
-                Violation("morphism-counit", (name,), str(tgt.epsilon(image)))
-            )
-    return report
+    report = table.well_defined_report()
+    return report.merge(check_coalgebra_map(src, letters, image_vec, table.target, "morphism"))
 
 
 @dataclass
@@ -480,7 +411,7 @@ def coideal_certificate(B: PresentedPoissonBialgebra) -> Report:
         report.checked += 1
         if residual:
             report.violations.append(
-                Violation("coideal-delta", (render(elt),), render_vec(B, residual))
+                Violation("coideal-delta", (render(elt),), render_tensor(B, residual))
             )
         report.checked += 1
         if B.epsilon(elt):

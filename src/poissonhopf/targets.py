@@ -69,6 +69,14 @@ class GroupAlgebra:
             f"t{i+1}^{e}" for i, e in enumerate(label) if e
         )
 
+    # -- protocol for ``check_coalgebra_map``: labels are the exponent tuples --
+
+    def delta_label(self, label) -> SparseVec:
+        return unit_vec((label, label))
+
+    def epsilon_label(self, label) -> int:
+        return 1
+
 
 class SymmetricLieHopf:
     """S(g) for a finite-dimensional Lie algebra g, truncated by degree.

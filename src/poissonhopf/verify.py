@@ -21,6 +21,10 @@ labels for ``delta_label``).  Linear combinations of normal forms, and their
 tensors slot by slot, are again normal forms, so the checkers never project
 a residual: it is zero in the quotient exactly when it is the zero vector.
 
+``check_coalgebra_map`` is the one check of the coalgebra-map laws: it
+reads only ``delta_label``, ``epsilon_label`` and ``render_label`` of a
+source and a target, and the map as label images.
+
 Every check is exhaustive at the truncation: a report has no violations if
 and only if every listed residual is exactly zero.  A residual that cannot
 be formed is not counted as checked; a caller that records it puts it in
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import SparseVec, lincomb, outer, unit_vec
+from .linalg import SparseVec, lincomb, map_pairs, outer, unit_vec
 
 
 @dataclass(frozen=True)
@@ -107,17 +111,24 @@ class Report:
 
 
 def render_vec(structure, vec: SparseVec) -> str:
-    """Canonical rendering of a label vector, tensor slots joined by (x)."""
+    """Canonical rendering of a vector over labels."""
     if not vec:
         return "0"
     parts = []
     for label, c in vec.sorted_items():
-        if isinstance(label, tuple):
-            body = " (x) ".join(structure.render_label(l) for l in label)
-        else:
-            body = structure.render_label(label)
+        body = structure.render_label(label)
         parts.append(f"{c}*{body}" if body != "1" else str(c))
     return " + ".join(parts)
+
+
+def render_tensor(structure, vec: SparseVec) -> str:
+    """Canonical rendering of a vector over pairs or triples of labels, slots joined by (x)."""
+    if not vec:
+        return "0"
+    return " + ".join(
+        f"{c}*" + " (x) ".join(structure.render_label(l) for l in labels)
+        for labels, c in vec.sorted_items()
+    )
 
 
 # ---- bilinear plumbing over label vectors ----------------------------------
@@ -180,7 +191,7 @@ def check_coassociativity(structure) -> Report:
             Violation(
                 "coassociativity",
                 (structure.render_label(l),),
-                render_vec(structure, residual),
+                render_tensor(structure, residual),
             )
         )
     return report
@@ -241,7 +252,7 @@ def check_poisson_compat(structure) -> Report:
                 Violation(
                     "bracket-comultiplicativity",
                     (structure.render_label(a), structure.render_label(b)),
-                    render_vec(structure, residual),
+                    render_tensor(structure, residual),
                 )
             )
     return report
@@ -346,4 +357,24 @@ def check_antipode_antimorphism(structure) -> Report:
                         render_vec(structure, residual),
                     )
                 )
+    return report
+
+
+def check_coalgebra_map(source, labels, image, target, law: str) -> Report:
+    """Delta_T f = (f (x) f) Delta and eps_T f = eps, with f(l) = ``image(l)`` a normal form."""
+    report = Report()
+    for l in labels:
+        v = image(l)
+        residual = delta_vec(target, v) - map_pairs(source.delta_label(l), image)
+        report.checked += 1
+        if residual:
+            report.violations.append(
+                Violation(f"{law}-delta", (source.render_label(l),), render_tensor(target, residual))
+            )
+        residual = sum(c * target.epsilon_label(t) for t, c in v.items()) - source.epsilon_label(l)
+        report.checked += 1
+        if residual:
+            report.violations.append(
+                Violation(f"{law}-counit", (source.render_label(l),), str(residual))
+            )
     return report

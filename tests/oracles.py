@@ -16,7 +16,7 @@ from poissonhopf.colimits import quotient_key
 from poissonhopf.linalg import SparseVec, lincomb, row_reduce, unit_vec
 from poissonhopf.lyndon import LieElt, LyndonWord, standard_factorization
 from poissonhopf.poisson import PoissMonomial, poiss_bracket, poiss_product
-from poissonhopf.verify import Report, Violation, render_vec
+from poissonhopf.verify import Report, Violation, render_tensor
 
 
 def bareiss_rank(matrix):
@@ -198,7 +198,7 @@ def triple_expansion_coassociativity(structure) -> Report:
                 Violation(
                     "coassociativity",
                     (structure.render_label(l),),
-                    render_vec(structure, residual),
+                    render_tensor(structure, residual),
                 )
             )
     return report

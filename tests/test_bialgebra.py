@@ -6,6 +6,7 @@ import pytest
 
 from poissonhopf.bialgebra import (
     CoalgebraMapError,
+    FreeFactorization,
     bialgebra_coequalizer,
     bialgebra_coproduct,
     bialgebra_morphism_report,
@@ -132,6 +133,60 @@ def test_factorization_agrees_with_any_split():
             left = PoissMonomial(m.factors[:cut])
             right = PoissMonomial(m.factors[cut:])
             assert whole == T.mul(fac.apply_monomial(left), fac.apply_monomial(right))
+
+
+def violations_at(report):
+    return [(v.law, v.witnesses) for v in report.violations]
+
+
+def test_coalgebra_map_reports_pin_their_counts():
+    # two residuals, delta and counit, per source label
+    T, S = GroupAlgebra(1), sl2_hopf(3)
+    cases = [
+        (builtin("grouplike-1"), {"g": T.gen(0)}, T, 4, 10),
+        (builtin("trig"), {"c": T.one(), "s": T.zero()}, T, 3, 30),
+        (builtin("grouplike-1"), {"g": S.one()}, S, 3, 8),
+    ]
+    for spec, images, target, n, checked in cases:
+        report = factor_through_free(spec, images, target, n).coalgebra_map_report()
+        assert report.ok and report.checked == checked
+
+
+def test_rejected_pre_check_and_morphism_report_pin_their_witnesses():
+    T = GroupAlgebra(1)
+    half = Fraction(1, 2)
+    cos_like = half * T.gen(0) + half * T.gen(0, -1)
+    sin_like = half * T.gen(0) - half * T.gen(0, -1)
+    with pytest.raises(CoalgebraMapError) as err:
+        factor_through_free(builtin("trig"), {"c": cos_like, "s": sin_like}, T, 3)
+    assert err.value.report.checked == 4
+    assert violations_at(err.value.report) == [("coalgebra-map-delta", ("c",))]
+
+    src = induce_bialgebra(builtin("grouplike-1"), 3)
+    tgt = induce_bialgebra(builtin("trig"), 3)
+    f = MorphismTable(src, tgt, {"g": tgt.quotient.normal_form(tgt.ambient.gen("c"))})
+    report = bialgebra_morphism_report(f)
+    assert report.checked == 2
+    assert [(v.law, v.witnesses, v.residual) for v in report.violations] == [
+        ("morphism-delta", ("g",), "-1*s (x) s")
+    ]
+
+
+def test_direct_factorization_with_non_coalgebra_image_fails_its_report():
+    # g |-> 1 + t1 is not group-like; built without the generator pre-check
+    T = GroupAlgebra(1)
+    spec = builtin("grouplike-1")
+    fac = FreeFactorization(spec, induce_bialgebra(spec, 2), T, {"g": T.gen(0) + T.one()})
+    report = fac.coalgebra_map_report()
+    assert report.checked == 6
+    assert violations_at(report) == [
+        ("factorization-delta", ("g",)),
+        ("factorization-counit", ("g",)),
+        ("factorization-delta", ("g*g",)),
+        ("factorization-counit", ("g*g",)),
+    ]
+    assert report.violations[0].residual == "-1*1 (x) t1^1 + -1*t1^1 (x) 1"
+    assert [v.residual for v in report.violations[1::2]] == ["1", "3"]
 
 
 # ---- op-cop twist ----

@@ -124,6 +124,22 @@ def test_coequalize_command(capsys, tmp_path, grouplike_path):
     assert obj["coideal_certificate"]["violations"] == []
 
 
+def test_coequalize_reports_the_counit_difference(capsys, tmp_path):
+    # g |-> 2*g1 has counit 2 where g has 1: the residual is the difference
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"g": "2*g1"}}))
+    code, out, err = run(
+        capsys,
+        "coequalize", "builtin:grouplike-2", "--map", str(scaled), "--map", str(scaled),
+        "--degree", "2",
+    )
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].endswith("morphism-counit fails at (g): residual 1")
+
+
 def test_coequalize_map_source_mismatch(capsys, tmp_path, grouplike_path, trig_path):
     two = tmp_path / "grouplike2.json"
     save_spec(builtin("grouplike-2"), two)

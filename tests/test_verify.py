@@ -19,6 +19,7 @@ from poissonhopf.verify import (
     Violation,
     check_antipode_antimorphism,
     check_coassociativity,
+    check_counit,
     check_jacobi,
     check_leibniz,
     check_poisson_compat,
@@ -89,6 +90,35 @@ def test_negated_delta_of_bracket_fails_poisson_compat():
     report = check_poisson_compat(corrupted)
     assert not report.ok
     assert all(v.law == "bracket-comultiplicativity" for v in report.violations)
+
+
+def test_corrupted_symmetric_hopf_reports_counit_and_jacobi_residuals():
+    # the labels of S(g) are index tuples, and a residual over them renders
+    # as a vector over single labels, not as a tensor
+    S = sl2_hopf(3)
+
+    def bad_epsilon(label):
+        return 1 if label == (0,) else S.epsilon_label(label)
+
+    counit = check_counit(Corrupted(S, epsilon_label=bad_epsilon))
+    assert counit.checked == 40
+    lines = counit.lines()
+    assert lines[:2] == [
+        "counit-left fails at (e): residual 1",
+        "counit-right fails at (e): residual 1",
+    ]
+    assert "counit-left fails at (e*e): residual 2*e" in lines
+
+    def bad_bracket(a, b):
+        # [e, f] = e*f in one orientation only
+        return unit_vec((0, 1)) if (a, b) == ((0,), (1,)) else S.bracket_labels(a, b)
+
+    jacobi = check_jacobi(Corrupted(S, bracket_labels=bad_bracket))
+    assert [(v.witnesses, v.residual) for v in jacobi.violations] == [
+        (("e", "e", "f"), "2*e + 1*e*h"),
+        (("e", "f", "f"), "-2*f + -1*f*h"),
+        (("e", "f", "h"), "2*e*f + -2*h"),
+    ]
 
 
 def test_sign_flipped_antipode_entry_fails():
