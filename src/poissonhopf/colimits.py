@@ -27,10 +27,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
-from .lyndon import LyndonWord, word_image
+from .lyndon import LyndonWord
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
+    LetterExtension,
     PoissElt,
     PoissMonomial,
     monomial_str,
@@ -276,9 +277,9 @@ def rename_letters(vec: SparseVec, letter_map) -> SparseVec:
 class MorphismTable:
     """Poisson map determined by generator images, applied by extension.
 
-    Images are elements of the target ambient; application rewrites each
-    Lyndon factor through its standard factorization using the target's
-    bracket, multiplies the factor images, and reduces by the target ideal.
+    Images are elements of the target ambient; a monomial's image is the
+    ``LetterExtension`` of the normalized letter images over the target
+    quotient's product and bracket.
     ``source_bracket_sign`` accommodates sources carrying the negated
     bracket: their elements are pushed through the bracket-flip sign first.
     """
@@ -288,7 +289,8 @@ class MorphismTable:
         self.target = target
         self.images = dict(images)
         self.source_bracket_sign = source_bracket_sign
-        self._word_cache: dict = {}
+        tq = self.target_quotient()
+        self._extension = LetterExtension(self._letter_image, tq.product, tq.bracket, tq.one)
 
     def source_quotient(self) -> TruncatedQuotient:
         return self.source.quotient if hasattr(self.source, "quotient") else self.source
@@ -313,12 +315,9 @@ class MorphismTable:
         for m, c in elt.vec.items():
             if self.source_bracket_sign == -1:
                 c = c * op_sign(m)
-            acc = tq.one()
-            for f in m.factors:
-                image = word_image(f, self._letter_image, tq.bracket, self._word_cache)
-                acc = tq.product(acc, image)
-            lossy = lossy or acc.lossy
-            terms.append((c, acc.vec))
+            image = self._extension.monomial(m)
+            lossy = lossy or image.lossy
+            terms.append((c, image.vec))
         return tq.normal_form(tq.ambient.elt(lincomb(terms), lossy))
 
     def well_defined_report(self) -> Report:

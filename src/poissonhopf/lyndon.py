@@ -6,7 +6,9 @@ itself, and the standard bracketings of Lyndon words form a basis of the
 free Lie algebra.  Arbitrary brackets are normalized into that basis by the
 classical rewriting with antisymmetry and the Jacobi identity; the tests
 check them against the commutator expansion in the tensor algebra, which
-``tests/oracles.py`` implements independently.
+``tests/oracles.py`` implements independently.  The standard factorization
+also fixes the image of a word under any map given on letters; the one
+recursion that builds such images is ``poisson.LetterExtension``.
 
 Two process-wide tables live here, and neither is ever cleared:
 ``_word_table`` interns Lyndon words (one entry per distinct word ever
@@ -124,27 +126,6 @@ def standard_factorization(w: LyndonWord):
         raise ValueError("letters have no factorization")
     i = _std_split(w.letters)
     return LyndonWord(w.letters[:i]), LyndonWord(w.letters[i:])
-
-
-def word_image(w: LyndonWord, letter_image, bracket, memo: dict):
-    """Image of a Lyndon word under the Lie map fixed by its letter images.
-
-    A letter maps to ``letter_image(letter)``; a longer word maps to the
-    ``bracket`` of the images of its standard factors.  Images are memoised
-    in ``memo``, which belongs to the map.
-    """
-    out = memo.get(w)
-    if out is None:
-        if w.degree == 1:
-            out = letter_image(w.letters[0])
-        else:
-            u, v = standard_factorization(w)
-            out = bracket(
-                word_image(u, letter_image, bracket, memo),
-                word_image(v, letter_image, bracket, memo),
-            )
-        memo[w] = out
-    return out
 
 
 _bracket_memo: dict = {}

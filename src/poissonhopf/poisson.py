@@ -10,6 +10,9 @@ leans on.
 Elements print as sorted products of bracketed Lyndon words (``a*[a,b]``),
 a form the expression parser reads back verbatim.
 
+Every map the constructions build out of a free Poisson algebra is fixed by
+its letter images; ``LetterExtension`` is the one implementation of that.
+
 Monomials are interned in the process-wide ``_monomial_table``, one entry
 per distinct monomial ever built, next to the word table and
 ``_bracket_memo`` of ``lyndon``; none of the three is ever cleared.
@@ -312,6 +315,49 @@ def poiss_bracket(u: PoissElt, v: PoissElt) -> PoissElt:
 
     vec = SparseVec(terms())
     return PoissElt(u.algebra, vec, lossy)
+
+
+class LetterExtension:
+    """The map out of a free Poisson algebra fixed by its letter images.
+
+    A letter maps to ``letter_image(letter)``, a longer Lyndon word to the
+    ``bracket`` of the images of its standard factors, the unit monomial to
+    ``one()``, and a monomial of several factors to the ``mul`` of the image
+    of its other factors with that of its last factor, memoized in ``words``
+    and ``monomials``.  An anti-morphism of the bracket passes it swapped.
+    """
+
+    def __init__(self, letter_image, mul, bracket, one):
+        self.letter_image = letter_image
+        self.mul = mul
+        self.bracket = bracket
+        self.one = one
+        self.words: dict = {}
+        self.monomials: dict = {}
+
+    def word(self, w: LyndonWord):
+        out = self.words.get(w)
+        if out is None:
+            if w.degree == 1:
+                out = self.letter_image(w.letters[0])
+            else:
+                u, v = standard_factorization(w)
+                out = self.bracket(self.word(u), self.word(v))
+            self.words[w] = out
+        return out
+
+    def monomial(self, m: PoissMonomial):
+        out = self.monomials.get(m)
+        if out is None:
+            factors = m.factors
+            if not factors:
+                out = self.one()
+            elif len(factors) == 1:
+                out = self.word(factors[0])
+            else:
+                out = self.mul(self.monomial(PoissMonomial(factors[:-1])), self.word(factors[-1]))
+            self.monomials[m] = out
+        return out
 
 
 @functools.lru_cache(maxsize=None)

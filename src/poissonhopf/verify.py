@@ -27,8 +27,8 @@ source and a target, and the map as label images.
 
 Every check is exhaustive at the truncation: a report has no violations if
 and only if every listed residual is exactly zero.  A residual that cannot
-be formed is not counted as checked; a caller that records it puts it in
-``skipped`` with its reason.
+be formed is not counted as checked; it goes in ``skipped`` with its reason,
+one skip per reason carrying a count where one reason covers many residuals.
 
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket, coproduct or antipode many times, so a structure
@@ -325,8 +325,9 @@ def check_jacobi(structure) -> Report:
 
 
 def check_antipode_antimorphism(structure) -> Report:
-    """S(ab) = S(b)S(a) and S([a,b]) = [S(b), S(a)] where S is defined."""
+    """S(ab) = S(b)S(a) and S([a,b]) = [S(b), S(a)] where S is defined; the rest is skipped."""
     report = Report()
+    skipped = {"label pairs": 0, "products or brackets": 0}
 
     def s_vec(v):
         terms = []
@@ -340,11 +341,13 @@ def check_antipode_antimorphism(structure) -> Report:
     for a, b in _pairs_within(structure):
         sa, sb = structure.antipode_label(a), structure.antipode_label(b)
         if sa is None or sb is None:
+            skipped["label pairs"] += 1
             continue
         for law, op in (("antipode-product", structure.product_labels),
                         ("antipode-bracket", structure.bracket_labels)):
             direct = s_vec(op(a, b))
             if direct is None:
+                skipped["products or brackets"] += 1
                 continue
             swapped = op_vec_vec(op, sb, sa)
             residual = direct - swapped
@@ -357,6 +360,8 @@ def check_antipode_antimorphism(structure) -> Report:
                         render_vec(structure, residual),
                     )
                 )
+    report.skipped += [Skip("antipode", (f"{n} {what}",), "S is undefined on one of their labels")
+                       for what, n in skipped.items() if n]
     return report
 
 

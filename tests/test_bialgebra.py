@@ -73,8 +73,8 @@ def test_corrupted_delta_fails_counit():
     B = induce_bialgebra(builtin("grouplike-1"), 2)
     g = gm((0,))
     B.delta_table["g"] = unit_vec((g, PoissMonomial(())))
-    B._delta_word.clear()
-    B._delta_mono.clear()
+    B._delta_ambient.words.clear()
+    B._delta_ambient.monomials.clear()
     report = check_counit(B)
     assert not report.ok
 

@@ -140,6 +140,23 @@ def test_coequalize_reports_the_counit_difference(capsys, tmp_path):
     assert lines[0].endswith("morphism-counit fails at (g): residual 1")
 
 
+def test_coequalize_reports_a_missing_generator_image(capsys, tmp_path):
+    # the map gives g1 but not g2: the morphism report names the gap itself
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"source_spec": "builtin:grouplike-2", "images": {"g1": "g1"}}))
+    code, out, err = run(
+        capsys,
+        "coequalize", "builtin:grouplike-2", "--map", str(partial), "--map", str(partial),
+        "--degree", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "validation error: first morphism is not a bialgebra morphism: "
+        "morphism-total fails at (g2): residual missing generator image"
+    ]
+
+
 def test_coequalize_map_source_mismatch(capsys, tmp_path, grouplike_path, trig_path):
     two = tmp_path / "grouplike2.json"
     save_spec(builtin("grouplike-2"), two)

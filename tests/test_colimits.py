@@ -13,7 +13,7 @@ from poissonhopf.colimits import (
     poisson_coproduct,
     quotient,
 )
-from poissonhopf.free_hopf import hopf_ideal_generators, staged_coproduct
+from poissonhopf.free_hopf import free_poisson_hopf, hopf_ideal_generators, staged_coproduct
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import (
     FreePoissonAlgebra,
@@ -25,6 +25,7 @@ from poissonhopf.verify import check_jacobi, check_leibniz
 
 
 from oracles import brute_force_saturation
+from test_delta_label import grouplike_coequalizer
 
 
 def mono(algebra, *words):
@@ -323,6 +324,23 @@ def test_literal_symmetric_algebra_construction_cross_check():
     for name in L.alphabet:
         gen = L.gen(name)
         assert phi.apply(psi.apply(gen)) == literal.normal_form(gen)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: free_poisson_hopf(builtin("trig"), 2, 3).quotient, lambda: grouplike_coequalizer().quotient],
+    ids=["trig-hopf-M2-N3", "grouplike-2-coequalizer-N4"],
+)
+def test_identity_extension_is_the_normal_form(build):
+    # the normal form is a Poisson map on in-budget pairs, so extending the
+    # normalized letters must rebuild it on every ambient monomial; a wrong
+    # factor order or standard factorization breaks this
+    q = build()
+    assert q.ideal.rank > 0
+    identity = MorphismTable(q, q, {x: q.normal_form(q.ambient.gen(x)) for x in q.ambient.alphabet})
+    for m in q.ambient.monomials_upto():
+        elt = q.ambient.monomial_elt(m)
+        assert identity.apply(elt) == q.normal_form(elt), m
 
 
 # ---- coequalizers ----

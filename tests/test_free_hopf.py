@@ -143,6 +143,30 @@ def test_laurent_filtration_dimensions(stages, n):
                 assert not H.bracket_labels(a, b)
 
 
+@pytest.mark.parametrize(
+    "name,stages,budgets",
+    [
+        ("grouplike-1", 2, range(2, 6)),
+        ("trig", 2, range(3, 5)),
+        ("grouplike-2", 2, range(2, 5)),
+        ("matrix-2", 2, range(2, 4)),
+        ("trig", 3, range(2, 4)),
+    ],
+)
+def test_raising_the_budget_only_lowers_filtration_dims(name, stages, budgets):
+    # every derivation within budget N is within N+1, so I_N lies in I_{N+1}
+    # and each printed dimension is an upper bound at its budget
+    dims = [free_poisson_hopf(builtin(name), stages, n).quotient.filtration_dims() for n in budgets]
+    for low, high in zip(dims, dims[1:]):
+        assert all(h <= l for l, h in zip(low, high)), (low, high)
+
+
+def test_two_agreeing_budgets_do_not_show_stability():
+    # grouplike-1 M=2 in degree 2: graded dim 3 at N=2 and N=3, then 2 at N=4
+    graded = [free_poisson_hopf(builtin("grouplike-1"), 2, n).quotient.graded_dims() for n in (2, 3, 4)]
+    assert [g[2] for g in graded] == [3, 3, 2]
+
+
 def test_free_hopf_trig_certificates():
     H = free_poisson_hopf(builtin("trig"), 2, 3)
     assert H.certificates_ok()
@@ -316,13 +340,13 @@ def test_coefficients_stay_exact_rationals():
     vectors = [
         *H.quotient.ideal.rows,
         *H.quotient._nf_cache.values(),
-        *H._delta_label_word.values(),
-        *H._delta_label.values(),
-        *H.staged.bialgebra._delta_label_word.values(),
-        *H.staged.bialgebra._delta_label.values(),
+        *H._delta_quotient.words.values(),
+        *H._delta_quotient.monomials.values(),
+        *H.staged.bialgebra._delta_quotient.words.values(),
+        *H.staged.bialgebra._delta_quotient.monomials.values(),
     ]
-    assert H.quotient._nf_cache and H._delta_label and H._delta_label_word
-    assert H.staged.bialgebra._delta_label_word and H.staged.bialgebra._delta_label
+    assert H.quotient._nf_cache and H._delta_quotient.monomials and H._delta_quotient.words
+    assert H.staged.bialgebra._delta_quotient.words and H.staged.bialgebra._delta_quotient.monomials
     kinds = {type(c) for v in vectors for _, c in v.items()}
     assert kinds <= {int, Fraction}, kinds
     # integral values are stored as ints, so a true fraction is the only Fraction

@@ -142,6 +142,28 @@ def test_zero_bracket_structures_pass_antipode_bracket_law():
     assert report.ok and report.checked > 0
 
 
+def test_antipode_antimorphism_records_its_skipped_pairs():
+    reason = "S is undefined on one of their labels"
+    H = free_poisson_hopf(builtin("trig"), 2, 3)
+    report = check_antipode_antimorphism(H)
+    assert report.ok and report.checked == 98
+    assert report.skipped == [Skip("antipode", ("212 label pairs",), reason)]
+    # S is total on a symmetric Lie Hopf algebra: nothing to skip
+    full = check_antipode_antimorphism(sl2_hopf(3))
+    assert full.ok and full.checked > 0 and not full.skipped
+    # S on letters only: of the 9 letter pairs, the brackets (letters of sl2)
+    # are checked and the products (degree 2) cannot be formed
+    S = sl2_hopf(3)
+    letters_only = Corrupted(S, antipode_label=lambda l: S.antipode_label(l) if len(l) == 1 else None)
+    partial = check_antipode_antimorphism(letters_only)
+    assert partial.ok and partial.checked == 9
+    pairs = sum(1 for a in S.labels_upto() for b in S.labels_upto() if len(a) + len(b) <= 3)
+    assert partial.skipped == [
+        Skip("antipode", (f"{pairs - 9} label pairs",), reason),
+        Skip("antipode", ("9 products or brackets",), reason),
+    ]
+
+
 def test_report_json_shape_and_lines():
     report = Report(
         violations=[Violation("leibniz", ("a", "b", "c"), "2*a")], checked=7
