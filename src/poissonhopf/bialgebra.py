@@ -36,7 +36,7 @@ and Lyndon words in the memos of ``_delta_quotient``, beside the ambient
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coalgebra import CoalgebraSpec, validate_coalgebra
@@ -302,10 +302,7 @@ def factor_through_free(spec: CoalgebraSpec, images: dict, target, truncation: i
 # colimits of Poisson bialgebras
 
 
-@dataclass
-class BialgebraCoproduct:
-    bialgebra: PresentedPoissonBialgebra
-    injections: list
+BialgebraCoproduct = namedtuple("BialgebraCoproduct", "bialgebra injections")
 
 
 def bialgebra_coproduct(operands) -> BialgebraCoproduct:
@@ -347,11 +344,7 @@ def bialgebra_morphism_report(table: MorphismTable) -> Report:
     return report.merge(check_coalgebra_map(src, letters, image_vec, table.target, "morphism"))
 
 
-@dataclass
-class BialgebraCoequalizer:
-    bialgebra: PresentedPoissonBialgebra
-    projection: MorphismTable
-    certificate: Report
+BialgebraCoequalizer = namedtuple("BialgebraCoequalizer", "bialgebra projection certificate")
 
 
 def coideal_certificate(B: PresentedPoissonBialgebra) -> Report:

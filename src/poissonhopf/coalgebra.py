@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import SparseVec, exact
@@ -25,8 +25,7 @@ class SpecParseError(SpecError):
     """Malformed spec file: JSON syntax, field shapes, scalar format."""
 
 
-@dataclass(frozen=True)
-class CoalgebraSpec:
+class CoalgebraSpec(namedtuple("CoalgebraSpec", "basis delta epsilon")):
     """Coalgebra with named basis; delta and epsilon stored canonically.
 
     delta maps each name to a tuple of (left, right, coeff) triples sorted
@@ -34,9 +33,7 @@ class CoalgebraSpec:
     exact rationals, ``int`` when integral (see ``linalg.exact``).
     """
 
-    basis: tuple
-    delta: tuple  # tuple of (name, ((left, right, scalar), ...))
-    epsilon: tuple  # tuple of (name, scalar)
+    __slots__ = ()
 
     @staticmethod
     def make(basis, delta: dict, epsilon: dict) -> "CoalgebraSpec":

@@ -23,8 +23,7 @@ by the saturated difference ideal.  The paper needs only these colimits
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
 from .lyndon import LyndonWord
@@ -345,11 +344,8 @@ class MorphismTable:
         return report
 
 
-@dataclass
-class CoproductResult:
-    quotient: TruncatedQuotient
-    injections: list
-    letter_maps: list  # per operand: source letter index -> coproduct letter index
+# letter_maps, per operand: source letter index -> coproduct letter index
+CoproductResult = namedtuple("CoproductResult", "quotient injections letter_maps")
 
 
 def tagged_alphabet(operands):

@@ -24,7 +24,7 @@ its axioms are checked only on request (``check_bialgebra``, ``verify``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bialgebra import (
     PresentedPoissonBialgebra,
@@ -50,10 +50,7 @@ class StageOverflowError(ValueError):
     """An operation needed a stage beyond the configured budget."""
 
 
-@dataclass(frozen=True)
-class StagedGenerator:
-    stage: int
-    base: str
+StagedGenerator = namedtuple("StagedGenerator", "stage base")
 
 
 class StagedBialgebra:
@@ -288,10 +285,15 @@ def verify_antipode(H: TruncatedHopf, depth: int = 1) -> Report:
         for name, sg in staged.stage_of.items()
         if sg.stage + depth < H.stages
     ]
+    overflow = 0
     for a in shiftable:
         for b in shiftable:
             ea, eb = H.ambient.gen(a), H.ambient.gen(b)
-            lhs = H.antipode(q.bracket(ea, eb))
+            try:
+                lhs = H.antipode(q.bracket(ea, eb))
+            except StageOverflowError:
+                overflow += 1
+                continue
             rhs = q.bracket(staged.s_prime(eb), staged.s_prime(ea))
             residual = lhs - q.normal_form(rhs)
             report.checked += 1
@@ -299,15 +301,14 @@ def verify_antipode(H: TruncatedHopf, depth: int = 1) -> Report:
                 report.violations.append(
                     Violation("antipode-bracket-shift", (a, b), render(residual))
                 )
+    if overflow:
+        reason = "the normal form of their bracket has a letter at the last stage"
+        report.skipped.append(Skip("antipode-bracket-shift", (f"{overflow} generator pairs",), reason))
     return report
 
 
-@dataclass
-class HopfCoproduct:
-    bialgebra: PresentedPoissonBialgebra
-    injections: list
-    antipode_images: dict  # coproduct letter name -> PoissElt class
-    report: Report
+# antipode_images: coproduct letter name -> PoissElt class
+HopfCoproduct = namedtuple("HopfCoproduct", "bialgebra injections antipode_images report")
 
 
 def hopf_coproduct_antipode(operands) -> HopfCoproduct:

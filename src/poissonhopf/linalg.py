@@ -13,7 +13,6 @@ bit-exact and canonical forms are decidable by structural equality, since
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -249,7 +248,6 @@ class EchelonBasis:
         return SubspaceBasis(rows=rows, pivots=pivots)
 
 
-@dataclass(frozen=True)
 class SubspaceBasis:
     """Reduced row-echelon basis of a subspace, rows ordered by pivot.
 
@@ -257,12 +255,30 @@ class SubspaceBasis:
     spanning sets compare equal structurally.
     """
 
-    rows: tuple
-    pivots: tuple
-    _by_pivot: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "pivots", "_by_pivot")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_pivot", dict(zip(self.pivots, self.rows)))
+    def __init__(self, rows: tuple, pivots: tuple):
+        init = object.__setattr__
+        init(self, "rows", rows)
+        init(self, "pivots", pivots)
+        init(self, "_by_pivot", dict(zip(pivots, rows)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return SubspaceBasis, (self.rows, self.pivots)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SubspaceBasis:
+            return NotImplemented
+        return self.rows == other.rows and self.pivots == other.pivots
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.pivots))
+
+    def __repr__(self) -> str:
+        return f"SubspaceBasis(rows={self.rows!r}, pivots={self.pivots!r})"
 
     @property
     def rank(self) -> int:

@@ -19,7 +19,7 @@ once it has been normalized.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import SparseVec, lincomb, unit_vec
 
@@ -165,12 +165,10 @@ def _bracket_word_vec(u: LyndonWord, vec: SparseVec) -> SparseVec:
     return lincomb((c, bracket_words(u, w)) for w, c in vec.items())
 
 
-@dataclass(frozen=True)
-class LieElt:
+class LieElt(namedtuple("LieElt", "alphabet_size vec")):
     """Element of the free Lie algebra in the Lyndon basis."""
 
-    alphabet_size: int
-    vec: SparseVec
+    __slots__ = ()
 
     def _check(self, other: "LieElt"):
         if self.alphabet_size != other.alphabet_size:

@@ -41,16 +41,13 @@ insertion order and every rendering is sorted by ``label_key``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .linalg import SparseVec, lincomb, map_pairs, outer, unit_vec
 
 
-@dataclass(frozen=True)
-class Violation:
-    law: str
-    witnesses: tuple
-    residual: str
+class Violation(namedtuple("Violation", "law witnesses residual")):
+    __slots__ = ()
 
     def line(self) -> str:
         ws = ", ".join(self.witnesses)
@@ -64,11 +61,8 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class Skip:
-    law: str
-    witnesses: tuple
-    reason: str
+class Skip(namedtuple("Skip", "law witnesses reason")):
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{self.law} skipped at ({', '.join(self.witnesses)}): {self.reason}"
@@ -77,11 +71,17 @@ class Skip:
         return {"law": self.law, "witnesses": list(self.witnesses), "reason": self.reason}
 
 
-@dataclass
 class Report:
-    violations: list = field(default_factory=list)
-    checked: int = 0
-    skipped: list = field(default_factory=list)
+    def __init__(self, violations=None, checked: int = 0, skipped=None):
+        self.violations = [] if violations is None else violations
+        self.checked = checked
+        self.skipped = [] if skipped is None else skipped
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Report and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "Report(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
     @property
     def ok(self) -> bool:

@@ -107,6 +107,19 @@ def test_free_hopf_stage_overflow_exit_code(capsys, grouplike_path):
     assert "overflow" in err
 
 
+def test_free_hopf_three_stages_skips_brackets_past_the_last_stage(capsys):
+    # the normal form of [c_0, s_0] is [c_2, s_2], which S cannot shift past the last stage
+    code, out, _ = run(capsys, "free-hopf", "builtin:trig", "--stages", "3", "--degree", "3")
+    assert code == 0
+    antipode = json.loads(out)["antipode_residuals"]
+    assert antipode["violations"] == []
+    assert {
+        "law": "antipode-bracket-shift",
+        "witnesses": ["10 generator pairs"],
+        "reason": "the normal form of their bracket has a letter at the last stage",
+    } in antipode["skipped"]
+
+
 def test_coequalize_command(capsys, tmp_path, grouplike_path):
     two = tmp_path / "grouplike2.json"
     save_spec(builtin("grouplike-2"), two)

@@ -1,5 +1,7 @@
 """Row reduction against a fraction-free integer oracle."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -137,6 +139,16 @@ def test_subspace_basis_invariants():
         for other in basis.rows:
             if other is not row:
                 assert other.get(pivot) == 0
+
+
+def test_subspace_basis_equality_is_equality_of_subspaces():
+    basis = row_reduce([vec(1, 2, 0), vec(0, 1, 1)])
+    other_span = row_reduce([vec(1, 3, 1), vec(2, 5, 1), vec(0, 2, 2)])
+    assert basis == other_span and hash(basis) == hash(other_span)
+    assert basis != row_reduce([vec(1, 2, 0)])
+    assert basis != row_reduce([vec(1, 0, 0), vec(0, 1, 0)])
+    assert repr(basis) == f"SubspaceBasis(rows={basis.rows!r}, pivots={basis.pivots!r})"
+    assert copy.copy(basis) == basis and pickle.loads(pickle.dumps(basis)) == basis
 
 
 def test_integral_coefficients_are_ints():

@@ -1,6 +1,9 @@
-"""The runtime imports nothing but the standard library and itself."""
+"""The runtime imports nothing but the standard library and itself, and
+starts without the heavy stdlib modules."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +31,18 @@ def test_package_imports_only_stdlib():
         if name not in allowed
     }
     assert not foreign, sorted(foreign)
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # against the modules loaded before the import, since site differs between hosts
+    code = (
+        "import sys; before = set(sys.modules); import poissonhopf.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    added = set(proc.stdout.split())
+    assert "poissonhopf.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)

@@ -8,8 +8,8 @@ from test_delta_label import twisted_trig
 
 from poissonhopf.bialgebra import bialgebra_coproduct, induce_bialgebra
 from poissonhopf.coalgebra import CoalgebraSpec, builtin
-from poissonhopf.free_hopf import free_poisson_hopf
-from poissonhopf.linalg import unit_vec
+from poissonhopf.free_hopf import StagedGenerator, free_poisson_hopf
+from poissonhopf.linalg import row_reduce, unit_vec
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import PoissMonomial
 from poissonhopf.targets import sl2_hopf
@@ -192,6 +192,39 @@ def test_report_json_shape_and_lines():
         "ok: 2 residuals, all zero",
         "coproduct-antipode skipped at (c_0_0): S(s_0_0) is undefined",
     ]
+
+
+def test_report_defaults_are_fresh_and_constructors_name_their_fields():
+    assert Report().violations is not Report().violations
+    assert Report().skipped is not Report().skipped
+    violation = Violation("leibniz", ("a", "b", "c"), "2*a")
+    skip = Skip("antipode", ("1 label pairs",), "S is undefined on one of their labels")
+    positional = Report([violation])
+    assert positional.violations == [violation] and positional.checked == 0
+    assert not positional.skipped and positional == Report(violations=[violation])
+    counted = Report(checked=3)
+    assert counted.checked == 3 and not counted.violations and not counted.skipped
+    skipping = Report(skipped=[skip])
+    assert skipping.skipped == [skip] and not skipping.violations and skipping.checked == 0
+    assert repr(counted) == "Report(violations=[], checked=3, skipped=[])"
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Violation("leibniz", ("a",), "1"), "law"),
+        (Skip("antipode", ("a",), "why"), "reason"),
+        (builtin("trig"), "basis"),
+        (row_reduce([unit_vec("a")]), "rows"),
+        (StagedGenerator(0, "g"), "stage"),
+    ],
+)
+def test_value_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    hash(record)  # and they stay hashable
 
 
 def test_checker_results_independent_of_basis_order():
