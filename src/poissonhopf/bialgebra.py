@@ -12,13 +12,14 @@ lives in bidegree (d, d), so per-side truncation at the ambient cutoff is
 exact.  Quotient bialgebras reuse the same generator tables.  Their
 comultiplication lands in (Q/I) (x) (Q/I), the quotient by
 Q (x) I + I (x) Q, whose projection is the slotwise normal form
-``reduce_pair``; the coideal certificate is "Delta of every ideal row is
-zero there".  Both coproducts are ``poisson.LetterExtension``s of the
-generator table: ``delta_label`` computes in (Q/I) (x) (Q/I) directly, from
-letter images reduced once, with the quotient's label maps; the ambient
-coproduct ``delta_of_monomial``, reduced slotwise, gives the same vector
-once the ideal passes the fixpoint certificate; it is the tests' oracle,
-not called at run time.  Maps into and out of a bialgebra are checked by
+``reduce_pair``; the coideal certificate is "Delta of every ideal
+generator is zero there", which covers every ideal row.  Both coproducts
+are ``poisson.LetterExtension``s of the generator table: ``delta_label``
+computes in (Q/I) (x) (Q/I) directly, from letter images reduced once,
+with the quotient's label maps; the ambient coproduct
+``delta_of_monomial``, reduced slotwise, gives the same vector once the
+ideal passes the fixpoint certificate; it is the tests' oracle, not called
+at run time.  Maps into and out of a bialgebra are checked by
 ``verify.check_coalgebra_map`` on ``delta_label``.
 
 The op-cop twist keeps the underlying quotient and flips the stored pair
@@ -347,39 +348,38 @@ def bialgebra_morphism_report(table: MorphismTable) -> Report:
 BialgebraCoequalizer = namedtuple("BialgebraCoequalizer", "bialgebra projection certificate")
 
 
-def coideal_certificate(B: PresentedPoissonBialgebra) -> Report:
-    """Delta of every ideal row vanishes slotwise; epsilon kills every row.
+def coideal_certificate(B: PresentedPoissonBialgebra, vectors) -> Report:
+    """Delta of every given vector vanishes slotwise; epsilon kills it.
 
-    This is the checkable form of the ideal being a coideal: slotwise
-    normal form is the projection onto (Q/I) (x) (Q/I), whose kernel is
-    exactly Q (x) I + I (x) Q on the truncated basis.
-
-    A row's coproduct is summed from ``B.delta_label``, which computes in
-    (Q/I) (x) (Q/I) instead of reducing the ambient coproduct.  That is
-    sound only after ``fixpoint_certificate`` has passed on B's quotient,
-    so it must run first: the ideal is then closed under letter products
-    and letter brackets in budget, hence by Leibniz,
-    {x, y}.i = {x, y.i} - y.{x, i}, and Jacobi under every in-budget product
-    and bracket, and the normal form is a Poisson-algebra map on in-budget
-    pairs.  Every pair ``delta_label`` multiplies or brackets is in budget,
-    because the slots of the coproduct of a degree-d monomial have degree at
-    most d.
+    Slotwise normal form is the projection onto (Q/I) (x) (Q/I), whose
+    kernel is Q (x) I + I (x) Q on the truncated basis.  ``delta_label``
+    computes there, which is sound only once ``fixpoint_certificate`` has
+    passed, so that runs first.  The constructions pass their generators
+    and ``verify`` every ideal row.  The generators suffice: I is spanned by
+    in-budget Lyndon-variable products and letter brackets of them (that is
+    how ``ideal_saturate`` builds it); after the fixpoint certificate,
+    ker(pi (x) pi) = I (x) A + A (x) I is closed under the slotwise product
+    and the tensor-square bracket with Delta of a letter or Lyndon variable
+    (a product by a Lyndon variable reduces to letter operations by Leibniz,
+    {x, y}.i = {x, y.i} - y.{x, i}); and ``delta_label`` is a Poisson map on
+    in-budget pairs, as the slots of Delta of a degree-d monomial have
+    degree at most d.  So Delta and epsilon vanish on every row once they
+    vanish on every generator.
     """
     report = Report()
     amb = B.ambient
-    for row in B.quotient.ideal.rows:
-        elt = amb.elt(row)
-        residual = lincomb((c, B.delta_label(m)) for m, c in row.items())
+    for vec in vectors:
+        elt = amb.elt(vec)
+        residual = lincomb((c, B.delta_label(m)) for m, c in vec.items())
         report.checked += 1
         if residual:
             report.violations.append(
                 Violation("coideal-delta", (render(elt),), render_tensor(B, residual))
             )
+        counit = B.epsilon(elt)
         report.checked += 1
-        if B.epsilon(elt):
-            report.violations.append(
-                Violation("coideal-counit", (render(elt),), str(B.epsilon(elt)))
-            )
+        if counit:
+            report.violations.append(Violation("coideal-counit", (render(elt),), str(counit)))
     return report
 
 
@@ -402,10 +402,8 @@ def bialgebra_coequalizer(f: MorphismTable, g: MorphismTable) -> BialgebraCoequa
             "ideal fixpoint certificate failed (implementation bug): "
             + "; ".join(fixpoint.lines())
         )
-    result = PresentedPoissonBialgebra(
-        coeq, tgt.delta_table, tgt.epsilon_table, tgt.bracket_sign
-    )
-    certificate = coideal_certificate(result)
+    result = PresentedPoissonBialgebra(coeq, tgt.delta_table, tgt.epsilon_table, tgt.bracket_sign)
+    certificate = coideal_certificate(result, (r.vec for r in coeq.generators))
     if not certificate.ok:
         raise RuntimeError(
             "coideal certificate failed (implementation bug): "

@@ -19,6 +19,7 @@ from .bialgebra import (
     bialgebra_coequalizer,
     bialgebra_coproduct,
     check_bialgebra,
+    coideal_certificate,
     induce_bialgebra,
 )
 from .coalgebra import (
@@ -252,7 +253,8 @@ def cmd_verify(args) -> int:
         stages = artifact_int(desc, "stages", 2)
         H = free_poisson_hopf(resolve_spec(spec), stages, degree)
         structure = H
-        extra["certificates"] = {k: r.to_json_obj() for k, r in sorted(H.certificates.items())}
+        certificates = {**H.certificates, "coideal": coideal_certificate(H, H.quotient.ideal.rows)}
+        extra["certificates"] = {k: r.to_json_obj() for k, r in sorted(certificates.items())}
         if "antipode" in laws:
             extra["antipode_residuals"] = verify_antipode(H, depth=1).to_json_obj()
     else:

@@ -238,13 +238,13 @@ def free_poisson_hopf(spec: CoalgebraSpec, stages: int, truncation: int,
 
 
 def free_poisson_hopf_on_bialgebra(B: PresentedPoissonBialgebra, stages: int) -> TruncatedHopf:
-    """Free Poisson Hopf algebra on a Poisson bialgebra."""
+    """Free Poisson Hopf algebra on a Poisson bialgebra; B's relations hold at every stage."""
     staged = staged_coproduct(B, stages)
-    q = quotient(staged.ambient, hopf_ideal_generators(staged))
+    q = quotient(staged.ambient, [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)])
     H = TruncatedHopf(staged, q)
     certificates = {
         "poisson-ideal-fixpoint": fixpoint_certificate(q),
-        "coideal": coideal_certificate(H),
+        "coideal": coideal_certificate(H, (g.vec for g in q.generators)),
         "sprime-stability": s_prime_stability_certificate(H),
     }
     H.certificates = certificates

@@ -7,16 +7,18 @@ import pytest
 from poissonhopf.bialgebra import (
     CoalgebraMapError,
     FreeFactorization,
+    PresentedPoissonBialgebra,
     bialgebra_coequalizer,
     bialgebra_coproduct,
     bialgebra_morphism_report,
     check_bialgebra,
+    coideal_certificate,
     factor_through_free,
     induce_bialgebra,
     op_cop,
 )
 from poissonhopf.coalgebra import CoalgebraSpec, builtin
-from poissonhopf.colimits import MorphismTable
+from poissonhopf.colimits import MorphismTable, fixpoint_certificate, quotient
 from poissonhopf.linalg import SparseVec, unit_vec
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import PoissMonomial
@@ -275,6 +277,22 @@ def test_coequalizer_identifies_grouplikes():
         assert out.bialgebra.epsilon(out.bialgebra.ambient.elt(row)) == 0
 
 
+def test_coideal_certificate_fails_on_an_ideal_that_is_no_coideal():
+    # g1 = g2 + 1 is a Poisson ideal of grouplike-2, but Delta(g1 - g2 - 1)
+    # = g2 (x) 1 + 1 (x) g2 in the quotient and epsilon(g1 - g2 - 1) = -1
+    B = induce_bialgebra(builtin("grouplike-2"), 3)
+    amb = B.ambient
+    q = quotient(amb, [amb.gen("g1") - amb.gen("g2") - amb.one()])
+    assert fixpoint_certificate(q).ok and q.ideal.rank == 11
+    bad = PresentedPoissonBialgebra(q, B.delta_table, B.epsilon_table)
+    on_generators = coideal_certificate(bad, (g.vec for g in q.generators))
+    assert on_generators.checked == 2
+    assert [v.law for v in on_generators.violations] == ["coideal-delta", "coideal-counit"]
+    assert on_generators.violations[1].residual == "-1"
+    on_rows = coideal_certificate(bad, q.ideal.rows)
+    assert on_rows.checked == 22 and len(on_rows.violations) == 12
+
+
 def test_coequalizer_checks_each_morphism_once(monkeypatch):
     src = induce_bialgebra(builtin("grouplike-1"), 4)
     tgt = induce_bialgebra(builtin("grouplike-2"), 4)
@@ -307,7 +325,7 @@ def test_coequalizer_needs_the_fixpoint_certificate_first(monkeypatch):
     failing = Report(violations=[Violation("ideal-product-closure", ("g1", "g1 - g2"), "g1^2")])
     coideal_runs = []
     monkeypatch.setattr(bialgebra, "fixpoint_certificate", lambda q: failing)
-    monkeypatch.setattr(bialgebra, "coideal_certificate", lambda B: coideal_runs.append(B))
+    monkeypatch.setattr(bialgebra, "coideal_certificate", lambda B, vectors: coideal_runs.append(B))
     with pytest.raises(RuntimeError, match="fixpoint certificate failed"):
         bialgebra_coequalizer(f, g)
     assert coideal_runs == []

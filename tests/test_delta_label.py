@@ -3,15 +3,17 @@
 ``delta_label`` builds each monomial's coproduct inside (Q/I) (x) (Q/I);
 the oracle expands the ambient coproduct ``delta_of_monomial`` and reduces
 it slot by slot.  The two must agree on every ambient monomial, ideal
-pivots included, of every Hopf quotient, twist and coequalizer below.
+pivots included, of every Hopf quotient, twist and coequalizer below.  On
+the same structures the coideal certificate on the ideal generators, which
+the constructions run, agrees with the one on every ideal row.
 """
 
 import pytest
 
-from poissonhopf.bialgebra import bialgebra_coequalizer, induce_bialgebra, op_cop
+from poissonhopf.bialgebra import bialgebra_coequalizer, coideal_certificate, induce_bialgebra, op_cop
 from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
 from poissonhopf.colimits import MorphismTable
-from poissonhopf.free_hopf import free_poisson_hopf
+from poissonhopf.free_hopf import free_poisson_hopf, free_poisson_hopf_on_bialgebra
 
 
 def twisted_grouplike_2():
@@ -63,6 +65,8 @@ CASES = {
     "grouplike-2-coequalizer": grouplike_coequalizer,
     "twisted-grouplike-2-M2-N4": hopf(twisted_grouplike_2, 2, 4),
     "twisted-trig-M2-N3": hopf(twisted_trig, 2, 3),
+    # the reflection of a bialgebra with relations of its own
+    "grouplike-2-coequalizer-hopf-M2-N4": lambda: free_poisson_hopf_on_bialgebra(grouplike_coequalizer(), 2),
 }
 
 
@@ -82,3 +86,12 @@ def test_delta_label_equals_reduced_ambient_coproduct(name):
         if B.delta_label(m) != B.reduce_pair(B.delta_of_monomial(m))
     ]
     assert not mismatches, mismatches[:5]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_generator_and_row_coideal_certificates_agree(name):
+    B = CASES[name]()
+    on_generators = coideal_certificate(B, (g.vec for g in B.quotient.generators))
+    on_rows = coideal_certificate(B, B.quotient.ideal.rows)
+    assert on_generators.ok and on_rows.ok, (on_generators.lines(), on_rows.lines())
+    assert on_generators.checked > 0 and on_rows.checked > 0

@@ -5,13 +5,15 @@ import itertools
 import pytest
 
 from poissonhopf import free_hopf
-from poissonhopf.bialgebra import check_bialgebra, induce_bialgebra
+from poissonhopf.bialgebra import bialgebra_coequalizer, check_bialgebra, induce_bialgebra
 from poissonhopf.coalgebra import builtin
+from poissonhopf.colimits import MorphismTable
 from poissonhopf.free_hopf import (
     StageOverflowError,
     TruncatedHopf,
     free_poisson_hopf,
     hopf_coproduct_antipode,
+    free_poisson_hopf_on_bialgebra,
     hopf_ideal_generators,
     staged_coproduct,
     verify_antipode,
@@ -165,6 +167,22 @@ def test_two_agreeing_budgets_do_not_show_stability():
     # grouplike-1 M=2 in degree 2: graded dim 3 at N=2 and N=3, then 2 at N=4
     graded = [free_poisson_hopf(builtin("grouplike-1"), 2, n).quotient.graded_dims() for n in (2, 3, 4)]
     assert [g[2] for g in graded] == [3, 3, 2]
+
+
+@pytest.mark.parametrize("n, filtration", [(3, [1, 3, 6, 10]), (4, [1, 3, 5, 7, 9])])
+def test_reflection_keeps_the_relations_of_a_non_free_bialgebra(n, filtration):
+    # B = coequalizer of g -> g1 and g -> g2 is the free bialgebra on
+    # grouplike-1, so H(B) must be H(grouplike-1), not H(grouplike-2)
+    src = induce_bialgebra(builtin("grouplike-1"), n)
+    tgt = induce_bialgebra(builtin("grouplike-2"), n)
+    f, g = (
+        MorphismTable(src, tgt, {"g": tgt.quotient.normal_form(tgt.ambient.gen(name))})
+        for name in ("g1", "g2")
+    )
+    H = free_poisson_hopf_on_bialgebra(bialgebra_coequalizer(f, g).bialgebra, 2)
+    assert H.certificates_ok()
+    assert H.quotient.filtration_dims() == filtration
+    assert filtration == free_poisson_hopf(builtin("grouplike-1"), 2, n).quotient.filtration_dims()
 
 
 def test_free_hopf_trig_certificates():
