@@ -14,9 +14,10 @@ comultiplication lands in (Q/I) (x) (Q/I), the quotient by
 Q (x) I + I (x) Q, whose projection is the slotwise normal form
 ``reduce_pair``; the coideal certificate is "Delta of every ideal
 generator is zero there", which covers every ideal row.  Both coproducts
-are ``poisson.LetterExtension``s of the generator table: ``delta_label``
-computes in (Q/I) (x) (Q/I) directly, from letter images reduced once,
-with the quotient's label maps; the ambient coproduct
+are ``poisson.LetterExtension``s of the generator table over
+``verify.tensor_product`` and ``verify.tensor_bracket`` (the ambient's or
+the quotient's label maps): ``delta_label`` computes in (Q/I) (x) (Q/I)
+directly, from letter images reduced once; the ambient coproduct
 ``delta_of_monomial``, reduced slotwise, gives the same vector once the
 ideal passes the fixpoint certificate; it is the tests' oracle, not called
 at run time.  Maps into and out of a bialgebra are checked by
@@ -39,6 +40,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from .coalgebra import CoalgebraSpec, validate_coalgebra
 from .colimits import (
@@ -49,7 +51,7 @@ from .colimits import (
     free_quotient,
     poisson_coproduct,
 )
-from .linalg import SparseVec, exact, lincomb, map_pairs, outer, unit_vec
+from .linalg import SparseVec, exact, lincomb, map_pairs, unit_vec
 from .lyndon import LyndonWord
 from .poisson import (
     UNIT_MONOMIAL,
@@ -69,6 +71,7 @@ from .verify import (
     check_poisson_compat,
     render_tensor,
     tensor_bracket,
+    tensor_product,
 )
 
 
@@ -92,10 +95,12 @@ class PresentedPoissonBialgebra:
         names = quotient.ambient.alphabet
         unit = unit_vec((UNIT_MONOMIAL, UNIT_MONOMIAL))
         self._delta_ambient = LetterExtension(lambda letter: self.delta_table[names[letter]],
-                                              self.pair_mul, self.pair_bracket_std, lambda: unit)
+                                              partial(tensor_product, self.ambient),
+                                              self.pair_bracket_std, lambda: unit)
         self._delta_quotient = LetterExtension(
             lambda letter: self.reduce_pair(self.delta_table[names[letter]]),
-            self.pair_mul_label, self.pair_bracket_label, lambda: self.reduce_pair(unit),
+            partial(tensor_product, quotient), partial(tensor_bracket, quotient),
+            lambda: self.reduce_pair(unit),
         )
         # the counit is a Poisson map to Q, so it kills every bracket
         self._epsilon = LetterExtension(lambda letter: self.epsilon_table[names[letter]],
@@ -137,16 +142,7 @@ class PresentedPoissonBialgebra:
     def epsilon(self, elt: PoissElt) -> int | Fraction:
         return exact(sum(c * self.epsilon_of_monomial(m) for m, c in elt.vec.items()))
 
-    # -- ambient tensor-square arithmetic, truncated per side --
-
-    def pair_mul(self, s: SparseVec, t: SparseVec) -> SparseVec:
-        n = self.truncation
-        return SparseVec(
-            ((a * p, b * q), c1 * c2)
-            for (a, b), c1 in s.items()
-            for (p, q), c2 in t.items()
-            if a.degree + p.degree <= n and b.degree + q.degree <= n
-        )
+    # -- ambient tensor-square bracket, truncated per side --
 
     def pair_bracket_std(self, s: SparseVec, t: SparseVec) -> SparseVec:
         """Tensor-square bracket with the standard ambient bracket."""
@@ -158,20 +154,6 @@ class PresentedPoissonBialgebra:
         if self.quotient.ideal.rank == 0:
             return t
         return map_pairs(t, self.quotient.nf_label)
-
-    # -- quotient tensor-square arithmetic, through the quotient's label maps --
-
-    def pair_mul_label(self, s: SparseVec, t: SparseVec) -> SparseVec:
-        mul = self.quotient.product_labels
-        return lincomb(
-            (c1 * c2, outer(mul(a, p), mul(b, q)))
-            for (a, b), c1 in s.items()
-            for (p, q), c2 in t.items()
-        )
-
-    def pair_bracket_label(self, s: SparseVec, t: SparseVec) -> SparseVec:
-        """Tensor-square bracket with the standard bracket of the quotient."""
-        return tensor_bracket(self.quotient, s, t)
 
     # -- protocol for the axiom checkers --
 
@@ -197,6 +179,9 @@ class PresentedPoissonBialgebra:
 
     def bracket_labels(self, a, b) -> SparseVec:
         return self.quotient.label_op("bracket" if self.bracket_sign == 1 else "-bracket", a, b)
+
+    def one(self) -> SparseVec:
+        return self.quotient.nf_label(UNIT_MONOMIAL)
 
     def render_label(self, m) -> str:
         return monomial_str(m, self.ambient.alphabet)

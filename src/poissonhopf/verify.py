@@ -13,6 +13,7 @@ bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
     product_labels(a, b)      SparseVec over labels
     bracket_labels(a, b)      SparseVec over labels
     antipode_label(l)         SparseVec over labels, or None where undefined
+    one()                     the unit's normal form, a SparseVec over labels
     render_label(l)           printable form
 
 The label maps are the one place that projects to a quotient: every vector
@@ -23,12 +24,17 @@ a residual: it is zero in the quotient exactly when it is the zero vector.
 
 ``check_coalgebra_map`` is the one check of the coalgebra-map laws: it
 reads only ``delta_label``, ``epsilon_label`` and ``render_label`` of a
-source and a target, and the map as label images.
+source and a target, and the map as label images.  In the same way
+``check_antipode_convolution`` is the one check of the antipode axiom
+m(S (x) id) Delta = u eps = m(id (x) S) Delta: the labels and S are its
+arguments, so it serves a Hopf quotient (``check_antipode``, the
+``antipode`` law) and a coproduct of Hopf quotients alike.
 
 Every check is exhaustive at the truncation: a report has no violations if
 and only if every listed residual is exactly zero.  A residual that cannot
-be formed is not counted as checked; it goes in ``skipped`` with its reason,
-one skip per reason carrying a count where one reason covers many residuals.
+be formed, or not exactly within the budget, is not counted as checked; it
+goes in ``skipped`` with its reason, one skip per reason carrying a count
+where one reason covers many residuals.
 
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket, coproduct or antipode many times, so a structure
@@ -140,6 +146,14 @@ def op_vec_vec(op, va: SparseVec, vb: SparseVec) -> SparseVec:
 
 def delta_vec(structure, v: SparseVec) -> SparseVec:
     return lincomb((c, structure.delta_label(l)) for l, c in v.items())
+
+
+def tensor_product(structure, ta: SparseVec, tb: SparseVec) -> SparseVec:
+    """(p (x) q)(r (x) s) = pr (x) qs, extended bilinearly."""
+    mul = structure.product_labels
+    return lincomb(
+        (c1 * c2, outer(mul(p, r), mul(q, s))) for (p, q), c1 in ta.items() for (r, s), c2 in tb.items()
+    )
 
 
 def tensor_bracket(structure, ta: SparseVec, tb: SparseVec) -> SparseVec:
@@ -264,29 +278,23 @@ def check_leibniz(structure) -> Report:
     br, mul = structure.bracket_labels, structure.product_labels
     n = structure.truncation
     labels = list(structure.labels_upto())
-    for p in labels:
-        dp = structure.label_degree(p)
-        for q in labels:
-            dq = structure.label_degree(q)
-            if dp + dq > n:
+    for p, q in _pairs_within(structure):
+        dpq = structure.label_degree(p) + structure.label_degree(q)
+        for r in labels:
+            if dpq + structure.label_degree(r) > n:
                 continue
-            for r in labels:
-                if dp + dq + structure.label_degree(r) > n:
-                    continue
-                lhs = op_vec_vec(br, unit_vec(p), mul(q, r))
-                rhs = op_vec_vec(mul, br(p, q), unit_vec(r)) + op_vec_vec(
-                    mul, unit_vec(q), br(p, r)
-                )
-                residual = lhs - rhs
-                report.checked += 1
-                if residual:
-                    report.violations.append(
-                        Violation(
-                            "leibniz",
-                            tuple(structure.render_label(x) for x in (p, q, r)),
-                            render_vec(structure, residual),
-                        )
+            lhs = op_vec_vec(br, unit_vec(p), mul(q, r))
+            rhs = op_vec_vec(mul, br(p, q), unit_vec(r)) + op_vec_vec(mul, unit_vec(q), br(p, r))
+            residual = lhs - rhs
+            report.checked += 1
+            if residual:
+                report.violations.append(
+                    Violation(
+                        "leibniz",
+                        tuple(structure.render_label(x) for x in (p, q, r)),
+                        render_vec(structure, residual),
                     )
+                )
     return report
 
 
@@ -330,13 +338,8 @@ def check_antipode_antimorphism(structure) -> Report:
     skipped = {"label pairs": 0, "products or brackets": 0}
 
     def s_vec(v):
-        terms = []
-        for l, c in v.items():
-            sv = structure.antipode_label(l)
-            if sv is None:
-                return None
-            terms.append((c, sv))
-        return lincomb(terms)
+        terms = [(c, structure.antipode_label(l)) for l, c in v.items()]
+        return None if any(sv is None for _, sv in terms) else lincomb(terms)
 
     for a, b in _pairs_within(structure):
         sa, sb = structure.antipode_label(a), structure.antipode_label(b)
@@ -349,8 +352,7 @@ def check_antipode_antimorphism(structure) -> Report:
             if direct is None:
                 skipped["products or brackets"] += 1
                 continue
-            swapped = op_vec_vec(op, sb, sa)
-            residual = direct - swapped
+            residual = direct - op_vec_vec(op, sb, sa)
             report.checked += 1
             if residual:
                 report.violations.append(
@@ -363,6 +365,52 @@ def check_antipode_antimorphism(structure) -> Report:
     report.skipped += [Skip("antipode", (f"{n} {what}",), "S is undefined on one of their labels")
                        for what, n in skipped.items() if n]
     return report
+
+
+def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
+    """sum c S(a) b = eps(x) 1 = sum c a S(b) over Delta x = sum c a (x) b, for each given x.
+
+    S is ``antipode(label)``, a normal form or None where undefined.  A label
+    with 2 deg x > N is skipped: the slots of Delta x reach deg x, so S(a) b
+    may leave the budget and a true law would read as a violation.  So is a
+    side that needs S where it is undefined.  Each reason is one skip with
+    its count.
+    """
+    report = Report()
+    mul, one = structure.product_labels, structure.one()
+    over_budget = undefined = 0
+    for x in labels:
+        if 2 * structure.label_degree(x) > structure.truncation:
+            over_budget += 1
+            continue
+        t = structure.delta_label(x).items()
+        for side in ("left", "right"):
+            # (c, S(a), b) or (c, a, S(b)) for each term c a (x) b of Delta x
+            terms = [(c, antipode(a), unit_vec(b)) if side == "left" else (c, unit_vec(a), antipode(b))
+                     for (a, b), c in t]
+            if any(u is None or v is None for _, u, v in terms):
+                undefined += 1
+                continue
+            residual = lincomb((c, op_vec_vec(mul, u, v)) for c, u, v in terms)
+            residual -= one.scaled(structure.epsilon_label(x))
+            report.checked += 1
+            if residual:
+                report.violations.append(
+                    Violation(f"{law}-{side}", (structure.render_label(x),), render_vec(structure, residual))
+                )
+    if over_budget:
+        report.skipped.append(Skip(law, (f"{over_budget} labels",), "2*deg > N, so S(a)*b may leave the budget"))
+    if undefined:
+        report.skipped.append(Skip(law, (f"{undefined} sides",), "S is undefined on a slot of their coproduct"))
+    return report
+
+
+def check_antipode(structure) -> Report:
+    """The anti-morphism laws and both convolution laws, where S is defined."""
+    report = check_antipode_antimorphism(structure)
+    return report.merge(check_antipode_convolution(
+        structure, structure.labels_upto(), structure.antipode_label, "antipode-convolution"
+    ))
 
 
 def check_coalgebra_map(source, labels, image, target, law: str) -> Report:

@@ -108,16 +108,57 @@ def test_free_hopf_stage_overflow_exit_code(capsys, grouplike_path):
 
 
 def test_free_hopf_three_stages_skips_brackets_past_the_last_stage(capsys):
-    # the normal form of [c_0, s_0] is [c_2, s_2], which S cannot shift past the last stage
+    # normal forms prefer last-stage letters (c_2, s_2), where S is undefined:
+    # both convolution sides of those classes are skipped, not failed
     code, out, _ = run(capsys, "free-hopf", "builtin:trig", "--stages", "3", "--degree", "3")
     assert code == 0
     antipode = json.loads(out)["antipode_residuals"]
     assert antipode["violations"] == []
     assert {
-        "law": "antipode-bracket-shift",
-        "witnesses": ["10 generator pairs"],
-        "reason": "the normal form of their bracket has a letter at the last stage",
+        "law": "antipode-convolution",
+        "witnesses": ["4 sides"],
+        "reason": "S is undefined on a slot of their coproduct",
     } in antipode["skipped"]
+
+
+@pytest.mark.parametrize("spec", ["builtin:trig", "builtin:grouplike-1"])
+def test_free_hopf_degree_budget_below_two_exits_4(capsys, tmp_path, spec):
+    # the convolution relations have degree 2, so a budget of 1 is refused up front
+    code, out, err = run(capsys, "free-hopf", spec, "--stages", "2", "--degree", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("overflow:") and len(err.strip().splitlines()) == 1
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps({"construct": "free-hopf", "spec": spec, "degree": 1, "stages": 2}))
+    code, out, err = run(capsys, "verify", str(artifact))
+    assert (code, out) == (4, "")
+    assert err.startswith("overflow:") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_checks_the_antipode_laws_once(capsys, tmp_path, monkeypatch):
+    from poissonhopf import cli, free_hopf, verify
+
+    original = verify.check_antipode_antimorphism
+    calls = []
+
+    def counting(structure):
+        calls.append(structure)
+        return original(structure)
+
+    # rebind every name the package holds for the checker
+    for module in (verify, free_hopf, cli):
+        if getattr(module, "check_antipode_antimorphism", None) is original:
+            monkeypatch.setattr(module, "check_antipode_antimorphism", counting)
+    for law, check in cli.CHECKERS.items():
+        if check is original:
+            monkeypatch.setitem(cli.CHECKERS, law, counting)
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps({"construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2}))
+    code, out, _ = run(capsys, "verify", str(artifact), "--laws", "all")
+    assert code == 0
+    assert len(calls) == 1
+    obj = json.loads(out)
+    assert "antipode_residuals" not in obj
+    assert obj["laws"]["antipode"]["checked"] == 104
 
 
 def test_coequalize_command(capsys, tmp_path, grouplike_path):

@@ -267,18 +267,34 @@ def test_single_operand_hopf_coproduct_matches_operand():
 def test_hopf_coproduct_counts_only_formed_residuals(monkeypatch):
     H = free_poisson_hopf(builtin("trig"), 2, 2, check=False)
     full = H.antipode_table()
-    assert hopf_coproduct_antipode([H]).report.checked == 2
+    assert hopf_coproduct_antipode([H]).report.checked == 4  # both sides of c_0_0 and s_0_0
     monkeypatch.setattr(H, "antipode_table", lambda: {k: v for k, v in full.items() if k != "s_0"})
     out = hopf_coproduct_antipode([H])
-    # delta(c) = c (x) c - s (x) s: without S(s_0) the residual of c_0 cannot be formed
+    # delta(c) = c (x) c - s (x) s: without S(s_0) neither side of c_0 can be formed
     assert set(out.antipode_images) == {"c_0_0"}
     assert out.report.checked == 0
     assert out.report.ok
-    # ...but it is reported as skipped, so the empty pass is visible
+    # ...but they are reported as skipped, so the empty pass is visible
     assert [(s.law, s.witnesses, s.reason) for s in out.report.skipped] == [
-        ("coproduct-antipode", ("c_0_0",), "S(s_0_0) is undefined")
+        ("coproduct-antipode", ("2 sides",), "S is undefined on a slot of their coproduct")
     ]
-    assert "coproduct-antipode skipped at (c_0_0)" in out.report.lines()[1]
+    assert "coproduct-antipode skipped at (2 sides)" in out.report.lines()[1]
+
+
+def test_hopf_coproduct_of_hopf_quotients_passes_both_convolution_sides():
+    H = free_poisson_hopf(builtin("trig"), 2, 3)
+    report = hopf_coproduct_antipode([H, H]).report
+    # c_0 and s_0 of each copy carry an antipode image, each with two sides
+    assert report.ok and report.checked == 8 and not report.skipped
+
+
+def test_empty_ideal_fails_the_convolution_laws():
+    staged = staged_coproduct(induce_bialgebra(builtin("grouplike-1"), 4), 2)
+    from poissonhopf.colimits import quotient as q_of
+
+    # without the Hopf relations S(g_0) g_0 = g_1 g_0 is not 1
+    report = verify_antipode(TruncatedHopf(staged, q_of(staged.ambient, [])), depth=1)
+    assert ("antipode-convolution-left", ("g_0",), "-1 + 1*g_0*g_1") in [tuple(v) for v in report.violations]
 
 
 @pytest.mark.parametrize(

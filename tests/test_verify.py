@@ -17,7 +17,9 @@ from poissonhopf.verify import (
     Report,
     Skip,
     Violation,
+    check_antipode,
     check_antipode_antimorphism,
+    check_antipode_convolution,
     check_coassociativity,
     check_counit,
     check_jacobi,
@@ -134,6 +136,49 @@ def test_sign_flipped_antipode_entry_fails():
     corrupted = Corrupted(H, antipode_label=bad_antipode)
     report = check_antipode_antimorphism(corrupted)
     assert not report.ok
+
+
+def test_wrong_antipode_of_a_letter_fails_the_convolution_laws():
+    H = free_poisson_hopf(builtin("grouplike-1"), 2, 4, check=False)
+    g0 = gm((0,))
+    corrupted = Corrupted(H, antipode_label=lambda m: -H.antipode_label(m) if m == g0 else H.antipode_label(m))
+    report = check_antipode(corrupted)
+    # S(g_0) g_0 = -g_1 g_0 = -1, so both sides miss eps(g_0) 1 = 1 by -2
+    convolution = [v for v in report.violations if v.law.startswith("antipode-convolution")]
+    assert convolution == [
+        Violation("antipode-convolution-left", ("g_0",), "-2"),
+        Violation("antipode-convolution-right", ("g_0",), "-2"),
+    ]
+    assert check_antipode(H).ok
+
+
+def test_convolution_skips_classes_past_half_the_budget():
+    # Delta(g_0^3) = g_0^3 (x) g_0^3, and S(g_0^3) g_0^3 has degree 6 > N = 4
+    H = free_poisson_hopf(builtin("grouplike-1"), 2, 4, check=False)
+    cube = gm((0,), (0,), (0,))
+    assert cube in H.labels_upto()
+    report = check_antipode_convolution(H, [cube], H.antipode_label, "antipode-convolution")
+    assert report.checked == 0 and report.ok
+    assert report.skipped == [
+        Skip("antipode-convolution", ("1 labels",), "2*deg > N, so S(a)*b may leave the budget")
+    ]
+    # formed anyway, the truncated product drops S(g_0^3) g_0^3 = 1 and a
+    # true law reads as a violation: the guard must stay
+    naive = check_antipode_convolution(Corrupted(H, truncation=8), [cube], H.antipode_label, "naive")
+    assert naive.violations == [
+        Violation("naive-left", ("g_0*g_0*g_0",), "-1"),
+        Violation("naive-right", ("g_0*g_0*g_0",), "-1"),
+    ]
+
+
+def test_symmetric_lie_hopf_passes_the_convolution_laws_without_a_stage_skip():
+    S = sl2_hopf(4)
+    report = check_antipode(S)
+    assert report.ok and report.checked > 0
+    assert [s.reason for s in report.skipped] == ["2*deg > N, so S(a)*b may leave the budget"]
+    convolution = check_antipode_convolution(S, S.labels_upto(), S.antipode_label, "antipode-convolution")
+    # the unit and every label of degree <= 2, two sides each
+    assert convolution.checked == 2 * sum(1 for l in S.labels_upto() if len(l) <= 2)
 
 
 def test_zero_bracket_structures_pass_antipode_bracket_law():
