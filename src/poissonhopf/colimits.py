@@ -7,7 +7,10 @@ projector.  Saturation closes the span of the generators under
 multiplication by Lyndon-word variables and bracketing by letters, keeping
 a result only when it is exact within the degree budget.  It runs a
 worklist: every new echelon row is queued, and its in-budget products and
-letter brackets are inserted when it is taken off the queue.
+letter brackets are inserted when it is taken off the queue.  Whether a
+letter bracket is exact is read off the row's degree-n factors first
+(``letter_bracket_exact``), so a bracket that would be thrown away is never
+formed; ``fixpoint_certificate`` uses the same pre-test.
 
 A quotient never changes once built, so it keeps two tables that live and
 die with it: ``_nf_cache`` (monomial -> normal form) and ``_label_ops``
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
-from .lyndon import LyndonWord
+from .lyndon import LyndonWord, bracket_words
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
@@ -68,6 +71,22 @@ def quotient_key(m: PoissMonomial):
     return (-m.degree, m.sort_key[1])
 
 
+def letter_bracket_exact(letter: LyndonWord, vec: SparseVec, n: int) -> bool:
+    """Whether ``poiss_bracket`` of a letter with ``vec`` is exact in budget n.
+
+    The pre-test that spares forming a bracket only to discard it.  Only a
+    degree-n monomial of ``vec`` can leave the budget, and its bracket with
+    the letter has a term exactly when the letter's bracket with one of its
+    factors does: the rule that sets ``poiss_bracket``'s ``lossy`` flag.
+    """
+    return not any(bracket_words(letter, f) for m in vec if m.degree == n for f in m.factors)
+
+
+def _letters(ambient: FreePoissonAlgebra):
+    # (letter word, letter element) in alphabet order
+    return [(LyndonWord((i,)), x) for i, x in enumerate(ambient.gens())]
+
+
 def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
     """Degree-bounded part of the Poisson ideal generated by the inputs.
 
@@ -106,17 +125,18 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
         for d in range(1, n)
         for w in ambient.lyndon_basis(d)
     ]
-    letters = ambient.gens()
+    letters = _letters(ambient)
     while worklist:
-        elt = ambient.elt(worklist.popleft())
+        row = worklist.popleft()
+        elt = ambient.elt(row)
         top = elt.top_degree()
         for d, var in variables:
-            if d + top <= n:
-                insert(poiss_product(var, elt).vec)
-        for x in letters:
-            out = poiss_bracket(x, elt)
-            if not out.lossy and out.top_degree() <= n:
-                insert(out.vec)
+            if d + top > n:
+                break  # variables come in increasing degree
+            insert(poiss_product(var, elt).vec)
+        for w, x in letters:
+            if letter_bracket_exact(w, row, n):
+                insert(poiss_bracket(x, elt).vec)
     return acc.freeze()
 
 
@@ -240,19 +260,21 @@ def fixpoint_certificate(q: TruncatedQuotient) -> Report:
     """The ideal is closed under letter products and letter brackets in budget."""
     report = Report()
     n = q.ambient.truncation
-    letters = q.ambient.gens()
+    letters = _letters(q.ambient)
     for row in q.ideal.rows:
         elt = q.ambient.elt(row)
-        for x in letters:
-            prod = poiss_product(x, elt)
-            if not prod.lossy and prod.top_degree() <= n:
+        # a letter times a row of top degree n leaves the budget
+        in_budget = elt.top_degree() < n
+        for w, x in letters:
+            if in_budget:
+                prod = poiss_product(x, elt)
                 report.checked += 1
                 if not q.ideal.contains(prod.vec):
                     report.violations.append(
                         Violation("ideal-product-closure", (render(x), render(elt)), render(prod))
                     )
-            br = poiss_bracket(x, elt)
-            if not br.lossy and br.top_degree() <= n:
+            if letter_bracket_exact(w, row, n):
+                br = poiss_bracket(x, elt)
                 report.checked += 1
                 if not q.ideal.contains(br.vec):
                     report.violations.append(

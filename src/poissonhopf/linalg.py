@@ -1,10 +1,12 @@
 """Exact linear algebra over Q on sparse vectors with orderable labels.
 
 Everything is a value: vectors are immutable, a basis is built once and then
-only queried.  Labels may be any hashable objects; the global order used for
-pivoting comes from ``label_key``, which is degree-lexicographic for the
-algebra label types defined elsewhere and plain ordering for ints, strings
-and tuples.  Scalars are exact rationals: ``int`` when integral,
+only queried.  The one accumulator, ``EchelonBasis``, keeps a column index
+(label -> rows holding it) so that an insert back-substitutes without
+scanning every row.  Labels may be any hashable objects; the global order
+used for pivoting comes from ``label_key``, which is degree-lexicographic
+for the algebra label types defined elsewhere and plain ordering for ints,
+strings and tuples.  Scalars are exact rationals: ``int`` when integral,
 ``Fraction`` otherwise, so integer structure constants stay in machine-word
 ``int`` arithmetic until a true fraction appears.  Every result is
 bit-exact and canonical forms are decidable by structural equality, since
@@ -205,12 +207,21 @@ class EchelonBasis:
     Rows are kept fully reduced: every pivot coefficient is 1 and pivot
     labels do not occur in any other row.  ``freeze`` returns the immutable
     canonical ``SubspaceBasis``.  ``rewritten`` holds the new versions of
-    the rows that the last ``insert`` back-substituted into.
+    the rows that the last ``insert`` back-substituted into, in the order
+    their pivots were inserted.
+
+    A column index maps each non-pivot label to the pivots of the rows that
+    hold it, so back-substitution visits only those rows instead of
+    scanning all of them.  The index holds sets of labels, whose iteration
+    order may follow identity hashes; the rows are visited sorted by
+    insertion index, so no result depends on it.
     """
 
     def __init__(self, key=label_key):
         self.key = key
         self._rows: dict = {}  # pivot label -> SparseVec
+        self._order: dict = {}  # pivot label -> insertion index
+        self._cols: dict = {}  # non-pivot label -> pivots of the rows holding it
         self.rewritten: list = []
 
     @property
@@ -228,12 +239,24 @@ class EchelonBasis:
             return None
         pivot, c = r.leading(self.key)
         r = r.scaled(Fraction(1) / c)
-        for p, row in list(self._rows.items()):
-            cp = row._entries.get(pivot)
-            if cp:
-                self._rows[p] = row = row.axpy(-cp, r)
-                self.rewritten.append(row)
-        self._rows[pivot] = r
+        rows, cols = self._rows, self._cols
+        labels = r._entries.keys()
+        # back-substitute into the rows holding the pivot, oldest pivot first
+        for p in sorted(cols.pop(pivot, ()), key=self._order.__getitem__):
+            row = rows[p]
+            rows[p] = row = row.axpy(-row._entries[pivot], r)
+            entries = row._entries
+            for l in labels:
+                if l in entries:
+                    cols.setdefault(l, set()).add(p)
+                elif l in cols:
+                    cols[l].discard(p)
+            self.rewritten.append(row)
+        for l in labels:
+            if l != pivot:
+                cols.setdefault(l, set()).add(pivot)
+        self._order[pivot] = len(rows)
+        rows[pivot] = r
         return r
 
     def contains(self, v: SparseVec) -> bool:

@@ -13,7 +13,10 @@ recursion that builds such images is ``poisson.LetterExtension``.
 Two process-wide tables live here, and neither is ever cleared:
 ``_word_table`` interns Lyndon words (one entry per distinct word ever
 built), and ``_bracket_memo`` holds the bracket of each ordered word pair
-once it has been normalized.
+once it has been normalized.  Its keys are pairs of the interned words
+themselves, so a lookup hashes two identities, not two letter tuples; a
+pair in decreasing order and a pair of equal words are stored too, so a
+repeated call never builds a vector.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class LyndonWord:
     instance for those letters, so equality is identity, and so is the
     hash (``object.__hash__``, computed in C).  Identity hashes differ
     between processes; no output depends on them, because label dicts keep
-    insertion order and no set of labels is iterated.
+    insertion order and a set of labels is iterated only after sorting.
 
     ``degree`` and ``sort_key`` are computed once, when the word is first
     built; ``is_lyndon`` runs then too, and a rejected word never enters the
@@ -137,15 +140,15 @@ def bracket_words(u: LyndonWord, v: LyndonWord) -> SparseVec:
     Rewrites [s(u), s(v)] by antisymmetry and Jacobi until every term is the
     standard bracketing of a Lyndon word of degree deg u + deg v.
     """
-    if u.letters == v.letters:
-        return SparseVec()
-    if v.letters < u.letters:
-        return -bracket_words(v, u)
-    key = (u.letters, v.letters)
+    key = (u, v)
     cached = _bracket_memo.get(key)
     if cached is not None:
         return cached
-    if u.degree == 1:
+    if u is v:
+        result = SparseVec()
+    elif v.letters < u.letters:
+        result = -bracket_words(v, u)
+    elif u.degree == 1:
         result = unit_vec(LyndonWord(u.letters + v.letters))
     else:
         u1, u2 = standard_factorization(u)

@@ -307,7 +307,11 @@ def poiss_bracket(u: PoissElt, v: PoissElt) -> PoissElt:
             da = ma.degree
             for mb, cb in v.vec.items():
                 if da + mb.degree > cutoff:
-                    lossy = lossy or next(_mono_bracket_terms(ma, mb), None) is not None
+                    # probe the factor brackets only: a term would be a monomial
+                    # above the budget, interned for good in _monomial_table
+                    lossy = lossy or any(
+                        bracket_words(fa, fb) for fa in ma.factors for fb in mb.factors
+                    )
                     continue
                 coeff = ca * cb
                 for m, c in _mono_bracket_terms(ma, mb):

@@ -5,15 +5,16 @@ the implementation under test: fraction-free integer elimination for ranks,
 exhaustive rotation search for Lyndon words, the Mobius/Witt counting
 formula, generating-function series for graded dimensions, a naive
 batch-closure loop for ideal saturation, the commutator expansion of
-Lie brackets in the tensor algebra, and coassociativity expanded into
-triples.
+Lie brackets in the tensor algebra, coassociativity expanded into
+triples, and echelon back-substitution by scanning every stored row.
 """
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from poissonhopf.colimits import quotient_key
-from poissonhopf.linalg import SparseVec, lincomb, row_reduce, unit_vec
+from poissonhopf.linalg import EchelonBasis, SparseVec, lincomb, row_reduce, unit_vec
 from poissonhopf.lyndon import LieElt, LyndonWord, standard_factorization
 from poissonhopf.poisson import PoissMonomial, poiss_bracket, poiss_product
 from poissonhopf.verify import Report, Violation, render_tensor
@@ -81,6 +82,29 @@ def generating_function_dims(lyndon_counts, max_degree):
             for i in range(d, max_degree + 1):
                 series[i] += series[i - d]
     return series
+
+
+class ScanEchelonBasis(EchelonBasis):
+    """``EchelonBasis`` whose insert probes every stored row for the new pivot.
+
+    The back-substitution without the column index: rows are visited in the
+    order their pivots were inserted and rewritten where they hold the pivot.
+    """
+
+    def insert(self, v):
+        self.rewritten = []
+        r = self.reduce(v)
+        if not r:
+            return None
+        pivot, c = r.leading(self.key)
+        r = r.scaled(Fraction(1) / c)
+        for p, row in list(self._rows.items()):
+            cp = row._entries.get(pivot)
+            if cp:
+                self._rows[p] = row = row.axpy(-cp, r)
+                self.rewritten.append(row)
+        self._rows[pivot] = r
+        return r
 
 
 def brute_force_saturation(ambient, generators, n):

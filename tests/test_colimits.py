@@ -1,19 +1,24 @@
 """Saturation against a brute-force closure oracle; quotients, coproducts, coequalizers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from poissonhopf import colimits
 from poissonhopf.bialgebra import induce_bialgebra
 from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
 from poissonhopf.colimits import (
     MorphismTable,
     factorize_coproduct,
+    fixpoint_certificate,
     free_quotient,
     ideal_saturate,
+    letter_bracket_exact,
     poisson_coequalizer,
     poisson_coproduct,
     quotient,
 )
 from poissonhopf.free_hopf import free_poisson_hopf, hopf_ideal_generators, staged_coproduct
+from poissonhopf.linalg import SparseVec
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import (
     FreePoissonAlgebra,
@@ -137,6 +142,60 @@ def test_saturation_soundness_closure_property():
             br = poiss_bracket(m, w)
             if not br.lossy and br.top_degree() <= 4:
                 assert ideal.contains(br.vec)
+
+
+def _pretest_outcomes_against_flag(ambient, vectors):
+    # letter_bracket_exact(x, v) is poiss_bracket(x, v)'s lossy flag, negated
+    outcomes = set()
+    for vec in vectors:
+        for i, x in enumerate(ambient.gens()):
+            exact = letter_bracket_exact(LyndonWord((i,)), vec, ambient.truncation)
+            assert exact == (not poiss_bracket(x, ambient.elt(vec)).lossy)
+            outcomes.add(exact)
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "name, stages, n",
+    [("grouplike-1", 4, 4), ("grouplike-2", 2, 4), ("trig", 2, 4), ("matrix-2", 2, 3)],
+)
+def test_letter_bracket_pretest_matches_lossy_flag_on_ideal_rows(name, stages, n):
+    q = free_poisson_hopf(builtin(name), stages, n, check=False).quotient
+    assert _pretest_outcomes_against_flag(q.ambient, q.ideal.rows) == {True, False}
+
+
+_P2_4 = FreePoissonAlgebra(("a", "b"), 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_P2_4.monomials_upto()),
+        st.integers(-3, 3).filter(bool),
+        max_size=6,
+    )
+)
+def test_letter_bracket_pretest_matches_lossy_flag_on_random_vectors(entries):
+    _pretest_outcomes_against_flag(_P2_4, [SparseVec(entries)])
+
+
+def test_saturation_and_fixpoint_form_no_lossy_letter_bracket(monkeypatch):
+    staged = staged_coproduct(induce_bialgebra(builtin("grouplike-1"), 4), 4)
+    relations = [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
+    lossy_flags = []
+
+    def counted(x, y):
+        out = poiss_bracket(x, y)
+        lossy_flags.append(out.lossy)
+        return out
+
+    monkeypatch.setattr(colimits, "poiss_bracket", counted)
+    q = quotient(staged.ambient, relations)
+    assert len(lossy_flags) == 312 and not any(lossy_flags)
+    lossy_flags.clear()
+    report = fixpoint_certificate(q)
+    assert report.ok
+    assert len(lossy_flags) == 312 and not any(lossy_flags)
 
 
 def test_quotient_of_free_is_polynomial_ring():

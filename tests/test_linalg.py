@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from poissonhopf.linalg import (
     EchelonBasis,
     SparseVec,
+    label_key,
     lincomb,
     row_reduce,
     unit_vec,
@@ -19,7 +20,7 @@ def vec(*coords):
     return SparseVec({i: Fraction(c) for i, c in enumerate(coords) if c})
 
 
-from oracles import bareiss_rank
+from oracles import ScanEchelonBasis, bareiss_rank
 
 
 def test_already_echelon_identity():
@@ -106,6 +107,56 @@ def test_incremental_insert_matches_batch():
     for r in rows:
         acc.insert(r)
     assert acc.freeze() == row_reduce(rows)
+
+
+def _assert_inserts_match_full_scan(vectors, key=label_key) -> int:
+    """Insert the stream into both bases; returns how many rows were rewritten."""
+    indexed, scan = EchelonBasis(key=key), ScanEchelonBasis(key=key)
+    rewrites = 0
+    for v in vectors:
+        assert indexed.insert(v) == scan.insert(v)
+        assert indexed.rewritten == scan.rewritten
+        assert indexed.freeze() == scan.freeze()
+        rewrites += len(scan.rewritten)
+    return rewrites
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.integers(0, 7),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            max_size=5,
+        ),
+        max_size=12,
+    ),
+    st.booleans(),
+)
+def test_column_index_matches_full_scan(entries, descending):
+    key = (lambda l: -l) if descending else label_key
+    _assert_inserts_match_full_scan([SparseVec(e) for e in entries], key)
+
+
+def test_column_index_matches_full_scan_on_trig_saturation(monkeypatch):
+    from poissonhopf import colimits
+    from poissonhopf.bialgebra import induce_bialgebra
+    from poissonhopf.coalgebra import builtin
+    from poissonhopf.free_hopf import hopf_ideal_generators, staged_coproduct
+
+    staged = staged_coproduct(induce_bialgebra(builtin("trig"), 4), 2)
+    relations = [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
+    stream = []
+
+    class Recording(EchelonBasis):
+        def insert(self, v):
+            stream.append(v)
+            return super().insert(v)
+
+    monkeypatch.setattr(colimits, "EchelonBasis", Recording)
+    ideal = colimits.ideal_saturate(staged.ambient, relations)
+    assert _assert_inserts_match_full_scan(stream, colimits.quotient_key) > 0
+    assert row_reduce(stream, key=colimits.quotient_key) == ideal
 
 
 def test_lincomb_matches_axpy_chain():

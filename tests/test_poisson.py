@@ -12,6 +12,7 @@ from poissonhopf.lyndon import LyndonWord, lyndon_words
 from poissonhopf.poisson import (
     FreePoissonAlgebra,
     PoissMonomial,
+    _monomial_table,
     graded_dimension,
     poiss_bracket,
     poiss_product,
@@ -227,3 +228,13 @@ def test_interning_under_racing_threads():
     for out in results[1:]:
         assert len(out) == len(results[0])
         assert all(a is b for pa, pb in zip(out, results[0]) for a, b in zip(pa, pb))
+
+
+def test_lossy_bracket_interns_no_monomial_above_the_budget():
+    # letters no other test uses, so the degree-3 terms are new to the table
+    P = FreePoissonAlgebra(tuple(f"x{i}" for i in range(12)), 2)
+    x10, x11 = P.gen("x10"), P.gen("x11")
+    before = set(_monomial_table.values())
+    out = poiss_bracket(x10, x11 * x11)
+    assert out.lossy and out.is_zero()
+    assert all(m.degree <= 2 for m in set(_monomial_table.values()) - before)
