@@ -300,8 +300,7 @@ def bialgebra_coproduct(operands) -> BialgebraCoproduct:
     the axioms certified run ``check_bialgebra`` on it.
     """
     operands = list(operands)
-    signs = [B.bracket_sign for B in operands]
-    cp = poisson_coproduct([B.quotient for B in operands], signs=signs)
+    cp = poisson_coproduct(operands)
     delta_table = {}
     epsilon_table = {}
     for B, inj, lm in zip(operands, cp.injections, cp.letter_maps):
@@ -351,20 +350,13 @@ def coideal_certificate(B: PresentedPoissonBialgebra, vectors) -> Report:
     degree at most d.  So Delta and epsilon vanish on every row once they
     vanish on every generator.
     """
-    report = Report()
+    report, tensor = Report(), partial(render_tensor, B)
     amb = B.ambient
     for vec in vectors:
         elt = amb.elt(vec)
         residual = lincomb((c, B.delta_label(m)) for m, c in vec.items())
-        report.checked += 1
-        if residual:
-            report.violations.append(
-                Violation("coideal-delta", (render(elt),), render_tensor(B, residual))
-            )
-        counit = B.epsilon(elt)
-        report.checked += 1
-        if counit:
-            report.violations.append(Violation("coideal-counit", (render(elt),), str(counit)))
+        report.record("coideal-delta", residual, (elt,), render, tensor)
+        report.record("coideal-counit", B.epsilon(elt), (elt,), render)
     return report
 
 

@@ -19,7 +19,12 @@ the label maps of the checker protocol).
 
 Coproducts are computed on presentations: the coproduct of P(V)/I and
 P(W)/J is P(V (+) W) over the union of the lifted relation sets, with the
-generator inclusions as the canonical injections.  Coequalizers quotient
+generator inclusions as the canonical injections.  An op-cop twisted
+bialgebra keeps its quotient and carries the negated bracket as
+``bracket_sign`` -1; ``MorphismTable`` and ``poisson_coproduct`` read the
+twist off the objects they are given (a bare quotient counts as 1) and
+route elements and relations through the bracket-flip sign where the
+signs differ.  Coequalizers quotient
 by the saturated difference ideal.  The paper needs only these colimits
 (for cocompleteness and the free Hopf construction), so no limits are built.
 """
@@ -57,6 +62,16 @@ def op_sign(m: PoissMonomial) -> int:
 def flip_bracket(vec: SparseVec) -> SparseVec:
     """The bracket-flip automorphism on a vector over monomials."""
     return vec.map_terms(lambda m, c: ((m, c * op_sign(m)),))
+
+
+def bracket_sign(obj) -> int:
+    """-1 on an op-cop twisted bialgebra, 1 on the others and on a bare quotient."""
+    return getattr(obj, "bracket_sign", 1)
+
+
+def quotient_of(obj) -> "TruncatedQuotient":
+    """The quotient under a bialgebra, or the quotient itself."""
+    return getattr(obj, "quotient", obj)
 
 
 def quotient_key(m: PoissMonomial):
@@ -268,18 +283,12 @@ def fixpoint_certificate(q: TruncatedQuotient) -> Report:
         for w, x in letters:
             if in_budget:
                 prod = poiss_product(x, elt)
-                report.checked += 1
-                if not q.ideal.contains(prod.vec):
-                    report.violations.append(
-                        Violation("ideal-product-closure", (render(x), render(elt)), render(prod))
-                    )
+                report.record("ideal-product-closure", not q.ideal.contains(prod.vec), (x, elt), render,
+                              lambda _: render(prod))
             if letter_bracket_exact(w, row, n):
                 br = poiss_bracket(x, elt)
-                report.checked += 1
-                if not q.ideal.contains(br.vec):
-                    report.violations.append(
-                        Violation("ideal-bracket-closure", (render(x), render(elt)), render(br))
-                    )
+                report.record("ideal-bracket-closure", not q.ideal.contains(br.vec), (x, elt), render,
+                              lambda _: render(br))
     return report
 
 
@@ -300,24 +309,25 @@ class MorphismTable:
 
     Images are elements of the target ambient; a monomial's image is the
     ``LetterExtension`` of the normalized letter images over the target
-    quotient's product and bracket.
-    ``source_bracket_sign`` accommodates sources carrying the negated
-    bracket: their elements are pushed through the bracket-flip sign first.
+    quotient's product and bracket.  That extension is a Poisson map for the
+    ambients' own brackets; when exactly one of source and target carries
+    the negated bracket (``bracket_sign(source) * bracket_sign(target)`` is
+    -1), elements are pushed through the bracket-flip sign first.
     """
 
-    def __init__(self, source, target, images: dict, source_bracket_sign: int = 1):
+    def __init__(self, source, target, images: dict):
         self.source = source
         self.target = target
         self.images = dict(images)
-        self.source_bracket_sign = source_bracket_sign
+        self._flip = bracket_sign(source) * bracket_sign(target) == -1
         tq = self.target_quotient()
         self._extension = LetterExtension(self._letter_image, tq.product, tq.bracket, tq.one)
 
     def source_quotient(self) -> TruncatedQuotient:
-        return self.source.quotient if hasattr(self.source, "quotient") else self.source
+        return quotient_of(self.source)
 
     def target_quotient(self) -> TruncatedQuotient:
-        return self.target.quotient if hasattr(self.target, "quotient") else self.target
+        return quotient_of(self.target)
 
     def _letter_image(self, letter: int) -> PoissElt:
         name = self.source_quotient().ambient.alphabet[letter]
@@ -334,7 +344,7 @@ class MorphismTable:
         terms = []
         lossy = elt.lossy
         for m, c in elt.vec.items():
-            if self.source_bracket_sign == -1:
+            if self._flip:
                 c = c * op_sign(m)
             image = self._extension.monomial(m)
             lossy = lossy or image.lossy
@@ -343,26 +353,18 @@ class MorphismTable:
 
     def well_defined_report(self) -> Report:
         """Every defining relation of the source must map into the target ideal."""
-        report = Report()
-        sq, tq = self.source_quotient(), self.target_quotient()
-        for name in sq.ambient.alphabet:
-            if name not in self.images:
-                report.violations.append(
-                    Violation("morphism-total", (name,), "missing generator image")
-                )
+        sq = self.source_quotient()
+        report = Report([Violation("morphism-total", (name,), "missing generator image")
+                         for name in sq.ambient.alphabet if name not in self.images])
         if not report.ok:
             return report
         for r in sq.generators:
             image = self.apply(r)
-            report.checked += 1
             if image.lossy:
-                report.violations.append(
-                    Violation("morphism-exact", (render(r),), "image truncated")
-                )
-            elif not image.is_zero():
-                report.violations.append(
-                    Violation("morphism-relations", (render(r),), render(image))
-                )
+                report.record("morphism-exact", True, (r,), render, lambda _: "image truncated")
+            else:
+                report.record("morphism-relations", not image.is_zero(), (r,), render,
+                              lambda _: render(image))
         return report
 
 
@@ -385,11 +387,12 @@ def tagged_alphabet(operands):
     return tuple(names), maps
 
 
-def poisson_coproduct(operands, signs=None) -> CoproductResult:
-    """Coproduct of presented quotients: union of lifted relation sets.
+def poisson_coproduct(operands) -> CoproductResult:
+    """Coproduct of presented quotients or bialgebras: union of lifted relation sets.
 
-    ``signs`` marks operands presented with the negated bracket; their
-    relations and injections are routed through the bracket-flip sign.
+    The relations of an operand carrying the negated bracket are lifted
+    through the bracket-flip sign, and so, by its ``bracket_sign``, is its
+    injection.
     """
     operands = list(operands)
     if not operands:
@@ -397,22 +400,21 @@ def poisson_coproduct(operands, signs=None) -> CoproductResult:
     n = operands[0].ambient.truncation
     if any(op.ambient.truncation != n for op in operands):
         raise ValueError("truncation mismatch")
-    signs = list(signs) if signs is not None else [1] * len(operands)
     names, maps = tagged_alphabet(operands)
     ambient = FreePoissonAlgebra(names, n)
     relations = []
-    for op, sign, lm in zip(operands, signs, maps):
-        for g in op.generators:
-            vec = flip_bracket(g.vec) if sign == -1 else g.vec
+    for op, lm in zip(operands, maps):
+        for g in quotient_of(op).generators:
+            vec = flip_bracket(g.vec) if bracket_sign(op) == -1 else g.vec
             relations.append(ambient.elt(rename_letters(vec, lm)))
     result = quotient(ambient, relations)
     injections = []
-    for op, sign, lm in zip(operands, signs, maps):
+    for op, lm in zip(operands, maps):
         images = {
             name: result.normal_form(ambient.gen(names[lm[i]]))
             for i, name in enumerate(op.ambient.alphabet)
         }
-        injections.append(MorphismTable(op, result, images, source_bracket_sign=sign))
+        injections.append(MorphismTable(op, result, images))
     return CoproductResult(result, injections, maps)
 
 

@@ -47,7 +47,7 @@ from .colimits import (
 )
 from .lyndon import LyndonWord
 from .poisson import LetterExtension, PoissElt, PoissMonomial, poiss_product, render
-from .verify import Report, Skip, Violation, check_antipode, check_antipode_convolution
+from .verify import Report, check_antipode, check_antipode_convolution
 
 
 class StageOverflowError(ValueError):
@@ -208,14 +208,10 @@ def s_prime_stability_certificate(H: TruncatedHopf) -> Report:
             no_headroom += 1
             continue
         image = staged.s_prime(elt)
-        report.checked += 1
-        if not H.quotient.ideal.contains(image.vec):
-            report.violations.append(
-                Violation("sprime-stability", (render(elt),), render(image))
-            )
-    if no_headroom:
-        reason = "a letter at the last stage, so S' is undefined"
-        report.skipped.append(Skip("sprime-stability", (f"{no_headroom} ideal rows",), reason))
+        report.record("sprime-stability", not H.quotient.ideal.contains(image.vec), (elt,), render,
+                      lambda _: render(image))
+    reason = "a letter at the last stage, so S' is undefined"
+    report.skip("sprime-stability", no_headroom, "ideal rows", reason)
     return report
 
 

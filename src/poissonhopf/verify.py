@@ -30,11 +30,13 @@ m(S (x) id) Delta = u eps = m(id (x) S) Delta: the labels and S are its
 arguments, so it serves a Hopf quotient (``check_antipode``, the
 ``antipode`` law) and a coproduct of Hopf quotients alike.
 
-Every check is exhaustive at the truncation: a report has no violations if
-and only if every listed residual is exactly zero.  A residual that cannot
-be formed, or not exactly within the budget, is not counted as checked; it
-goes in ``skipped`` with its reason, one skip per reason carrying a count
-where one reason covers many residuals.
+Every check is exhaustive at the truncation.  Every checker and
+certificate writes its report through ``Report.record``, which counts one
+formed residual in ``checked`` and, only when it is nonzero, renders its
+witnesses and residual into a violation; so a report has no violations if
+and only if every counted residual is exactly zero.  A residual that cannot
+be formed, or not exactly within the budget, is not counted: ``Report.skip``
+writes the ones sharing a reason as one skip carrying their count.
 
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket, coproduct or antipode many times, so a structure
@@ -48,6 +50,7 @@ insertion order and every rendering is sorted by ``label_key``.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
 from .linalg import SparseVec, lincomb, map_pairs, outer, unit_vec
 
@@ -92,6 +95,21 @@ class Report:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def record(self, law: str, residual, witnesses, show, render=str) -> None:
+        """Count one formed residual; a nonzero one becomes a violation.
+
+        Only then are the witness strings ``show(w)`` and the rendering
+        ``render(residual)`` built.
+        """
+        self.checked += 1
+        if residual:
+            self.violations.append(Violation(law, tuple(map(show, witnesses)), render(residual)))
+
+    def skip(self, law: str, n: int, what: str, reason: str) -> None:
+        """One skip carrying the count of ``n`` residuals not formed; none when n is 0."""
+        if n:
+            self.skipped.append(Skip(law, (f"{n} {what}",), reason))
 
     def merge(self, other: "Report") -> "Report":
         self.violations.extend(other.violations)
@@ -195,19 +213,8 @@ def check_coassociativity(structure) -> Report:
         t = delta(l).items()
         left = _slices((m2, c, delta(m1)) for (m1, m2), c in t)
         right = _slices((m1, c, delta(m2)) for (m1, m2), c in t)
-        report.checked += 1
-        if _sliced_equal(left, right):
-            continue
-        residual = SparseVec(
-            ((a, b, d), c) for d, v in left.items() for (a, b), c in v.items()
-        ) - SparseVec(((a, b, d), c) for a, v in right.items() for (b, d), c in v.items())
-        report.violations.append(
-            Violation(
-                "coassociativity",
-                (structure.render_label(l),),
-                render_tensor(structure, residual),
-            )
-        )
+        report.record("coassociativity", not _sliced_equal(left, right), (l,), structure.render_label,
+                      lambda _: render_tensor(structure, _triples(left, right)))
     return report
 
 
@@ -217,6 +224,12 @@ def _slices(terms) -> dict:
     for key, c, vec in terms:
         groups.setdefault(key, []).append((c, vec))
     return {key: lincomb(group) for key, group in groups.items()}
+
+
+def _triples(left: dict, right: dict) -> SparseVec:
+    # left - right expanded into triples
+    return SparseVec(((a, b, d), c) for d, v in left.items() for (a, b), c in v.items()) - SparseVec(
+        ((a, b, d), c) for a, v in right.items() for (b, d), c in v.items())
 
 
 def _sliced_equal(left: dict, right: dict) -> bool:
@@ -233,48 +246,30 @@ def _sliced_equal(left: dict, right: dict) -> bool:
 
 def check_counit(structure) -> Report:
     """Both one-sided counit laws on every basis label."""
-    report = Report()
+    report, vector = Report(), partial(render_vec, structure)
     for l in structure.labels_upto():
         t = structure.delta_label(l).items()
         left = SparseVec((m2, c * structure.epsilon_label(m1)) for (m1, m2), c in t)
         right = SparseVec((m1, c * structure.epsilon_label(m2)) for (m1, m2), c in t)
         target = unit_vec(l)
         for side, v in (("left", left), ("right", right)):
-            residual = v - target
-            report.checked += 1
-            if residual:
-                report.violations.append(
-                    Violation(
-                        f"counit-{side}",
-                        (structure.render_label(l),),
-                        render_vec(structure, residual),
-                    )
-                )
+            report.record(f"counit-{side}", v - target, (l,), structure.render_label, vector)
     return report
 
 
 def check_poisson_compat(structure) -> Report:
     """delta is a bracket morphism into the tensor-square Poisson structure."""
-    report = Report()
+    report, tensor = Report(), partial(render_tensor, structure)
     for a, b in _pairs_within(structure):
         lhs = delta_vec(structure, structure.bracket_labels(a, b))
         rhs = tensor_bracket(structure, structure.delta_label(a), structure.delta_label(b))
-        residual = lhs - rhs
-        report.checked += 1
-        if residual:
-            report.violations.append(
-                Violation(
-                    "bracket-comultiplicativity",
-                    (structure.render_label(a), structure.render_label(b)),
-                    render_tensor(structure, residual),
-                )
-            )
+        report.record("bracket-comultiplicativity", lhs - rhs, (a, b), structure.render_label, tensor)
     return report
 
 
 def check_leibniz(structure) -> Report:
     """{p, qr} = {p,q}r + q{p,r} on label triples within the budget."""
-    report = Report()
+    report, vector = Report(), partial(render_vec, structure)
     br, mul = structure.bracket_labels, structure.product_labels
     n = structure.truncation
     labels = list(structure.labels_upto())
@@ -285,22 +280,13 @@ def check_leibniz(structure) -> Report:
                 continue
             lhs = op_vec_vec(br, unit_vec(p), mul(q, r))
             rhs = op_vec_vec(mul, br(p, q), unit_vec(r)) + op_vec_vec(mul, unit_vec(q), br(p, r))
-            residual = lhs - rhs
-            report.checked += 1
-            if residual:
-                report.violations.append(
-                    Violation(
-                        "leibniz",
-                        tuple(structure.render_label(x) for x in (p, q, r)),
-                        render_vec(structure, residual),
-                    )
-                )
+            report.record("leibniz", lhs - rhs, (p, q, r), structure.render_label, vector)
     return report
 
 
 def check_jacobi(structure) -> Report:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on label triples within the budget."""
-    report = Report()
+    report, vector = Report(), partial(render_vec, structure)
     br = structure.bracket_labels
     n = structure.truncation
     labels = list(structure.labels_upto())
@@ -320,22 +306,14 @@ def check_jacobi(structure) -> Report:
                     + op_vec_vec(br, unit_vec(y), br(z, x))
                     + op_vec_vec(br, unit_vec(z), br(x, y))
                 )
-                report.checked += 1
-                if residual:
-                    report.violations.append(
-                        Violation(
-                            "jacobi",
-                            tuple(structure.render_label(w) for w in (x, y, z)),
-                            render_vec(structure, residual),
-                        )
-                    )
+                report.record("jacobi", residual, (x, y, z), structure.render_label, vector)
     return report
 
 
 def check_antipode_antimorphism(structure) -> Report:
     """S(ab) = S(b)S(a) and S([a,b]) = [S(b), S(a)] where S is defined; the rest is skipped."""
-    report = Report()
-    skipped = {"label pairs": 0, "products or brackets": 0}
+    report, vector = Report(), partial(render_vec, structure)
+    pairs = ops = 0
 
     def s_vec(v):
         terms = [(c, structure.antipode_label(l)) for l, c in v.items()]
@@ -344,26 +322,17 @@ def check_antipode_antimorphism(structure) -> Report:
     for a, b in _pairs_within(structure):
         sa, sb = structure.antipode_label(a), structure.antipode_label(b)
         if sa is None or sb is None:
-            skipped["label pairs"] += 1
+            pairs += 1
             continue
         for law, op in (("antipode-product", structure.product_labels),
                         ("antipode-bracket", structure.bracket_labels)):
             direct = s_vec(op(a, b))
             if direct is None:
-                skipped["products or brackets"] += 1
+                ops += 1
                 continue
-            residual = direct - op_vec_vec(op, sb, sa)
-            report.checked += 1
-            if residual:
-                report.violations.append(
-                    Violation(
-                        law,
-                        (structure.render_label(a), structure.render_label(b)),
-                        render_vec(structure, residual),
-                    )
-                )
-    report.skipped += [Skip("antipode", (f"{n} {what}",), "S is undefined on one of their labels")
-                       for what, n in skipped.items() if n]
+            report.record(law, direct - op_vec_vec(op, sb, sa), (a, b), structure.render_label, vector)
+    report.skip("antipode", pairs, "label pairs", "S is undefined on one of their labels")
+    report.skip("antipode", ops, "products or brackets", "S is undefined on one of their labels")
     return report
 
 
@@ -376,7 +345,7 @@ def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
     side that needs S where it is undefined.  Each reason is one skip with
     its count.
     """
-    report = Report()
+    report, vector = Report(), partial(render_vec, structure)
     mul, one = structure.product_labels, structure.one()
     over_budget = undefined = 0
     for x in labels:
@@ -393,15 +362,9 @@ def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
                 continue
             residual = lincomb((c, op_vec_vec(mul, u, v)) for c, u, v in terms)
             residual -= one.scaled(structure.epsilon_label(x))
-            report.checked += 1
-            if residual:
-                report.violations.append(
-                    Violation(f"{law}-{side}", (structure.render_label(x),), render_vec(structure, residual))
-                )
-    if over_budget:
-        report.skipped.append(Skip(law, (f"{over_budget} labels",), "2*deg > N, so S(a)*b may leave the budget"))
-    if undefined:
-        report.skipped.append(Skip(law, (f"{undefined} sides",), "S is undefined on a slot of their coproduct"))
+            report.record(f"{law}-{side}", residual, (x,), structure.render_label, vector)
+    report.skip(law, over_budget, "labels", "2*deg > N, so S(a)*b may leave the budget")
+    report.skip(law, undefined, "sides", "S is undefined on a slot of their coproduct")
     return report
 
 
@@ -415,19 +378,11 @@ def check_antipode(structure) -> Report:
 
 def check_coalgebra_map(source, labels, image, target, law: str) -> Report:
     """Delta_T f = (f (x) f) Delta and eps_T f = eps, with f(l) = ``image(l)`` a normal form."""
-    report = Report()
+    report, tensor = Report(), partial(render_tensor, target)
     for l in labels:
         v = image(l)
         residual = delta_vec(target, v) - map_pairs(source.delta_label(l), image)
-        report.checked += 1
-        if residual:
-            report.violations.append(
-                Violation(f"{law}-delta", (source.render_label(l),), render_tensor(target, residual))
-            )
+        report.record(f"{law}-delta", residual, (l,), source.render_label, tensor)
         residual = sum(c * target.epsilon_label(t) for t, c in v.items()) - source.epsilon_label(l)
-        report.checked += 1
-        if residual:
-            report.violations.append(
-                Violation(f"{law}-counit", (source.render_label(l),), str(residual))
-            )
+        report.record(f"{law}-counit", residual, (l,), source.render_label)
     return report

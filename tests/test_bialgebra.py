@@ -216,6 +216,20 @@ def test_op_cop_trig_delta_unchanged_matrix_changed():
     assert check_bialgebra(Bmat2).ok
 
 
+@pytest.mark.parametrize("twist_source", [False, True])
+@pytest.mark.parametrize("twist_target", [False, True])
+def test_morphism_table_reads_the_bracket_twist_off_source_and_target(twist_source, twist_target):
+    # the identity on letters from matrix-2 or its twist to matrix-2 or its
+    # twist is a Poisson map: when exactly one side is twisted it negates
+    # the bracket of two letters
+    B, C = (induce_bialgebra(builtin("matrix-2"), 2) for _ in range(2))
+    source = op_cop(B) if twist_source else B
+    target = op_cop(C) if twist_target else C
+    f = MorphismTable(source, target, {n: C.ambient.gen(n) for n in B.ambient.alphabet})
+    x, y = B.ambient.gen("e11"), B.ambient.gen("e12")
+    assert f.apply(source.bracket(x, y)) == target.bracket(f.apply(x), f.apply(y))
+
+
 # ---- coproducts ----
 
 

@@ -258,6 +258,18 @@ def test_verify_selected_laws(capsys, tmp_path, trig_path):
     assert set(obj["laws"]) == {"coassociativity", "counit"}
 
 
+@pytest.mark.parametrize("construct, spec", [("induce", "builtin:trig"), ("coproduct", ["builtin:trig"] * 2)])
+def test_verify_refuses_the_antipode_law_without_an_antipode(capsys, tmp_path, construct, spec):
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps({"construct": construct, "spec": spec, "degree": 2}))
+    code, out, err = run(capsys, "verify", str(artifact), "--laws", "counit,antipode")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: law antipode needs a free-hopf artifact, not {construct}\n"
+    # ``all`` still runs every other law there
+    code, out, _ = run(capsys, "verify", str(artifact), "--laws", "all")
+    assert code == 0 and "antipode" not in json.loads(out)["laws"]
+
+
 @pytest.mark.parametrize(
     "desc",
     [
