@@ -6,11 +6,12 @@ the degree-bounded part of a Poisson ideal, and the induced normal-form
 projector.  Saturation closes the span of the generators under
 multiplication by Lyndon-word variables and bracketing by letters, keeping
 a result only when it is exact within the degree budget.  It runs a
-worklist: every new echelon row is queued, and its in-budget products and
-letter brackets are inserted when it is taken off the queue.  Whether a
-letter bracket is exact is read off the row's degree-n factors first
-(``letter_bracket_exact``), so a bracket that would be thrown away is never
-formed; ``fixpoint_certificate`` uses the same pre-test.
+worklist of pivots: the pivot of every new echelon row is queued, and the
+in-budget products and letter brackets of its row, as the row is then, are
+inserted when it is taken off the queue.  Whether a letter bracket is exact
+is read off the row's degree-n factors first (``letter_bracket_exact``),
+so a bracket that would be thrown away is never formed;
+``fixpoint_certificate`` uses the same pre-test.
 
 A quotient never changes once built, so it keeps two tables that live and
 die with it: ``_nf_cache`` (monomial -> normal form) and ``_label_ops``
@@ -34,7 +35,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
-from .lyndon import LyndonWord, bracket_words
+from .lyndon import LyndonWord
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
@@ -91,10 +92,12 @@ def letter_bracket_exact(letter: LyndonWord, vec: SparseVec, n: int) -> bool:
 
     The pre-test that spares forming a bracket only to discard it.  Only a
     degree-n monomial of ``vec`` can leave the budget, and its bracket with
-    the letter has a term exactly when the letter's bracket with one of its
-    factors does: the rule that sets ``poiss_bracket``'s ``lossy`` flag.
+    the letter has a term exactly when the letter's Lie bracket with one of
+    its factors is nonzero: the rule that sets ``poiss_bracket``'s ``lossy``
+    flag.  That bracket vanishes only on the letter itself
+    (``lyndon.bracket_words``), so the test compares interned factors.
     """
-    return not any(bracket_words(letter, f) for m in vec if m.degree == n for f in m.factors)
+    return all(f is letter for m in vec if m.degree == n for f in m.factors)
 
 
 def _letters(ambient: FreePoissonAlgebra):
@@ -107,24 +110,42 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
 
     Least fixpoint of closing under ``w -> u*w`` for Lyndon-word variables u
     and ``w -> {x, w}`` for letters x, admitting a result only when no term
-    was truncated away (exactness within the budget).  Each new row that
-    ``EchelonBasis.insert`` returns goes on a FIFO worklist, and taking a
-    row off the worklist inserts its in-budget products and letter brackets.
-    Below the top degree n both operations are linear in the row, so one
-    expansion per row suffices.  The exactness of a letter bracket of a row
-    of top degree n depends on the row's degree-n part, so the rows that a
-    new row of top degree n is back-substituted into are queued again.
+    was truncated away (exactness within the budget).  The worklist is a
+    FIFO of pivots, each waiting in it at most once: the pivot of every row
+    that ``EchelonBasis.insert`` adds is queued, and taking a pivot off the
+    queue inserts the in-budget products and exact letter brackets of its
+    row as the row is then.  The pivot is a row's top monomial
+    (``quotient_key``), so the row keeps its top degree t while later
+    inserts rewrite it.
+
+    Expanding only the current row loses no product.  The current row
+    differs from an earlier version by rows inserted later, of top degree
+    at most t, and each of those is queued; products are linear, and every
+    variable that fits t fits them.  Letter brackets are linear too, but
+    whether one is exact depends on the row's degree-n part, and only an
+    insert of top degree n can change that part.  Such an insert queues
+    again every row it back-substitutes into.  So when the queue runs dry,
+    every row's products and exact letter brackets lie in the span, which is
+    what ``fixpoint_certificate`` checks.  A combination of rows whose lossy
+    parts cancel is not formed; ``tests/oracles.brute_force_saturation``
+    closes current rows only in the same way.
     """
     n = ambient.truncation
     acc = EchelonBasis(key=quotient_key)
     worklist = deque()
+    queued = set()  # membership only: pivots hash by identity
+
+    def queue(pivot):
+        if pivot not in queued:
+            queued.add(pivot)
+            worklist.append(pivot)
 
     def insert(vec):
-        row = acc.insert(vec)
-        if row is not None:
-            worklist.append(row)
-            if max(m.degree for m in row) == n:
-                worklist.extend(acc.rewritten)
+        if acc.insert(vec) is not None:
+            queue(acc.pivot)
+            if acc.pivot.degree == n:
+                for p in acc.rewritten:
+                    queue(p)
 
     for g in generators:
         if g.algebra != ambient:
@@ -142,11 +163,12 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
     ]
     letters = _letters(ambient)
     while worklist:
-        row = worklist.popleft()
+        pivot = worklist.popleft()
+        queued.remove(pivot)
+        row = acc.row(pivot)
         elt = ambient.elt(row)
-        top = elt.top_degree()
         for d, var in variables:
-            if d + top > n:
+            if d + pivot.degree > n:
                 break  # variables come in increasing degree
             insert(poiss_product(var, elt).vec)
         for w, x in letters:

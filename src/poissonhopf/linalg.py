@@ -177,16 +177,33 @@ def lincomb(terms) -> SparseVec:
     return SparseVec._raw(_exact_values(data))
 
 
-def outer(left: SparseVec, right: SparseVec) -> SparseVec:
-    """Tensor product of two vectors, over (left label, right label) pairs."""
-    return SparseVec._raw(
-        {(a, b): ca * cb for a, ca in left._entries.items() for b, cb in right._entries.items()}
-    )
+def outer_sum(terms) -> SparseVec:
+    """Sum of c * (u (x) v) over ``(c, u, v)`` triples, accumulated in a single dict.
+
+    The tensor square's labels are (left label, right label) pairs.  A
+    triple with a zero scalar or an empty factor adds nothing and is skipped.
+    """
+    data = {}
+    get = data.get
+    for c, u, v in terms:
+        if not (c and u and v):
+            continue
+        right = v._entries.items()
+        for a, ca in u._entries.items():
+            ca *= c
+            for b, cb in right:
+                key = (a, b)
+                s = get(key, 0) + ca * cb
+                if s:
+                    data[key] = s
+                else:
+                    del data[key]
+    return SparseVec._raw(_exact_values(data))
 
 
 def map_pairs(t: SparseVec, f) -> SparseVec:
     """Apply the linear map with label images ``f(label)`` to both tensor slots."""
-    return lincomb((c, outer(f(a), f(b))) for (a, b), c in t.items())
+    return outer_sum((c, f(a), f(b)) for (a, b), c in t.items())
 
 
 def _reduce_by_pivots(rows: dict, v: SparseVec) -> SparseVec:
@@ -206,9 +223,10 @@ class EchelonBasis:
 
     Rows are kept fully reduced: every pivot coefficient is 1 and pivot
     labels do not occur in any other row.  ``freeze`` returns the immutable
-    canonical ``SubspaceBasis``.  ``rewritten`` holds the new versions of
-    the rows that the last ``insert`` back-substituted into, in the order
-    their pivots were inserted.
+    canonical ``SubspaceBasis``.  The last ``insert`` leaves its new row's
+    pivot in ``pivot`` (None when nothing was added) and, in ``rewritten``,
+    the pivots of the rows it back-substituted into, in the order they were
+    inserted; ``row(p)`` is the current row of pivot p.
 
     A column index maps each non-pivot label to the pivots of the rows that
     hold it, so back-substitution visits only those rows instead of
@@ -222,18 +240,22 @@ class EchelonBasis:
         self._rows: dict = {}  # pivot label -> SparseVec
         self._order: dict = {}  # pivot label -> insertion index
         self._cols: dict = {}  # non-pivot label -> pivots of the rows holding it
+        self.pivot = None
         self.rewritten: list = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
+    def row(self, pivot) -> SparseVec:
+        return self._rows[pivot]
+
     def reduce(self, v: SparseVec) -> SparseVec:
         return _reduce_by_pivots(self._rows, v)
 
     def insert(self, v: SparseVec):
         """Add v to the span; returns the new normalized row, or None."""
-        self.rewritten = []
+        self.pivot, self.rewritten = None, []
         r = self.reduce(v)
         if not r:
             return None
@@ -242,7 +264,8 @@ class EchelonBasis:
         rows, cols = self._rows, self._cols
         labels = r._entries.keys()
         # back-substitute into the rows holding the pivot, oldest pivot first
-        for p in sorted(cols.pop(pivot, ()), key=self._order.__getitem__):
+        self.rewritten = sorted(cols.pop(pivot, ()), key=self._order.__getitem__)
+        for p in self.rewritten:
             row = rows[p]
             rows[p] = row = row.axpy(-row._entries[pivot], r)
             entries = row._entries
@@ -251,24 +274,20 @@ class EchelonBasis:
                     cols.setdefault(l, set()).add(p)
                 elif l in cols:
                     cols[l].discard(p)
-            self.rewritten.append(row)
         for l in labels:
             if l != pivot:
                 cols.setdefault(l, set()).add(pivot)
         self._order[pivot] = len(rows)
         rows[pivot] = r
+        self.pivot = pivot
         return r
 
     def contains(self, v: SparseVec) -> bool:
         return not self.reduce(v)
 
-    def rows_by_pivot(self):
-        return sorted(self._rows.items(), key=lambda kv: self.key(kv[0]))
-
     def freeze(self) -> "SubspaceBasis":
-        rows = tuple(r for _, r in self.rows_by_pivot())
-        pivots = tuple(p for p, _ in self.rows_by_pivot())
-        return SubspaceBasis(rows=rows, pivots=pivots)
+        items = sorted(self._rows.items(), key=lambda kv: self.key(kv[0]))
+        return SubspaceBasis(rows=tuple(r for _, r in items), pivots=tuple(p for p, _ in items))
 
 
 class SubspaceBasis:

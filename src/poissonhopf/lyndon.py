@@ -139,6 +139,12 @@ def bracket_words(u: LyndonWord, v: LyndonWord) -> SparseVec:
 
     Rewrites [s(u), s(v)] by antisymmetry and Jacobi until every term is the
     standard bracketing of a Lyndon word of degree deg u + deg v.
+
+    The result is zero exactly when u is v.  Subalgebras of a free Lie
+    algebra are free (Shirshov-Witt), so if [s(u), s(v)] = 0 the subalgebra
+    they generate is free and abelian, hence at most one-dimensional; but
+    distinct Lyndon words are linearly independent.  So callers that only
+    ask whether a bracket of words vanishes compare the interned words.
     """
     key = (u, v)
     cached = _bracket_memo.get(key)

@@ -295,7 +295,9 @@ def _mono_bracket_terms(a: PoissMonomial, b: PoissMonomial):
 def poiss_bracket(u: PoissElt, v: PoissElt) -> PoissElt:
     """Poisson bracket extending the free Lie bracket as a biderivation.
 
-    Only a pair past the cutoff whose bracket has a term makes the result lossy.
+    Only a pair past the cutoff whose bracket has a term makes the result
+    lossy: one with two different factors, since only equal Lyndon words
+    commute (``lyndon.bracket_words``).
     """
     _check_compatible(u, v)
     cutoff = u.algebra.truncation
@@ -307,11 +309,9 @@ def poiss_bracket(u: PoissElt, v: PoissElt) -> PoissElt:
             da = ma.degree
             for mb, cb in v.vec.items():
                 if da + mb.degree > cutoff:
-                    # probe the factor brackets only: a term would be a monomial
-                    # above the budget, interned for good in _monomial_table
-                    lossy = lossy or any(
-                        bracket_words(fa, fb) for fa in ma.factors for fb in mb.factors
-                    )
+                    # compare the factors only: a term would be a monomial above
+                    # the budget, interned for good in _monomial_table
+                    lossy = lossy or any(fa is not fb for fa in ma.factors for fb in mb.factors)
                     continue
                 coeff = ca * cb
                 for m, c in _mono_bracket_terms(ma, mb):

@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import partial
 
-from .linalg import SparseVec, lincomb, map_pairs, outer, unit_vec
+from .linalg import SparseVec, lincomb, map_pairs, outer_sum, unit_vec
 
 
 class Violation(namedtuple("Violation", "law witnesses residual")):
@@ -169,30 +169,37 @@ def delta_vec(structure, v: SparseVec) -> SparseVec:
 def tensor_product(structure, ta: SparseVec, tb: SparseVec) -> SparseVec:
     """(p (x) q)(r (x) s) = pr (x) qs, extended bilinearly."""
     mul = structure.product_labels
-    return lincomb(
-        (c1 * c2, outer(mul(p, r), mul(q, s))) for (p, q), c1 in ta.items() for (r, s), c2 in tb.items()
+    return outer_sum(
+        (c1 * c2, mul(p, r), mul(q, s)) for (p, q), c1 in ta.items() for (r, s), c2 in tb.items()
     )
 
 
 def tensor_bracket(structure, ta: SparseVec, tb: SparseVec) -> SparseVec:
     """[p(x)q, r(x)s] = pr (x) [q,s] + [p,r] (x) qs, extended bilinearly."""
     mul, br = structure.product_labels, structure.bracket_labels
-    return lincomb(
-        (c1 * c2, term)
+    return outer_sum(
+        term
         for (p, q), c1 in ta.items()
         for (r, s), c2 in tb.items()
-        for term in (outer(mul(p, r), br(q, s)), outer(br(p, r), mul(q, s)))
+        for term in ((c1 * c2, mul(p, r), br(q, s)), (c1 * c2, br(p, r), mul(q, s)))
     )
 
 
-def _pairs_within(structure):
+def _within(structure) -> list:
+    """``within[k]``: the labels of degree at most k, in label order, for k = 0..N."""
     n = structure.truncation
-    labels = list(structure.labels_upto())
-    for a in labels:
-        da = structure.label_degree(a)
-        for b in labels:
-            if da + structure.label_degree(b) <= n:
-                yield a, b
+    within = [[] for _ in range(n + 1)]
+    for l in structure.labels_upto():
+        for k in range(structure.label_degree(l), n + 1):
+            within[k].append(l)
+    return within
+
+
+def _pairs_within(structure):
+    n, within = structure.truncation, _within(structure)
+    for a in within[n]:
+        for b in within[n - structure.label_degree(a)]:
+            yield a, b
 
 
 # ---- the checkers -----------------------------------------------------------
@@ -270,17 +277,15 @@ def check_poisson_compat(structure) -> Report:
 def check_leibniz(structure) -> Report:
     """{p, qr} = {p,q}r + q{p,r} on label triples within the budget."""
     report, vector = Report(), partial(render_vec, structure)
-    br, mul = structure.bracket_labels, structure.product_labels
+    br, mul, deg = structure.bracket_labels, structure.product_labels, structure.label_degree
     n = structure.truncation
-    labels = list(structure.labels_upto())
-    for p, q in _pairs_within(structure):
-        dpq = structure.label_degree(p) + structure.label_degree(q)
-        for r in labels:
-            if dpq + structure.label_degree(r) > n:
-                continue
-            lhs = op_vec_vec(br, unit_vec(p), mul(q, r))
-            rhs = op_vec_vec(mul, br(p, q), unit_vec(r)) + op_vec_vec(mul, unit_vec(q), br(p, r))
-            report.record("leibniz", lhs - rhs, (p, q, r), structure.render_label, vector)
+    within = _within(structure)
+    for p in within[n]:
+        for q in within[n - deg(p)]:
+            for r in within[n - deg(p) - deg(q)]:
+                lhs = op_vec_vec(br, unit_vec(p), mul(q, r))
+                rhs = op_vec_vec(mul, br(p, q), unit_vec(r)) + op_vec_vec(mul, unit_vec(q), br(p, r))
+                report.record("leibniz", lhs - rhs, (p, q, r), structure.render_label, vector)
     return report
 
 

@@ -88,11 +88,12 @@ class ScanEchelonBasis(EchelonBasis):
     """``EchelonBasis`` whose insert probes every stored row for the new pivot.
 
     The back-substitution without the column index: rows are visited in the
-    order their pivots were inserted and rewritten where they hold the pivot.
+    order their pivots were inserted and rewritten where they hold the pivot;
+    ``pivot`` and ``rewritten`` report the insert as ``EchelonBasis`` does.
     """
 
     def insert(self, v):
-        self.rewritten = []
+        self.pivot, self.rewritten = None, []
         r = self.reduce(v)
         if not r:
             return None
@@ -101,14 +102,19 @@ class ScanEchelonBasis(EchelonBasis):
         for p, row in list(self._rows.items()):
             cp = row._entries.get(pivot)
             if cp:
-                self._rows[p] = row = row.axpy(-cp, r)
-                self.rewritten.append(row)
+                self._rows[p] = row.axpy(-cp, r)
+                self.rewritten.append(p)
         self._rows[pivot] = r
+        self.pivot = pivot
         return r
 
 
 def brute_force_saturation(ambient, generators, n):
-    """Naive ideal closure: batch-reduce, apply every in-budget operation, repeat."""
+    """Naive ideal closure: batch-reduce, apply every in-budget operation, repeat.
+
+    Like ``ideal_saturate``, it closes the current reduced rows only: a
+    combination of rows whose lossy brackets cancel is not formed.
+    """
     variables = [
         ambient.monomial_elt(PoissMonomial((w,)))
         for d in range(1, n)

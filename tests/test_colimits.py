@@ -110,7 +110,9 @@ def _twisted_grouplike_2():
         ("grouplike-1", 3, 4),
         ("grouplike-1", 4, 4),
         ("grouplike-2", 2, 4),
+        ("grouplike-2", 3, 3),
         ("trig", 2, 4),
+        ("trig", 3, 3),
         ("matrix-2", 2, 2),
         ("twisted-grouplike-2", 2, 4),
     ],
@@ -125,6 +127,23 @@ def test_saturation_matches_brute_force_on_hopf_relations(name, stages, n):
     relations = hopf_ideal_generators(staged)
     fast = ideal_saturate(staged.ambient, relations)
     assert fast == brute_force_saturation(staged.ambient, relations, n)
+
+
+def test_saturation_expands_each_row_of_the_laurent_ideal_once(monkeypatch):
+    # every expansion asks the letter-bracket pre-test once per letter;
+    # queueing row snapshots instead of pivots made 762 expansions here
+    staged = staged_coproduct(induce_bialgebra(builtin("grouplike-1"), 4), 4)
+    relations = [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
+    pretests = []
+
+    def counting(letter, vec, n):
+        pretests.append(letter)
+        return letter_bracket_exact(letter, vec, n)
+
+    monkeypatch.setattr(colimits, "letter_bracket_exact", counting)
+    ideal = ideal_saturate(staged.ambient, relations)
+    assert ideal.rank == 332
+    assert len(pretests) == 332 * staged.ambient.size
 
 
 def test_saturation_soundness_closure_property():

@@ -115,6 +115,7 @@ def _assert_inserts_match_full_scan(vectors, key=label_key) -> int:
     rewrites = 0
     for v in vectors:
         assert indexed.insert(v) == scan.insert(v)
+        assert indexed.pivot == scan.pivot
         assert indexed.rewritten == scan.rewritten
         assert indexed.freeze() == scan.freeze()
         rewrites += len(scan.rewritten)

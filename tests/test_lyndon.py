@@ -151,3 +151,17 @@ def test_non_lyndon_word_raises_on_every_attempt():
 def test_interned_words_are_immutable():
     with pytest.raises(AttributeError):
         LyndonWord((0, 1)).letters = (0, 2)
+
+
+@pytest.mark.parametrize("letters, total", [(2, 9), (3, 7), (4, 6)])
+def test_brackets_of_words_vanish_only_on_equal_words(letters, total):
+    # the theorem behind the factor-identity exactness tests in colimits and poisson
+    grouped = lyndon_words(letters, total - 1)
+    words = [w for d in sorted(grouped) for w in grouped[d]]
+    pairs = 0
+    for u in words:
+        for v in words:
+            if u.degree + v.degree <= total:
+                assert (not bracket_words(u, v)) == (u is v), (u, v)
+                pairs += 1
+    assert pairs > len(words)
