@@ -64,7 +64,6 @@ from .bialgebra import (
     op_cop,
 )
 from .free_hopf import (
-    StagedGenerator,
     StageOverflowError,
     TruncatedHopf,
     free_poisson_hopf,

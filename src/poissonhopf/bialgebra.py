@@ -288,7 +288,8 @@ def factor_through_free(spec: CoalgebraSpec, images: dict, target, truncation: i
 # colimits of Poisson bialgebras
 
 
-BialgebraCoproduct = namedtuple("BialgebraCoproduct", "bialgebra injections")
+# letter_maps, as in CoproductResult: per operand, source letter index -> coproduct letter index
+BialgebraCoproduct = namedtuple("BialgebraCoproduct", "bialgebra injections letter_maps")
 
 
 def bialgebra_coproduct(operands) -> BialgebraCoproduct:
@@ -312,7 +313,7 @@ def bialgebra_coproduct(operands) -> BialgebraCoproduct:
             )
             epsilon_table[tagged] = B.epsilon_table[name]
     result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1)
-    return BialgebraCoproduct(result, cp.injections)
+    return BialgebraCoproduct(result, cp.injections, cp.letter_maps)
 
 
 def bialgebra_morphism_report(table: MorphismTable) -> Report:

@@ -371,18 +371,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ParseError as e:
-        sys.stderr.write(f"parse error: {e}\n")
-        return 2
-    except SpecParseError as e:
+    except (ParseError, SpecParseError) as e:
         sys.stderr.write(f"parse error: {e}\n")
         return 2
     except StageOverflowError as e:
         sys.stderr.write(f"overflow: {e}\n")
         return 4
-    except SpecError as e:
-        sys.stderr.write(f"validation error: {e}\n")
-        return 3
     except FileNotFoundError as e:
         sys.stderr.write(f"missing file: {e}\n")
         return 2

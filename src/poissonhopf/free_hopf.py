@@ -13,9 +13,12 @@ truncated Poisson Hopf algebra whose antipode is induced by S'.  Composing
 with the free Poisson bialgebra on a coalgebra gives the free Poisson Hopf
 algebra on that coalgebra.
 
-The stage budget M replaces the countable tower: overflow past the last
-stage is a hard error, and the induced antipode is a partial map defined on
-classes whose representatives keep one stage of headroom.
+The stage budget M replaces the countable tower.  The stages are read off
+the coproduct's letter maps (only ``colimits.tagged_alphabet`` names and
+places letters), and ``StagedBialgebra.shiftable`` is the one rule for where
+S' is defined: on monomials with no letter at the last stage.  Past it S'
+raises ``StageOverflowError``, and the induced antipode is a partial map,
+defined on the classes whose representatives are shiftable.
 
 The staged coproduct is a bialgebra by construction and is not re-checked;
 its axioms are checked only on request (``check_bialgebra``, ``verify``,
@@ -54,35 +57,30 @@ class StageOverflowError(ValueError):
     """An operation needed a stage beyond the configured budget."""
 
 
-StagedGenerator = namedtuple("StagedGenerator", "stage base")
-
-
 class StagedBialgebra:
-    """Coproduct of M alternating twists of one bialgebra, plus the shift."""
+    """Coproduct of M alternating twists of one bialgebra, plus the shift.
 
-    def __init__(self, bialgebra: PresentedPoissonBialgebra, base, stages: int, stage_of: dict):
+    ``letter_maps[n]`` maps a base letter index to its stage-n copy, as
+    ``bialgebra_coproduct`` placed it; ``shift`` maps each staged letter below
+    the last stage to its copy one stage up.  ``shiftable`` is the one rule
+    for where S' is defined.
+    """
+
+    def __init__(self, bialgebra: PresentedPoissonBialgebra, base, letter_maps):
         self.bialgebra = bialgebra
         self.base = base
-        self.stages = stages
-        self.stage_of = stage_of  # letter name -> StagedGenerator
-        alphabet = bialgebra.ambient.alphabet
-        index = {name: i for i, name in enumerate(alphabet)}
-        self._shift_letter = {}
-        for name, sg in stage_of.items():
-            if sg.stage + 1 < stages:
-                self._shift_letter[index[name]] = index[f"{sg.base}_{sg.stage + 1}"]
+        self.letter_maps = letter_maps
+        self.stages = len(letter_maps)
+        self.shift = {lm[i]: up[i] for lm, up in zip(letter_maps, letter_maps[1:]) for i in lm}
 
     @property
     def ambient(self):
         return self.bialgebra.ambient
 
-    def max_stage_of(self, m: PoissMonomial) -> int:
-        stages = [
-            self.stage_of[self.ambient.alphabet[i]].stage
-            for f in m.factors
-            for i in f.letters
-        ]
-        return max(stages, default=0)
+    def shiftable(self, m: PoissMonomial) -> bool:
+        """S' is defined on m: every letter of m has a copy one stage up."""
+        shift = self.shift
+        return all(i in shift for f in m.factors for i in f.letters)
 
     def s_prime(self, elt: PoissElt) -> PoissElt:
         """Stage shift extended multiplicatively and bracket-antimorphically.
@@ -92,7 +90,7 @@ class StagedBialgebra:
         offset to every letter index, so it preserves letter order.
         """
         try:
-            vec = rename_letters(flip_bracket(elt.vec), self._shift_letter)
+            vec = rename_letters(flip_bracket(elt.vec), self.shift)
         except KeyError as e:
             raise StageOverflowError(
                 f"stage overflow: {self.ambient.alphabet[e.args[0]]} has no successor"
@@ -101,8 +99,9 @@ class StagedBialgebra:
 
     def convolution_relation(self, base: str, stage: int, side: str) -> PoissElt:
         """(S' * Id - u.eps)(x at stage) for side 'left', (Id * S' - u.eps) for 'right'."""
+        letter = self.letter_maps[stage][self.base.ambient.index(base)]
         out = self.ambient.zero()
-        for (a, b), c in self.bialgebra.delta_table[f"{base}_{stage}"].items():
+        for (a, b), c in self.bialgebra.delta_table[self.ambient.alphabet[letter]].items():
             ea = self.ambient.monomial_elt(a)
             eb = self.ambient.monomial_elt(b)
             if side == "left":
@@ -122,11 +121,7 @@ def staged_coproduct(B: PresentedPoissonBialgebra, stages: int) -> StagedBialgeb
         raise StageOverflowError("need a degree budget of at least 2 for the convolution relations")
     operands = [B if n % 2 == 0 else op_cop(B) for n in range(stages)]
     cp = bialgebra_coproduct(operands)
-    stage_of = {}
-    for n in range(stages):
-        for base in B.ambient.alphabet:
-            stage_of[f"{base}_{n}"] = StagedGenerator(n, base)
-    return StagedBialgebra(cp.bialgebra, B, stages, stage_of)
+    return StagedBialgebra(cp.bialgebra, B, cp.letter_maps)
 
 
 def hopf_ideal_generators(staged: StagedBialgebra) -> list:
@@ -173,28 +168,26 @@ class TruncatedHopf(PresentedPoissonBialgebra):
         return self.quotient.normal_form(self.staged.s_prime(rep))
 
     def antipode_table(self) -> dict:
-        """Images of the shiftable staged generators in the quotient."""
-        out = {}
-        for name, sg in self.staged.stage_of.items():
-            if sg.stage + 1 < self.stages:
-                out[name] = self.quotient.normal_form(
-                    self.staged.s_prime(self.ambient.gen(name))
-                )
-        return out
+        """Images of the shiftable staged generators in the quotient, by name."""
+        alphabet = self.ambient.alphabet
+        return {
+            alphabet[j]: self.quotient.normal_form(self.staged.s_prime(self.ambient.gen(alphabet[j])))
+            for j in self.staged.shift
+        }
 
     # -- checker protocol: the bialgebra's, plus S --
 
     def antipode_label(self, m):
-        """S of a monomial's class, memoized per structure; None at the last stage."""
+        """S of a monomial's class, memoized per structure; None where S' is undefined."""
         memo = self._antipode_label
         if m not in memo:
-            headroom = self.staged.max_stage_of(m) + 1 < self.stages
-            memo[m] = self.antipode(self.ambient.monomial_elt(m)).vec if headroom else None
+            shiftable = self.staged.shiftable(m)
+            memo[m] = self.antipode(self.ambient.monomial_elt(m)).vec if shiftable else None
         return memo[m]
 
 
 def s_prime_stability_certificate(H: TruncatedHopf) -> Report:
-    """S'(row) stays in the ideal for rows whose stages keep headroom.
+    """S'(row) stays in the ideal for every shiftable row.
 
     The rows with a letter at the last stage, where S' is undefined, are
     recorded as one skip carrying their count.
@@ -204,7 +197,7 @@ def s_prime_stability_certificate(H: TruncatedHopf) -> Report:
     no_headroom = 0
     for row in H.quotient.ideal.rows:
         elt = H.ambient.elt(row)
-        if max(staged.max_stage_of(m) for m in row) + 1 >= H.stages:
+        if not all(staged.shiftable(m) for m in row):
             no_headroom += 1
             continue
         image = staged.s_prime(elt)
@@ -278,12 +271,12 @@ def hopf_coproduct_antipode(operands) -> HopfCoproduct:
         if not isinstance(H, TruncatedHopf):
             raise ValueError("missing antipode on an operand")
     cp = bialgebra_coproduct(operands)
-    antipode_images = {}
-    for i, (H, inj) in enumerate(zip(operands, cp.injections)):
-        for name, image in H.antipode_table().items():
-            antipode_images[f"{name}_{i}"] = inj.apply(image)
     q = cp.bialgebra.quotient
     names = q.ambient.alphabet
+    antipode_images = {}
+    for H, inj, lm in zip(operands, cp.injections, cp.letter_maps):
+        for name, image in H.antipode_table().items():
+            antipode_images[names[lm[H.ambient.index(name)]]] = inj.apply(image)
     S = LetterExtension(lambda letter: antipode_images[names[letter]], q.product,
                         lambda x, y: q.bracket(y, x), q.one)
 

@@ -16,7 +16,6 @@ bit-exact and canonical forms are decidable by structural equality, since
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 _ZERO = 0
 _ONE = 1
@@ -100,7 +99,7 @@ class SparseVec:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self):
         return iter(self._entries)
 
     def __eq__(self, other) -> bool:
@@ -243,10 +242,6 @@ class EchelonBasis:
         self.pivot = None
         self.rewritten: list = []
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def row(self, pivot) -> SparseVec:
         return self._rows[pivot]
 
@@ -281,9 +276,6 @@ class EchelonBasis:
         rows[pivot] = r
         self.pivot = pivot
         return r
-
-    def contains(self, v: SparseVec) -> bool:
-        return not self.reduce(v)
 
     def freeze(self) -> "SubspaceBasis":
         items = sorted(self._rows.items(), key=lambda kv: self.key(kv[0]))
@@ -337,7 +329,7 @@ class SubspaceBasis:
         return frozenset(self.pivots)
 
 
-def row_reduce(vectors: Iterable[SparseVec], key=label_key) -> SubspaceBasis:
+def row_reduce(vectors, key=label_key) -> SubspaceBasis:
     """Unique reduced row-echelon basis of the span of the inputs."""
     acc = EchelonBasis(key=key)
     for v in vectors:

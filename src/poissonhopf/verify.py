@@ -49,6 +49,7 @@ insertion order and every rendering is sorted by ``label_key``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 
@@ -290,22 +291,21 @@ def check_leibniz(structure) -> Report:
 
 
 def check_jacobi(structure) -> Report:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on label triples within the budget."""
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on label triples x <= y <= z within the budget.
+
+    The order is that of ``labels_upto``; y and z walk their budget lists
+    from the position of x and of y on.
+    """
     report, vector = Report(), partial(render_vec, structure)
-    br = structure.bracket_labels
-    n = structure.truncation
-    labels = list(structure.labels_upto())
-    for i, x in enumerate(labels):
-        dx = structure.label_degree(x)
-        for j in range(i, len(labels)):
-            y = labels[j]
-            dy = structure.label_degree(y)
-            if dx + dy > n:
-                continue
-            for k in range(j, len(labels)):
-                z = labels[k]
-                if dx + dy + structure.label_degree(z) > n:
-                    continue
+    br, deg = structure.bracket_labels, structure.label_degree
+    n, within = structure.truncation, _within(structure)
+    position = {l: i for i, l in enumerate(within[n])}.__getitem__
+    for x in within[n]:
+        dx = deg(x)
+        ys = within[n - dx]
+        for y in ys[bisect_left(ys, position(x), key=position):]:
+            zs = within[n - dx - deg(y)]
+            for z in zs[bisect_left(zs, position(y), key=position):]:
                 residual = (
                     op_vec_vec(br, unit_vec(x), br(y, z))
                     + op_vec_vec(br, unit_vec(y), br(z, x))

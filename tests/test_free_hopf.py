@@ -77,6 +77,40 @@ def test_s_prime_overflow():
         staged.s_prime(staged.ambient.gen("g_1"))
 
 
+@pytest.mark.parametrize("stages", [2, 3, 4])
+@pytest.mark.parametrize("name", ["grouplike-1", "grouplike-2", "trig", "matrix-2"])
+def test_shift_moves_each_letter_one_stage_up(name, stages):
+    staged = staged_coproduct(induce_bialgebra(builtin(name), 2), stages)
+    alphabet = staged.ambient.alphabet
+
+    def parsed(letter):  # the oracle reads a staged letter's name as "<base>_<stage>"
+        base, _, stage = alphabet[letter].rpartition("_")
+        return base, int(stage)
+
+    last = {j for j in range(len(alphabet)) if parsed(j)[1] == stages - 1}
+    assert len(last) == len(builtin(name).basis)
+    assert not last & set(staged.shift)
+    assert len(staged.shift) == len(alphabet) - len(last)
+    for j, up in staged.shift.items():
+        base, stage = parsed(j)
+        assert parsed(up) == (base, stage + 1)
+
+
+@pytest.mark.parametrize("name", ["trig", "grouplike-2"])
+def test_shiftable_is_where_s_prime_is_defined(name):
+    staged = staged_coproduct(induce_bialgebra(builtin(name), 3), 3)
+    seen = set()
+    for m in staged.ambient.monomials_upto():
+        try:
+            staged.s_prime(staged.ambient.monomial_elt(m))
+            defined = True
+        except StageOverflowError:
+            defined = False
+        assert staged.shiftable(m) == defined
+        seen.add(defined)
+    assert seen == {True, False}
+
+
 def test_hopf_ideal_generators_grouplike():
     B = induce_bialgebra(builtin("grouplike-1"), 4)
     staged = staged_coproduct(B, 2)
