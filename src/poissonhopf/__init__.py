@@ -60,6 +60,7 @@ from .bialgebra import (
     check_bialgebra,
     coideal_certificate,
     factor_through_free,
+    generator_certificate,
     induce_bialgebra,
     op_cop,
 )

@@ -20,8 +20,8 @@ import sys
 from .bialgebra import (
     bialgebra_coequalizer,
     bialgebra_coproduct,
-    check_bialgebra,
     coideal_certificate,
+    generator_certificate,
     induce_bialgebra,
 )
 from .coalgebra import (
@@ -90,7 +90,7 @@ def cmd_validate(args) -> int:
 def cmd_induce(args) -> int:
     spec = resolve_spec(args.spec)
     B = induce_bialgebra(spec, args.degree)
-    report = check_bialgebra(B)
+    report = generator_certificate(B)
     emit(
         args,
         {
@@ -125,7 +125,7 @@ def cmd_coproduct(args) -> int:
     left = induce_bialgebra(resolve_spec(args.spec_a), args.degree)
     right = induce_bialgebra(resolve_spec(args.spec_b), args.degree)
     cp = bialgebra_coproduct([left, right])
-    report = check_bialgebra(cp.bialgebra)
+    report = generator_certificate(cp.bialgebra)
     emit(
         args,
         {

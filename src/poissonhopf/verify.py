@@ -30,8 +30,11 @@ m(S (x) id) Delta = u eps = m(id (x) S) Delta: the labels and S are its
 arguments, so it serves a Hopf quotient (``check_antipode``, the
 ``antipode`` law) and a coproduct of Hopf quotients alike.
 
-Every check is exhaustive at the truncation.  Every checker and
-certificate writes its report through ``Report.record``, which counts one
+Every check is exhaustive at the truncation.  The residuals of
+coassociativity, the counit laws and bracket-comultiplicativity at one
+label have one implementation each, ``record_*``, which the class loops
+here and ``bialgebra.generator_certificate`` on the letters both call.
+Every checker and certificate writes its report through ``Report.record``, which counts one
 formed residual in ``checked`` and, only when it is nonzero, renders its
 witnesses and residual into a violation; so a report has no violations if
 and only if every counted residual is exactly zero.  A residual that cannot
@@ -207,7 +210,15 @@ def _pairs_within(structure):
 
 
 def check_coassociativity(structure) -> Report:
-    """(delta (x) id) delta = (id (x) delta) delta on every basis label.
+    """(delta (x) id) delta = (id (x) delta) delta on every basis label."""
+    report = Report()
+    for l in structure.labels_upto():
+        record_coassociativity(report, structure, l)
+    return report
+
+
+def record_coassociativity(report: Report, structure, l) -> None:
+    """Record the coassociativity residual of label ``l``.
 
     With delta(l) = sum c m1 (x) m2, the sides are sliced by the slot they
     share with delta(l), as sums of memoized coproducts: left = sum_d
@@ -215,15 +226,12 @@ def check_coassociativity(structure) -> Report:
     a (x) R[a] with R[a] = sum c delta(m2) over m1 = a.  Only a failing
     label expands its residual into triples.
     """
-    report = Report()
     delta = structure.delta_label
-    for l in structure.labels_upto():
-        t = delta(l).items()
-        left = _slices((m2, c, delta(m1)) for (m1, m2), c in t)
-        right = _slices((m1, c, delta(m2)) for (m1, m2), c in t)
-        report.record("coassociativity", not _sliced_equal(left, right), (l,), structure.render_label,
-                      lambda _: render_tensor(structure, _triples(left, right)))
-    return report
+    t = delta(l).items()
+    left = _slices((m2, c, delta(m1)) for (m1, m2), c in t)
+    right = _slices((m1, c, delta(m2)) for (m1, m2), c in t)
+    report.record("coassociativity", not _sliced_equal(left, right), (l,), structure.render_label,
+                  lambda _: render_tensor(structure, _triples(left, right)))
 
 
 def _slices(terms) -> dict:
@@ -254,25 +262,35 @@ def _sliced_equal(left: dict, right: dict) -> bool:
 
 def check_counit(structure) -> Report:
     """Both one-sided counit laws on every basis label."""
-    report, vector = Report(), partial(render_vec, structure)
+    report = Report()
     for l in structure.labels_upto():
-        t = structure.delta_label(l).items()
-        left = SparseVec((m2, c * structure.epsilon_label(m1)) for (m1, m2), c in t)
-        right = SparseVec((m1, c * structure.epsilon_label(m2)) for (m1, m2), c in t)
-        target = unit_vec(l)
-        for side, v in (("left", left), ("right", right)):
-            report.record(f"counit-{side}", v - target, (l,), structure.render_label, vector)
+        record_counit(report, structure, l, unit_vec(l))
     return report
+
+
+def record_counit(report: Report, structure, l, target: SparseVec) -> None:
+    """Record both counit residuals of label ``l``, whose normal form is ``target``."""
+    t = structure.delta_label(l).items()
+    left = SparseVec((m2, c * structure.epsilon_label(m1)) for (m1, m2), c in t)
+    right = SparseVec((m1, c * structure.epsilon_label(m2)) for (m1, m2), c in t)
+    for side, v in (("left", left), ("right", right)):
+        report.record(f"counit-{side}", v - target, (l,), structure.render_label, partial(render_vec, structure))
 
 
 def check_poisson_compat(structure) -> Report:
     """delta is a bracket morphism into the tensor-square Poisson structure."""
-    report, tensor = Report(), partial(render_tensor, structure)
+    report = Report()
     for a, b in _pairs_within(structure):
-        lhs = delta_vec(structure, structure.bracket_labels(a, b))
-        rhs = tensor_bracket(structure, structure.delta_label(a), structure.delta_label(b))
-        report.record("bracket-comultiplicativity", lhs - rhs, (a, b), structure.render_label, tensor)
+        record_poisson_compat(report, structure, a, b)
     return report
+
+
+def record_poisson_compat(report: Report, structure, a, b) -> None:
+    """Record the bracket-comultiplicativity residual delta{a, b} - {delta a, delta b}."""
+    lhs = delta_vec(structure, structure.bracket_labels(a, b))
+    rhs = tensor_bracket(structure, structure.delta_label(a), structure.delta_label(b))
+    report.record("bracket-comultiplicativity", lhs - rhs, (a, b), structure.render_label,
+                  partial(render_tensor, structure))
 
 
 def check_leibniz(structure) -> Report:

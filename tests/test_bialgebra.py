@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from test_violations_golden import grouplike_delta_into_the_unit
 
 from poissonhopf.bialgebra import (
     CoalgebraMapError,
@@ -14,6 +15,7 @@ from poissonhopf.bialgebra import (
     check_bialgebra,
     coideal_certificate,
     factor_through_free,
+    generator_certificate,
     induce_bialgebra,
     op_cop,
 )
@@ -69,6 +71,25 @@ def test_induced_bialgebra_satisfies_axioms(name, n):
     B = induce_bialgebra(builtin(name), n)
     report = check_bialgebra(B)
     assert report.ok, report.lines()
+
+
+def matrix_2_with_e12_squared():
+    # Delta e12 gains e12 (x) e12: eps(e12) = 0 keeps both counit laws, but
+    # coassociativity breaks
+    B = induce_bialgebra(builtin("matrix-2"), 2)
+    e12 = gm((1,))
+    table = {**B.delta_table, "e12": B.delta_table["e12"] + unit_vec((e12, e12))}
+    return PresentedPoissonBialgebra(B.quotient, table, B.epsilon_table)
+
+
+@pytest.mark.parametrize(
+    "corrupted, law",
+    [(grouplike_delta_into_the_unit, "counit-left"), (matrix_2_with_e12_squared, "coassociativity")],
+)
+def test_generator_certificate_fails_with_check_bialgebra(corrupted, law):
+    B = corrupted()
+    for report in (generator_certificate(B), check_bialgebra(B)):
+        assert {v.law for v in report.violations} == {law}, report.lines()
 
 
 def test_corrupted_delta_fails_counit():
@@ -325,6 +346,18 @@ def test_coequalizer_checks_each_morphism_once(monkeypatch):
     out = bialgebra_coequalizer(f, g)
     assert out.certificate.ok
     assert len(checked) == 2 and checked[0] is f and checked[1] is g
+
+
+def test_generator_certificate_stops_at_an_ideal_that_is_no_coideal():
+    # the class loops cannot see that Delta is ill-defined on this quotient;
+    # the certificate checks the coideal first and stops there
+    B = induce_bialgebra(builtin("grouplike-2"), 3)
+    amb = B.ambient
+    q = quotient(amb, [amb.gen("g1") - amb.gen("g2") - amb.one()])
+    bad = PresentedPoissonBialgebra(q, B.delta_table, B.epsilon_table)
+    assert check_bialgebra(bad).ok
+    report = generator_certificate(bad)
+    assert {v.law for v in report.violations} == {"coideal-delta", "coideal-counit"}
 
 
 def test_coequalizer_needs_the_fixpoint_certificate_first(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from test_delta_label import twisted_trig
 
 import poissonhopf
+from poissonhopf.bialgebra import PresentedPoissonBialgebra, induce_bialgebra, letter_monomials
 from poissonhopf.cli import main
 from poissonhopf.coalgebra import builtin, save_spec
 
@@ -81,6 +82,43 @@ def test_induce_reports_dims(capsys, trig_path):
     obj = json.loads(out)
     assert obj["graded_dims"] == [1, 2, 4, 8]
     assert obj["report"]["violations"] == []
+
+
+def test_induce_at_degree_one_skips_the_letter_pairs(capsys):
+    # the bracket law is not silently dropped: its letter pairs are a counted skip
+    code, out, _ = run(capsys, "induce", "builtin:trig", "--degree", "1")
+    assert code == 0
+    assert json.loads(out)["report"] == {
+        "checked": 6,
+        "skipped": [{
+            "law": "bracket-comultiplicativity",
+            "witnesses": ["4 letter pairs"],
+            "reason": "their bracket has degree 2 > N",
+        }],
+        "violations": [],
+    }
+
+
+def test_induce_checks_the_laws_on_the_letters(capsys, monkeypatch):
+    # matrix-2 at N=4 has 341 classes; the report asks Delta only on the 4
+    # letters, the slots of their coproducts and the brackets of letter pairs
+    asked = []
+    delta_label = PresentedPoissonBialgebra.delta_label
+
+    def counted(self, m):
+        asked.append(m)
+        return delta_label(self, m)
+
+    monkeypatch.setattr(PresentedPoissonBialgebra, "delta_label", counted)
+    code, out, _ = run(capsys, "induce", "builtin:matrix-2", "--degree", "4")
+    assert code == 0
+    # letters (coassociativity) + 2 * letters (counit) + letter pairs
+    assert json.loads(out)["report"] == {"checked": 4 + 2 * 4 + 4 * 4, "violations": []}
+    B = induce_bialgebra(builtin("matrix-2"), 4)
+    letters = letter_monomials(B.ambient)
+    slots = {m for x in letters for pair in B.delta_label(x) for m in pair}
+    brackets = {m for a in letters for b in letters for m in B.bracket_labels(a, b)}
+    assert asked and set(asked) <= set(letters) | slots | brackets
 
 
 def test_coproduct_command(capsys, trig_path, grouplike_path):

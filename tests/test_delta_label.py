@@ -5,12 +5,21 @@ the oracle expands the ambient coproduct ``delta_of_monomial`` and reduces
 it slot by slot.  The two must agree on every ambient monomial, ideal
 pivots included, of every Hopf quotient, twist and coequalizer below.  On
 the same structures the coideal certificate on the ideal generators, which
-the constructions run, agrees with the one on every ideal row.
+the constructions run, agrees with the one on every ideal row, and the
+generator certificate of the bialgebra laws agrees with ``check_bialgebra``.
 """
 
 import pytest
 
-from poissonhopf.bialgebra import bialgebra_coequalizer, coideal_certificate, induce_bialgebra, op_cop
+from poissonhopf.bialgebra import (
+    bialgebra_coequalizer,
+    bialgebra_coproduct,
+    check_bialgebra,
+    coideal_certificate,
+    generator_certificate,
+    induce_bialgebra,
+    op_cop,
+)
 from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
 from poissonhopf.colimits import MorphismTable
 from poissonhopf.free_hopf import free_poisson_hopf, free_poisson_hopf_on_bialgebra
@@ -95,3 +104,19 @@ def test_generator_and_row_coideal_certificates_agree(name):
     on_rows = coideal_certificate(B, B.quotient.ideal.rows)
     assert on_generators.ok and on_rows.ok, (on_generators.lines(), on_rows.lines())
     assert on_generators.checked > 0 and on_rows.checked > 0
+
+
+BIALGEBRAS = {
+    **CASES,
+    "trig-coproduct-twisted-trig": lambda: bialgebra_coproduct(
+        [induce_bialgebra(builtin("trig"), 3), induce_bialgebra(twisted_trig(), 3)]
+    ).bialgebra,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIALGEBRAS))
+def test_generator_certificate_and_check_bialgebra_agree(name):
+    B = BIALGEBRAS[name]()
+    on_letters, on_classes = generator_certificate(B), check_bialgebra(B)
+    assert on_letters.ok and on_classes.ok, (on_letters.lines(), on_classes.lines())
+    assert on_letters.checked > 0 and not on_letters.skipped
