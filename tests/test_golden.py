@@ -1,4 +1,4 @@
-"""Golden CLI reports: five pipelines must print byte-identical JSON.
+"""Golden CLI reports: eight pipelines must print byte-identical JSON.
 
 The files under ``tests/golden/`` were written by this module's
 ``__main__`` from a known-good tree; a change that is meant to keep
@@ -32,6 +32,16 @@ INPUTS = {
 
 CASES = {
     "free_hopf_trig": ["free-hopf", "builtin:trig", "--stages", "2", "--degree", "3"],
+    # the benchmark's laurent shape: a nearly full-rank ideal
+    "free_hopf_grouplike1_m4": [
+        "free-hopf", "builtin:grouplike-1", "--stages", "4", "--degree", "4",
+    ],
+    # the benchmark's coideal shape: a sparse ideal
+    "free_hopf_grouplike2_m2": [
+        "free-hopf", "builtin:grouplike-2", "--stages", "2", "--degree", "4",
+    ],
+    # three stages, where the pivot order decides where S is defined
+    "free_hopf_trig_m3": ["free-hopf", "builtin:trig", "--stages", "3", "--degree", "3"],
     "induce_matrix2": ["induce", "builtin:matrix-2", "--degree", "3"],
     "coproduct_trig_grouplike2": [
         "coproduct", "builtin:trig", "builtin:grouplike-2", "--degree", "3",
