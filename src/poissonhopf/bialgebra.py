@@ -74,6 +74,7 @@ from .verify import (
     check_coassociativity,
     check_counit,
     check_poisson_compat,
+    delta_vec,
     record_coassociativity,
     record_counit,
     record_poisson_compat,
@@ -201,17 +202,11 @@ def induce_bialgebra(spec: CoalgebraSpec, truncation: int) -> PresentedPoissonBi
     if not report.ok:
         raise ValueError("invalid coalgebra: " + "; ".join(report.lines()))
     ambient = FreePoissonAlgebra(spec.basis, truncation)
-    idx = {name: i for i, name in enumerate(spec.basis)}
-
-    def gen_mono(name):
-        return PoissMonomial((LyndonWord((idx[name],)),))
-
-    delta_table = {}
-    for name in spec.basis:
-        pairs = SparseVec(
-            {(gen_mono(l), gen_mono(r)): c for (l, r), c in spec.delta_vec(name).items()}
-        )
-        delta_table[name] = pairs
+    letters = letter_monomials(ambient)
+    delta_table = {
+        name: map_pairs(spec.delta_vec(name), lambda l: unit_vec(letters[ambient.index(l)]))
+        for name in spec.basis
+    }
     epsilon_table = {name: spec.epsilon_of(name) for name in spec.basis}
     return PresentedPoissonBialgebra(
         free_quotient(ambient), delta_table, epsilon_table, 1
@@ -365,11 +360,9 @@ def coideal_certificate(B: PresentedPoissonBialgebra, vectors) -> Report:
     vanish on every generator.
     """
     report, tensor = Report(), partial(render_tensor, B)
-    amb = B.ambient
     for vec in vectors:
-        elt = amb.elt(vec)
-        residual = lincomb((c, B.delta_label(m)) for m, c in vec.items())
-        report.record("coideal-delta", residual, (elt,), render, tensor)
+        elt = B.ambient.elt(vec)
+        report.record("coideal-delta", delta_vec(B, vec), (elt,), render, tensor)
         report.record("coideal-counit", B.epsilon(elt), (elt,), render)
     return report
 
@@ -441,18 +434,8 @@ def bialgebra_coequalizer(f: MorphismTable, g: MorphismTable) -> BialgebraCoequa
             raise ValueError(f"{name} morphism is not a bialgebra morphism: " + "; ".join(rep.lines()))
     tgt = f.target
     coeq, proj = difference_quotient(f, g)
-    fixpoint = fixpoint_certificate(coeq)
-    if not fixpoint.ok:
-        raise RuntimeError(
-            "ideal fixpoint certificate failed (implementation bug): "
-            + "; ".join(fixpoint.lines())
-        )
+    fixpoint_certificate(coeq).require("ideal fixpoint certificate")
     result = PresentedPoissonBialgebra(coeq, tgt.delta_table, tgt.epsilon_table, tgt.bracket_sign)
-    certificate = coideal_certificate(result, (r.vec for r in coeq.generators))
-    if not certificate.ok:
-        raise RuntimeError(
-            "coideal certificate failed (implementation bug): "
-            + "; ".join(certificate.lines())
-        )
+    certificate = coideal_certificate(result, (r.vec for r in coeq.generators)).require("coideal certificate")
     projection = MorphismTable(tgt, result, proj.images)
     return BialgebraCoequalizer(result, projection, certificate)

@@ -84,7 +84,7 @@ class LyndonWord:
 
 @functools.lru_cache(maxsize=None)
 def lyndon_letters(alphabet_size: int, max_degree: int) -> tuple:
-    """All Lyndon letter tuples of length <= max_degree, via Duval's algorithm."""
+    """All Lyndon letter tuples of length <= max_degree in lexicographic order, via Duval's algorithm."""
     if alphabet_size < 0 or max_degree < 1:
         raise ValueError("alphabet_size must be >= 0 and max_degree >= 1")
     if alphabet_size == 0:
@@ -105,12 +105,10 @@ def lyndon_letters(alphabet_size: int, max_degree: int) -> tuple:
 
 
 def lyndon_words(alphabet_size: int, max_degree: int) -> dict:
-    """Lyndon words grouped by degree, lexicographically ordered per degree."""
+    """Lyndon words grouped by degree, in Duval's lexicographic order per degree."""
     grouped: dict = {d: [] for d in range(1, max_degree + 1)}
     for letters in lyndon_letters(alphabet_size, max_degree):
         grouped[len(letters)].append(LyndonWord(letters))
-    for d in grouped:
-        grouped[d].sort(key=lambda w: w.letters)
     return grouped
 
 

@@ -25,21 +25,25 @@ a residual: it is zero in the quotient exactly when it is the zero vector.
 ``check_coalgebra_map`` is the one check of the coalgebra-map laws: it
 reads only ``delta_label``, ``epsilon_label`` and ``render_label`` of a
 source and a target, and the map as label images.  In the same way
-``check_antipode_convolution`` is the one check of the antipode axiom
-m(S (x) id) Delta = u eps = m(id (x) S) Delta: the labels and S are its
-arguments, so it serves a Hopf quotient (``check_antipode``, the
-``antipode`` law) and a coproduct of Hopf quotients alike.
+``convolution_residual`` is the one formula of the antipode axiom
+m(S (x) id) Delta = u eps = m(id (x) S) Delta at one label, with the label
+and S as arguments: ``check_antipode_convolution`` checks it on a Hopf
+quotient (``check_antipode``, the ``antipode`` law) and on a coproduct of
+Hopf quotients alike, and the free Hopf construction takes its residuals at
+the staged letters, with the stage shift for S, as its relations.
 
 Every check is exhaustive at the truncation.  The residuals of
 coassociativity, the counit laws and bracket-comultiplicativity at one
 label have one implementation each, ``record_*``, which the class loops
 here and ``bialgebra.generator_certificate`` on the letters both call.
-Every checker and certificate writes its report through ``Report.record``, which counts one
-formed residual in ``checked`` and, only when it is nonzero, renders its
-witnesses and residual into a violation; so a report has no violations if
-and only if every counted residual is exactly zero.  A residual that cannot
-be formed, or not exactly within the budget, is not counted: ``Report.skip``
-writes the ones sharing a reason as one skip carrying their count.
+Every checker and certificate writes its report through ``Report.record``,
+which counts one formed residual in ``checked`` and, only when it is
+nonzero, renders its witnesses and residual into a violation; so a report
+has no violations if and only if every counted residual is exactly zero.  A
+residual that cannot be formed, or not exactly within the budget, is not
+counted: ``Report.skip`` writes the ones sharing a reason as one skip
+carrying their count.  A construction whose own certificate fails raises
+through ``Report.require``.
 
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket, coproduct or antipode many times, so a structure
@@ -109,6 +113,12 @@ class Report:
         self.checked += 1
         if residual:
             self.violations.append(Violation(law, tuple(map(show, witnesses)), render(residual)))
+
+    def require(self, what: str) -> "Report":
+        """This report, or ``RuntimeError`` on a violation: a construction failed its own check."""
+        if not self.ok:
+            raise RuntimeError(f"{what} failed (implementation bug): " + "; ".join(self.lines()))
+        return self
 
     def skip(self, law: str, n: int, what: str, reason: str) -> None:
         """One skip carrying the count of ``n`` residuals not formed; none when n is 0."""
@@ -359,8 +369,24 @@ def check_antipode_antimorphism(structure) -> Report:
     return report
 
 
+def convolution_residual(structure, x, antipode, side: str):
+    """sum c S(a) b - eps(x) 1 (side "left") or sum c a S(b) - eps(x) 1 ("right").
+
+    Delta x = sum c a (x) b, and S is ``antipode(label)``, a normal form or
+    None where undefined; the residual is None where the side needs an
+    undefined S.
+    """
+    terms = []
+    for (a, b), c in structure.delta_label(x).items():
+        u, v = (antipode(a), unit_vec(b)) if side == "left" else (unit_vec(a), antipode(b))
+        if u is None or v is None:
+            return None
+        terms.append((c, op_vec_vec(structure.product_labels, u, v)))
+    return lincomb(terms) - structure.one().scaled(structure.epsilon_label(x))
+
+
 def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
-    """sum c S(a) b = eps(x) 1 = sum c a S(b) over Delta x = sum c a (x) b, for each given x.
+    """Both ``convolution_residual`` sides vanish on each given label x.
 
     S is ``antipode(label)``, a normal form or None where undefined.  A label
     with 2 deg x > N is skipped: the slots of Delta x reach deg x, so S(a) b
@@ -369,23 +395,17 @@ def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
     its count.
     """
     report, vector = Report(), partial(render_vec, structure)
-    mul, one = structure.product_labels, structure.one()
     over_budget = undefined = 0
     for x in labels:
         if 2 * structure.label_degree(x) > structure.truncation:
             over_budget += 1
             continue
-        t = structure.delta_label(x).items()
         for side in ("left", "right"):
-            # (c, S(a), b) or (c, a, S(b)) for each term c a (x) b of Delta x
-            terms = [(c, antipode(a), unit_vec(b)) if side == "left" else (c, unit_vec(a), antipode(b))
-                     for (a, b), c in t]
-            if any(u is None or v is None for _, u, v in terms):
+            residual = convolution_residual(structure, x, antipode, side)
+            if residual is None:
                 undefined += 1
-                continue
-            residual = lincomb((c, op_vec_vec(mul, u, v)) for c, u, v in terms)
-            residual -= one.scaled(structure.epsilon_label(x))
-            report.record(f"{law}-{side}", residual, (x,), structure.render_label, vector)
+            else:
+                report.record(f"{law}-{side}", residual, (x,), structure.render_label, vector)
     report.skip(law, over_budget, "labels", "2*deg > N, so S(a)*b may leave the budget")
     report.skip(law, undefined, "sides", "S is undefined on a slot of their coproduct")
     return report

@@ -6,7 +6,8 @@ exhaustive rotation search for Lyndon words, the Mobius/Witt counting
 formula, generating-function series for graded dimensions, a naive
 batch-closure loop for ideal saturation, the commutator expansion of
 Lie brackets in the tensor algebra, coassociativity expanded into
-triples, and echelon back-substitution by scanning every stored row.
+triples, echelon back-substitution by scanning every stored row, and
+the Hopf relations by element arithmetic on the ambient coproduct table.
 """
 
 import functools
@@ -232,3 +233,33 @@ def triple_expansion_coassociativity(structure) -> Report:
                 )
             )
     return report
+
+
+# ---------------------------------------------------------------------------
+# the Hopf relations of a staged coproduct by element arithmetic:
+# sum c poiss_product(S'(a), b) - eps(x) 1 over the stored coproduct table
+# of the staged letter x, and the mirror with S' on the right slot
+
+
+def convolution_relation_oracle(staged, base, stage, side):
+    amb = staged.ambient
+    letter = staged.letter_maps[stage][staged.base.ambient.index(base)]
+    out = amb.zero()
+    for (a, b), c in staged.bialgebra.delta_table[amb.alphabet[letter]].items():
+        ea, eb = amb.monomial_elt(a), amb.monomial_elt(b)
+        if side == "left":
+            term = poiss_product(staged.s_prime(ea), eb)
+        else:
+            term = poiss_product(ea, staged.s_prime(eb))
+        out = out + term.scaled(c)
+    return out - amb.scalar(staged.base.epsilon_table[base])
+
+
+def hopf_relations_oracle(staged):
+    """Both relations per base letter and shiftable stage, in ``hopf_ideal_generators`` order."""
+    return [
+        convolution_relation_oracle(staged, base, n, side)
+        for n in range(staged.stages - 1)
+        for base in staged.base.ambient.alphabet
+        for side in ("left", "right")
+    ]

@@ -21,8 +21,10 @@ from poissonhopf.bialgebra import (
     op_cop,
 )
 from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
-from poissonhopf.colimits import MorphismTable
+from poissonhopf.colimits import MorphismTable, quotient
 from poissonhopf.free_hopf import free_poisson_hopf, free_poisson_hopf_on_bialgebra
+
+from oracles import hopf_relations_oracle
 
 
 def twisted_grouplike_2():
@@ -120,3 +122,13 @@ def test_generator_certificate_and_check_bialgebra_agree(name):
     on_letters, on_classes = generator_certificate(B), check_bialgebra(B)
     assert on_letters.ok and on_classes.ok, (on_letters.lines(), on_classes.lines())
     assert on_letters.checked > 0 and not on_letters.skipped
+
+
+@pytest.mark.parametrize("stages", [2, 3])
+def test_coequalizer_reflection_has_the_ideal_of_the_oracle_relations(stages):
+    # on a bialgebra with relations of its own the Hopf relations are normal
+    # forms modulo the staged relations; they span the oracle's saturated ideal
+    H = free_poisson_hopf_on_bialgebra(grouplike_coequalizer(), stages)
+    staged = H.staged
+    oracle = quotient(staged.ambient, [*staged.bialgebra.quotient.generators, *hopf_relations_oracle(staged)])
+    assert H.quotient.ideal == oracle.ideal

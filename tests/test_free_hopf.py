@@ -22,6 +22,8 @@ from poissonhopf.poisson import poiss_bracket, poiss_product
 from poissonhopf.exprs import parse
 from poissonhopf.verify import Report, Violation
 
+from oracles import hopf_relations_oracle
+
 
 def test_staged_coproduct_grouplike_two_stages():
     B = induce_bialgebra(builtin("grouplike-1"), 4)
@@ -133,6 +135,27 @@ def test_hopf_ideal_generator_count_three_stages():
     B = induce_bialgebra(builtin("trig"), 2)
     staged = staged_coproduct(B, 3)
     assert len(hopf_ideal_generators(staged)) == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("stages", [2, 3])
+@pytest.mark.parametrize("name", ["grouplike-1", "grouplike-2", "trig", "matrix-2"])
+def test_hopf_relations_match_the_element_oracle(name, stages):
+    # the antipode law's residuals at the staged letters, with S' for S, are
+    # the relations that element arithmetic on the coproduct table gives
+    staged = staged_coproduct(induce_bialgebra(builtin(name), 3), stages)
+    gens = hopf_ideal_generators(staged)
+    assert gens == hopf_relations_oracle(staged)
+    assert all(not g.is_zero() for g in gens)
+
+
+def test_free_hopf_raises_before_any_coideal_residual_when_the_fixpoint_fails(monkeypatch):
+    failing = Report(violations=[Violation("ideal-product-closure", ("g_0", "g_1*g_0 - 1"), "g_0^2")])
+    coideal_runs = []
+    monkeypatch.setattr(free_hopf, "fixpoint_certificate", lambda q: failing)
+    monkeypatch.setattr(free_hopf, "coideal_certificate", lambda B, vectors: coideal_runs.append(B))
+    with pytest.raises(RuntimeError, match="fixpoint certificate failed.*ideal-product-closure fails at"):
+        free_poisson_hopf_on_bialgebra(induce_bialgebra(builtin("grouplike-1"), 3), 2)
+    assert coideal_runs == []
 
 
 # ---- the flagship instances ----

@@ -12,6 +12,7 @@ from poissonhopf.lyndon import (
     lie_bracket,
     lie_generator,
     lie_word,
+    lyndon_letters,
     lyndon_words,
     standard_factorization,
 )
@@ -43,6 +44,17 @@ def test_counts_match_witt_formula_and_brute_force(n, d):
     words = lyndon_words(n, d)[d]
     assert len(words) == witt_number(n, d)
     assert [w.letters for w in words] == brute_force_lyndon(n, d)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_duval_generates_lexicographic_order(size):
+    # lyndon_words keeps this order per degree without sorting; the uncached
+    # call keeps the larger tables out of the process-wide cache
+    for n in range(1, 9):
+        letters = lyndon_letters.__wrapped__(size, n)
+        assert list(letters) == sorted(letters)
+    for words in lyndon_words(size, 4).values():
+        assert [w.letters for w in words] == sorted(w.letters for w in words)
 
 
 def test_lyndon_word_rejects_non_lyndon():
