@@ -523,3 +523,28 @@ def test_unconvertible_inputs_exit_2(capsys, tmp_path, case):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("construction", ["free-hopf", "coequalize"])
+def test_failed_construction_certificate_exits_1(capsys, tmp_path, monkeypatch, construction):
+    from poissonhopf import bialgebra, free_hopf
+    from poissonhopf.verify import Report, Violation
+
+    def failing(*args):
+        return Report([Violation("planted", ("x",), "1")], checked=1)
+
+    if construction == "free-hopf":
+        monkeypatch.setattr(free_hopf, "fixpoint_certificate", failing)
+        argv = ("free-hopf", "builtin:trig", "--stages", "2", "--degree", "3")
+    else:
+        monkeypatch.setattr(bialgebra, "coideal_certificate", failing)
+        paths = []
+        for name, image in (("f.json", "g1"), ("g.json", "g2")):
+            path = tmp_path / name
+            path.write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"g": image}}))
+            paths.append(str(path))
+        argv = ("coequalize", "builtin:grouplike-2", "--map", paths[0], "--map", paths[1], "--degree", "3")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ") and "(implementation bug)" in err

@@ -1,8 +1,9 @@
-"""Golden CLI reports: eight pipelines must print byte-identical JSON.
+"""Golden CLI reports: ten pipelines must print byte-identical JSON.
 
 The files under ``tests/golden/`` were written by this module's
 ``__main__`` from a known-good tree; a change that is meant to keep
-behaviour must keep every byte.  Input files are written to the working
+behaviour must keep every byte.  So must the ``--help`` texts of the
+parser and its eight commands, pinned in ``help.txt`` at 100 columns.  Input files are written to the working
 directory and named relatively, so the reports hold no machine paths.
 Regenerate (only for an intended output change) with
 
@@ -26,6 +27,12 @@ INPUTS = {
     "trig_hopf_artifact.json": {
         "construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2,
     },
+    "matrix2_induce_artifact.json": {
+        "construct": "induce", "spec": "builtin:matrix-2", "degree": 3,
+    },
+    "trig_grouplike2_coproduct_artifact.json": {
+        "construct": "coproduct", "spec": ["builtin:trig", "builtin:grouplike-2"], "degree": 2,
+    },
     "map_g1.json": {"source_spec": "builtin:grouplike-1", "images": {"g": "g1"}},
     "map_g2.json": {"source_spec": "builtin:grouplike-1", "images": {"g": "g2"}},
 }
@@ -47,11 +54,18 @@ CASES = {
         "coproduct", "builtin:trig", "builtin:grouplike-2", "--degree", "3",
     ],
     "verify_trig_hopf": ["verify", "trig_hopf_artifact.json", "--laws", "all"],
+    "verify_induce_matrix2": ["verify", "matrix2_induce_artifact.json", "--laws", "all"],
+    "verify_coproduct_trig_grouplike2": [
+        "verify", "trig_grouplike2_coproduct_artifact.json", "--laws", "all",
+    ],
     "coequalize_grouplike2": [
         "coequalize", "builtin:grouplike-2", "--map", "map_g1.json",
         "--map", "map_g2.json", "--degree", "4",
     ],
 }
+
+
+COMMANDS = ("validate", "induce", "eval", "coproduct", "coequalize", "free-hopf", "verify", "dims")
 
 
 def write_inputs(directory: Path) -> None:
@@ -66,6 +80,20 @@ def run_case(argv) -> tuple:
     return code, out.getvalue()
 
 
+def help_text() -> str:
+    """The top-level ``--help`` and each command's, under a ``$ poissonhopf ...`` header."""
+    parts = []
+    for argv in ([], *([command] for command in COMMANDS)):
+        out = StringIO()
+        with redirect_stdout(out):
+            try:
+                main([*argv, "--help"])
+            except SystemExit as e:
+                assert e.code == 0
+        parts.append(" ".join(["$ poissonhopf", *argv, "--help"]) + "\n" + out.getvalue())
+    return "\n".join(parts)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
     write_inputs(tmp_path)
@@ -75,8 +103,15 @@ def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
     assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+def test_help_texts_match_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert help_text() == (GOLDEN / "help.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    os.environ["COLUMNS"] = "100"
+    (GOLDEN / "help.txt").write_text(help_text(), encoding="utf-8")
     here = Path.cwd()
     scratch = GOLDEN / "_inputs"
     scratch.mkdir(exist_ok=True)
