@@ -1,12 +1,15 @@
 """Command-line surface: spec loading, pipelines, deterministic JSON reports.
 
+Each artifact kind (``induce``, ``coproduct``, ``free-hopf``) has one
+construction, ``construct``, which its command and ``verify`` both run.
 Exit codes: 0 clean, 2 parse errors (expressions; spec, map and artifact
 files, all read by ``read_json``; a ``--degree`` below 1; a law the artifact
 has no structure for), 3 validation
 failures (coalgebra laws, axiom violations, ill-defined morphisms), 4 stage
 or degree overflow (``eval`` of an expression with terms above the budget; a
 free Hopf algebra with fewer than 2 stages or a degree budget below 2),
-1 unexpected internal failure.
+1 unexpected internal failure, among them a construction whose own
+certificate fails (``Report.require``).
 Reports are emitted with sorted keys and stable ordering, so identical
 invocations produce byte-identical output.
 """
@@ -54,12 +57,29 @@ def resolve_spec(ref: str):
 
 
 def emit(args, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    text = json.dumps({"command": args.command, **obj}, indent=2, sort_keys=True) + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def reports(named: dict) -> dict:
+    return {name: r.to_json_obj() for name, r in named.items()}
+
+
+# the artifact kinds ``verify`` re-runs, each built by ``construct`` exactly as its command builds it
+KINDS = ("induce", "coproduct", "free-hopf")
+
+
+def construct(kind: str, spec, degree: int, stages=None):
+    """The one construction of an artifact kind; ``spec`` is a reference, or two for a coproduct."""
+    if kind == "coproduct":
+        return bialgebra_coproduct([construct("induce", ref, degree) for ref in spec]).bialgebra
+    if kind == "free-hopf":
+        return free_poisson_hopf(resolve_spec(spec), stages, degree)
+    return induce_bialgebra(resolve_spec(spec), degree)
 
 
 # ---- command handlers -------------------------------------------------------
@@ -72,41 +92,33 @@ def cmd_validate(args) -> int:
         raise
     except SpecError as e:
         # load_spec validates; surface the violation report deterministically
-        emit(args, {"command": "validate", "spec": args.spec, "error": str(e)})
+        emit(args, {"spec": args.spec, "error": str(e)})
         return 3
     report = validate_coalgebra(spec)
-    emit(
-        args,
-        {
-            "command": "validate",
-            "spec": args.spec,
-            "basis": list(spec.basis),
-            "report": report.to_json_obj(),
-        },
-    )
+    emit(args, {"spec": args.spec, "basis": list(spec.basis), "report": report.to_json_obj()})
+    return 0 if report.ok else 3
+
+
+def emit_bialgebra(args, B, fields: dict) -> int:
+    """The report tail of ``induce`` and ``coproduct``: the laws certified on the generators."""
+    report = generator_certificate(B)
+    emit(args, {**fields, "degree": args.degree, "graded_dims": B.quotient.graded_dims(),
+                "report": report.to_json_obj()})
     return 0 if report.ok else 3
 
 
 def cmd_induce(args) -> int:
-    spec = resolve_spec(args.spec)
-    B = induce_bialgebra(spec, args.degree)
-    report = generator_certificate(B)
-    emit(
-        args,
-        {
-            "command": "induce",
-            "spec": args.spec,
-            "degree": args.degree,
-            "graded_dims": B.quotient.graded_dims(),
-            "report": report.to_json_obj(),
-        },
-    )
-    return 0 if report.ok else 3
+    return emit_bialgebra(args, construct("induce", args.spec, args.degree), {"spec": args.spec})
+
+
+def cmd_coproduct(args) -> int:
+    specs = [args.spec_a, args.spec_b]
+    B = construct("coproduct", specs, args.degree)
+    return emit_bialgebra(args, B, {"specs": specs, "generators": list(B.ambient.alphabet)})
 
 
 def cmd_eval(args) -> int:
-    spec = resolve_spec(args.spec)
-    B = induce_bialgebra(spec, args.degree)
+    B = construct("induce", args.spec, args.degree)
     elt = parse(args.expr, B.ambient)
     if elt.lossy:
         sys.stderr.write(
@@ -114,30 +126,11 @@ def cmd_eval(args) -> int:
         )
         return 4
     value = render(elt)
-    if getattr(args, "out", None):
-        emit(args, {"command": "eval", "expr": args.expr, "value": value})
+    if args.out:
+        emit(args, {"expr": args.expr, "value": value})
     else:
         sys.stdout.write(value + "\n")
     return 0
-
-
-def cmd_coproduct(args) -> int:
-    left = induce_bialgebra(resolve_spec(args.spec_a), args.degree)
-    right = induce_bialgebra(resolve_spec(args.spec_b), args.degree)
-    cp = bialgebra_coproduct([left, right])
-    report = generator_certificate(cp.bialgebra)
-    emit(
-        args,
-        {
-            "command": "coproduct",
-            "specs": [args.spec_a, args.spec_b],
-            "degree": args.degree,
-            "generators": list(cp.bialgebra.ambient.alphabet),
-            "graded_dims": cp.bialgebra.quotient.graded_dims(),
-            "report": report.to_json_obj(),
-        },
-    )
-    return 0 if report.ok else 3
 
 
 def load_map(path: str, expected_source=None):
@@ -158,10 +151,10 @@ def load_map(path: str, expected_source=None):
 def cmd_coequalize(args) -> int:
     if len(args.maps) != 2:
         raise SpecParseError("coequalize needs exactly two --map files")
-    target = induce_bialgebra(resolve_spec(args.spec), args.degree)
+    target = construct("induce", args.spec, args.degree)
     src_ref, images_f = load_map(args.maps[0])
     _, images_g = load_map(args.maps[1], expected_source=src_ref)
-    source = induce_bialgebra(resolve_spec(src_ref), args.degree)
+    source = construct("induce", src_ref, args.degree)
     tables = []
     for images in (images_f, images_g):
         resolved = {
@@ -169,11 +162,11 @@ def cmd_coequalize(args) -> int:
             for name, expr in sorted(images.items())
         }
         tables.append(MorphismTable(source, target, resolved))
+    # a failed coideal certificate raises RuntimeError (exit 1)
     out = bialgebra_coequalizer(tables[0], tables[1])
     emit(
         args,
         {
-            "command": "coequalize",
             "spec": args.spec,
             "source_spec": src_ref,
             "degree": args.degree,
@@ -181,30 +174,27 @@ def cmd_coequalize(args) -> int:
             "coideal_certificate": out.certificate.to_json_obj(),
         },
     )
-    return 0 if out.certificate.ok else 3
+    return 0
 
 
 def cmd_free_hopf(args) -> int:
-    spec = resolve_spec(args.spec)
-    H = free_poisson_hopf(spec, args.stages, args.degree)
+    # a failed certificate raises RuntimeError (exit 1); only the antipode law can fail here
+    H = construct("free-hopf", args.spec, args.degree, args.stages)
     antipode = verify_antipode(H, depth=1)
-    certificates = {name: r.to_json_obj() for name, r in sorted(H.certificates.items())}
-    ok = H.certificates_ok() and antipode.ok
     emit(
         args,
         {
-            "command": "free-hopf",
             "spec": args.spec,
             "stages": args.stages,
             "degree": args.degree,
             "generators": list(H.ambient.alphabet),
             "filtration_dims": H.quotient.filtration_dims(),
             "graded_dims": H.quotient.graded_dims(),
-            "certificates": certificates,
+            "certificates": reports(H.certificates),
             "antipode_residuals": antipode.to_json_obj(),
         },
     )
-    return 0 if ok else 3
+    return 0 if antipode.ok else 3
 
 
 # law name -> checker, in the order ``verify`` runs them; only a free-hopf
@@ -237,54 +227,43 @@ def cmd_verify(args) -> int:
     unknown = set(laws) - set(LAW_NAMES)
     if unknown:
         raise SpecParseError(f"unknown laws: {sorted(unknown)}")
-    construct = desc["construct"]
-    if construct not in ("induce", "free-hopf", "coproduct"):
-        raise SpecParseError(f"unknown construct {construct!r}")
-    if construct != "free-hopf":
+    kind = desc["construct"]
+    if kind not in KINDS:
+        raise SpecParseError(f"unknown construct {kind!r}")
+    if kind != "free-hopf":
         if args.laws != "all" and "antipode" in laws:
-            raise SpecParseError(f"law antipode needs a free-hopf artifact, not {construct}")
+            raise SpecParseError(f"law antipode needs a free-hopf artifact, not {kind}")
         laws = tuple(law for law in laws if law != "antipode")
     spec = desc.get("spec")
-    if construct == "coproduct":
+    if kind == "coproduct":
         if not (
             isinstance(spec, list) and len(spec) == 2 and all(isinstance(r, str) for r in spec)
         ):
             raise SpecParseError("coproduct artifact spec must be a list of two paths")
     elif not isinstance(spec, str):
-        raise SpecParseError(f"{construct} artifact spec must be a path")
+        raise SpecParseError(f"{kind} artifact spec must be a path")
     degree = artifact_int(desc, "degree", 1)
-    extra = {}
-    if construct == "induce":
-        structure = induce_bialgebra(resolve_spec(spec), degree)
-    elif construct == "free-hopf":
-        stages = artifact_int(desc, "stages", 2)
-        structure = H = free_poisson_hopf(resolve_spec(spec), stages, degree)
-        certificates = {**H.certificates, "coideal": coideal_certificate(H, H.quotient.ideal.rows)}
-        extra["certificates"] = {k: r.to_json_obj() for k, r in sorted(certificates.items())}
-    else:
-        operands = [induce_bialgebra(resolve_spec(r), degree) for r in spec]
-        structure = bialgebra_coproduct(operands).bialgebra
+    stages = artifact_int(desc, "stages", 2) if kind == "free-hopf" else None
+    structure = construct(kind, spec, degree, stages)
+    obj = {"artifact": args.artifact}
+    if kind == "free-hopf":
+        # the coideal certificate again, on every ideal row rather than the generators
+        coideal = coideal_certificate(structure, structure.quotient.ideal.rows)
+        obj["certificates"] = reports({**structure.certificates, "coideal": coideal})
     results = {law: check(structure) for law, check in CHECKERS.items() if law in laws}
-    obj = {
-        "command": "verify",
-        "artifact": args.artifact,
-        "laws": {name: r.to_json_obj() for name, r in sorted(results.items())},
-    }
-    obj.update(extra)
+    obj["laws"] = reports(results)
     emit(args, obj)
     return 0 if all(r.ok for r in results.values()) else 3
 
 
 def cmd_dims(args) -> int:
-    spec = resolve_spec(args.spec)
-    n = len(spec.basis)
+    B = construct("induce", args.spec, args.degree)
+    n = len(B.ambient.alphabet)
     grouped = lyndon_words(n, args.degree) if n else {}
     lyndon_counts = [len(grouped.get(d, [])) for d in range(1, args.degree + 1)]
-    B = induce_bialgebra(spec, args.degree)
     emit(
         args,
         {
-            "command": "dims",
             "spec": args.spec,
             "degree": args.degree,
             "basis_size": n,
@@ -295,70 +274,42 @@ def cmd_dims(args) -> int:
     return 0
 
 
+# (name, handler, help, arguments); every command takes --out, and every one
+# but validate and verify takes --degree after its own arguments
+COMMANDS = (
+    ("validate", cmd_validate, "check coalgebra axioms of a spec file", {"spec": {}}),
+    ("induce", cmd_induce, "free Poisson bialgebra on a coalgebra", {"spec": {}}),
+    ("eval", cmd_eval, "evaluate an expression over the spec's generators", {"spec": {}, "expr": {}}),
+    ("coproduct", cmd_coproduct, "coproduct of two induced bialgebras", {"spec_a": {}, "spec_b": {}}),
+    ("coequalize", cmd_coequalize, "coequalizer of two generator-image maps", {
+        "spec": {},
+        "--map": {"dest": "maps", "action": "append", "default": [], "help": "map JSON file (twice)"},
+    }),
+    ("free-hopf", cmd_free_hopf, "free Poisson Hopf algebra on a coalgebra", {
+        "spec": {}, "--stages": {"type": int, "required": True, "help": "stage budget M >= 2"},
+    }),
+    ("verify", cmd_verify, "re-run a construction and check selected laws", {
+        "artifact": {"help": "JSON descriptor: construct, spec, degree, stages"},
+        "--laws": {"default": "all", "help": "all or comma-separated law names"},
+    }),
+    ("dims", cmd_dims, "graded dimensions of the free object on a spec", {"spec": {}}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poissonhopf",
         description="Exact constructions and checks for free Poisson (bi/Hopf) algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_degree(p):
-        p.add_argument("--degree", type=int, required=True, help="degree truncation budget")
-
-    def add_out(p):
+    for name, handler, help_text, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        if name not in ("validate", "verify"):
+            p.add_argument("--degree", type=int, required=True, help="degree truncation budget")
         p.add_argument("--out", help="write the JSON report to this path")
-
-    p = sub.add_parser("validate", help="check coalgebra axioms of a spec file")
-    p.add_argument("spec")
-    add_out(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("induce", help="free Poisson bialgebra on a coalgebra")
-    p.add_argument("spec")
-    add_degree(p)
-    add_out(p)
-    p.set_defaults(func=cmd_induce)
-
-    p = sub.add_parser("eval", help="evaluate an expression over the spec's generators")
-    p.add_argument("spec")
-    p.add_argument("expr")
-    add_degree(p)
-    add_out(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("coproduct", help="coproduct of two induced bialgebras")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-    add_degree(p)
-    add_out(p)
-    p.set_defaults(func=cmd_coproduct)
-
-    p = sub.add_parser("coequalize", help="coequalizer of two generator-image maps")
-    p.add_argument("spec")
-    p.add_argument("--map", dest="maps", action="append", default=[], help="map JSON file (twice)")
-    add_degree(p)
-    add_out(p)
-    p.set_defaults(func=cmd_coequalize)
-
-    p = sub.add_parser("free-hopf", help="free Poisson Hopf algebra on a coalgebra")
-    p.add_argument("spec")
-    p.add_argument("--stages", type=int, required=True, help="stage budget M >= 2")
-    add_degree(p)
-    add_out(p)
-    p.set_defaults(func=cmd_free_hopf)
-
-    p = sub.add_parser("verify", help="re-run a construction and check selected laws")
-    p.add_argument("artifact", help="JSON descriptor: construct, spec, degree, stages")
-    p.add_argument("--laws", default="all", help="all or comma-separated law names")
-    add_out(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("dims", help="graded dimensions of the free object on a spec")
-    p.add_argument("spec")
-    add_degree(p)
-    add_out(p)
-    p.set_defaults(func=cmd_dims)
-
+        p.set_defaults(func=handler)
     return parser
 
 

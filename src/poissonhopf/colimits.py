@@ -341,26 +341,21 @@ class MorphismTable:
         self.source = source
         self.target = target
         self.images = dict(images)
+        self.source_quotient = quotient_of(source)
+        self.target_quotient = tq = quotient_of(target)
         self._flip = bracket_sign(source) * bracket_sign(target) == -1
-        tq = self.target_quotient()
         self._extension = LetterExtension(self._letter_image, tq.product, tq.bracket, tq.one)
 
-    def source_quotient(self) -> TruncatedQuotient:
-        return quotient_of(self.source)
-
-    def target_quotient(self) -> TruncatedQuotient:
-        return quotient_of(self.target)
-
     def _letter_image(self, letter: int) -> PoissElt:
-        name = self.source_quotient().ambient.alphabet[letter]
+        name = self.source_quotient.ambient.alphabet[letter]
         try:
             out = self.images[name]
         except KeyError:
             raise ValueError(f"no image for generator {name!r}") from None
-        return self.target_quotient().normal_form(out)
+        return self.target_quotient.normal_form(out)
 
     def apply(self, elt: PoissElt) -> PoissElt:
-        sq, tq = self.source_quotient(), self.target_quotient()
+        sq, tq = self.source_quotient, self.target_quotient
         if elt.algebra != sq.ambient:
             raise ValueError("element not in the morphism source")
         terms = []
@@ -375,7 +370,7 @@ class MorphismTable:
 
     def well_defined_report(self) -> Report:
         """Every defining relation of the source must map into the target ideal."""
-        sq = self.source_quotient()
+        sq = self.source_quotient
         report = Report([Violation("morphism-total", (name,), "missing generator image")
                          for name in sq.ambient.alphabet if name not in self.images])
         if not report.ok:
@@ -468,14 +463,15 @@ def poisson_coequalizer(f: MorphismTable, g: MorphismTable):
 
 def difference_quotient(f: MorphismTable, g: MorphismTable):
     """``poisson_coequalizer`` for maps whose well-definedness is already checked."""
-    if f.source_quotient() is not g.source_quotient() and f.source_quotient().ambient != g.source_quotient().ambient:
+    source = f.source_quotient.ambient
+    if source != g.source_quotient.ambient:
         raise ValueError("coequalizer needs a common source")
-    if f.target_quotient() is not g.target_quotient() and f.target_quotient().ambient != g.target_quotient().ambient:
+    target = f.target_quotient
+    if target.ambient != g.target_quotient.ambient:
         raise ValueError("coequalizer needs a common target")
-    target = f.target_quotient()
     diffs = []
-    for name in f.source_quotient().ambient.alphabet:
-        gen = f.source_quotient().ambient.gen(name)
+    for name in source.alphabet:
+        gen = source.gen(name)
         diffs.append(f.apply(gen) - g.apply(gen))
     gens = list(target.generators) + [d for d in diffs if not d.is_zero()]
     coeq = quotient(target.ambient, gens)
