@@ -62,7 +62,7 @@ def op_sign(m: PoissMonomial) -> int:
 
 def flip_bracket(vec: SparseVec) -> SparseVec:
     """The bracket-flip automorphism on a vector over monomials."""
-    return vec.map_terms(lambda m, c: ((m, c * op_sign(m)),))
+    return SparseVec((m, c * op_sign(m)) for m, c in vec.items())
 
 
 def bracket_sign(obj) -> int:
@@ -187,7 +187,7 @@ class TruncatedQuotient:
         self.degenerate = ideal.contains(unit_vec(UNIT_MONOMIAL))
         self._nf_cache: dict = {}
         self._label_ops: dict = {}
-        self._pivots = ideal.pivot_set()
+        self._pivots = frozenset(ideal.pivots)
 
     def __repr__(self) -> str:
         return (
@@ -317,13 +317,10 @@ def fixpoint_certificate(q: TruncatedQuotient) -> Report:
 def rename_letters(vec: SparseVec, letter_map) -> SparseVec:
     """Push a vector through an order-preserving letter renaming."""
 
-    def rename(m: PoissMonomial, c):
-        factors = tuple(
-            LyndonWord(tuple(letter_map[i] for i in f.letters)) for f in m.factors
-        )
-        yield PoissMonomial(factors), c
+    def rename(m: PoissMonomial) -> PoissMonomial:
+        return PoissMonomial(tuple(LyndonWord(tuple(letter_map[i] for i in f.letters)) for f in m.factors))
 
-    return vec.map_terms(rename)
+    return SparseVec((rename(m), c) for m, c in vec.items())
 
 
 class MorphismTable:

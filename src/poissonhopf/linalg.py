@@ -1,12 +1,13 @@
 """Exact linear algebra over Q on sparse vectors with orderable labels.
 
 Everything is a value: vectors are immutable, a basis is built once and then
-only queried.  The one accumulator, ``EchelonBasis``, keeps a column index
-(label -> rows holding it) so that an insert back-substitutes without
-scanning every row.  Labels may be any hashable objects; the global order
-used for pivoting comes from ``label_key``, which is degree-lexicographic
-for the algebra label types defined elsewhere and plain ordering for ints,
-strings and tuples.  Scalars are exact rationals: ``int`` when integral,
+only queried.  ``lincomb`` is the one loop that sums scaled vectors, and
+``EchelonBasis``, the growing span, keeps a column index (label -> rows
+holding it) so that an insert back-substitutes without scanning every row.
+Labels may be any hashable objects; the global order used for pivoting
+comes from ``label_key``, which is degree-lexicographic for the algebra
+label types defined elsewhere and plain ordering for ints, strings and
+tuples.  Scalars are exact rationals: ``int`` when integral,
 ``Fraction`` otherwise, so integer structure constants stay in machine-word
 ``int`` arithmetic until a true fraction appears.  Every result is
 bit-exact and canonical forms are decidable by structural equality, since
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = 0
 _ONE = 1
 
 
@@ -91,7 +91,7 @@ class SparseVec:
         return self._entries.keys()
 
     def get(self, label) -> int | Fraction:
-        return self._entries.get(label, _ZERO)
+        return self._entries.get(label, 0)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -111,10 +111,10 @@ class SparseVec:
         return hash(frozenset(self._entries.items()))
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
-        return self.axpy(_ONE, other)
+        return lincomb(((_ONE, self), (_ONE, other)))
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
-        return self.axpy(-_ONE, other)
+        return lincomb(((_ONE, self), (-_ONE, other)))
 
     def __neg__(self) -> "SparseVec":
         return SparseVec._raw({l: -c for l, c in self._entries.items()})
@@ -129,17 +129,8 @@ class SparseVec:
         return self.scaled(c)
 
     def axpy(self, c: int | Fraction, other: "SparseVec") -> "SparseVec":
-        """self + c * other, in one pass."""
-        if not c:
-            return self
-        data = dict(self._entries)
-        for label, v in other._entries.items():
-            s = data.get(label, _ZERO) + c * v
-            if s:
-                data[label] = s
-            else:
-                data.pop(label, None)
-        return SparseVec._raw(_exact_values(data))
+        """self + c * other."""
+        return lincomb(((_ONE, self), (c, other)))
 
     def leading(self, key=label_key):
         """(label, coeff) at the smallest label, or None if zero."""
@@ -147,10 +138,6 @@ class SparseVec:
             return None
         label = min(self._entries, key=key)
         return label, self._entries[label]
-
-    def map_terms(self, fn) -> "SparseVec":
-        """Rebuild through ``fn(label, coeff) -> iterable of (label, coeff)``."""
-        return SparseVec(term for label, c in self._entries.items() for term in fn(label, c))
 
     def sorted_items(self):
         return sorted(self._entries.items(), key=lambda kv: label_key(kv[0]))
@@ -161,19 +148,32 @@ class SparseVec:
 
 
 def lincomb(terms) -> SparseVec:
-    """Sum of c * v over ``(c, v)`` pairs, accumulated in a single dict."""
-    data = {}
+    """Sum of c * v over ``(c, v)`` pairs: the one loop that sums scaled vectors.
+
+    The first term with a nonzero scalar seeds the dict (a plain copy when
+    the scalar is 1); only the entries the later terms update can become an
+    integral ``Fraction``, and those are stored as ``int`` as they are formed.
+    """
+    terms = iter(terms)
+    for c, v in terms:
+        if c:
+            data = dict(v._entries) if c == 1 else v.scaled(c)._entries
+            break
+    else:
+        return SparseVec._raw({})
     get = data.get
     for c, v in terms:
         if not c:
             continue
         for label, x in v._entries.items():
             s = get(label, 0) + c * x
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             if s:
                 data[label] = s
             else:
                 del data[label]
-    return SparseVec._raw(_exact_values(data))
+    return SparseVec._raw(data)
 
 
 def outer_sum(terms) -> SparseVec:
@@ -262,7 +262,7 @@ class EchelonBasis:
         self.rewritten = sorted(cols.pop(pivot, ()), key=self._order.__getitem__)
         for p in self.rewritten:
             row = rows[p]
-            rows[p] = row = row.axpy(-row._entries[pivot], r)
+            rows[p] = row = lincomb(((_ONE, row), (-row._entries[pivot], r)))
             entries = row._entries
             for l in labels:
                 if l in entries:
@@ -324,9 +324,6 @@ class SubspaceBasis:
 
     def contains(self, v: SparseVec) -> bool:
         return not self.reduce(v)
-
-    def pivot_set(self) -> frozenset:
-        return frozenset(self.pivots)
 
 
 def row_reduce(vectors, key=label_key) -> SubspaceBasis:

@@ -161,15 +161,10 @@ def bracket_words(u: LyndonWord, v: LyndonWord) -> SparseVec:
             result = unit_vec(LyndonWord(u.letters + v.letters))
         else:
             # [[u1,u2],v] = [u1,[u2,v]] - [u2,[u1,v]]
-            result = _bracket_word_vec(u1, bracket_words(u2, v)) - _bracket_word_vec(
-                u2, bracket_words(u1, v)
-            )
+            result = lincomb([*((c, bracket_words(u1, w)) for w, c in bracket_words(u2, v).items()),
+                              *((-c, bracket_words(u2, w)) for w, c in bracket_words(u1, v).items())])
     _bracket_memo[key] = result
     return result
-
-
-def _bracket_word_vec(u: LyndonWord, vec: SparseVec) -> SparseVec:
-    return lincomb((c, bracket_words(u, w)) for w, c in vec.items())
 
 
 class LieElt(namedtuple("LieElt", "alphabet_size vec")):

@@ -45,6 +45,16 @@ counted: ``Report.skip`` writes the ones sharing a reason as one skip
 carrying their count.  A construction whose own certificate fails raises
 through ``Report.require``.
 
+Leibniz and Jacobi get no certificate of their own.  Both hold in the free
+ambient, whose bracket is the Lie bracket of Lyndon words extended as a
+biderivation.  ``colimits.fixpoint_certificate`` shows the ideal I closed
+under in-budget products and brackets with letters, and by Leibniz and
+Jacobi in the ambient that closes it under every in-budget product and
+bracket: I is a Poisson ideal.  The quotient's operations are the
+ambient's followed by the normal form, so every in-budget identity of the
+ambient holds on the quotient.  ``check_leibniz`` and ``check_jacobi``
+stay as exhaustive checks of the label maps.
+
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket, coproduct or antipode many times, so a structure
 may memoize them (quotients and bialgebras memoize products, brackets and
@@ -382,7 +392,7 @@ def convolution_residual(structure, x, antipode, side: str):
         if u is None or v is None:
             return None
         terms.append((c, op_vec_vec(structure.product_labels, u, v)))
-    return lincomb(terms) - structure.one().scaled(structure.epsilon_label(x))
+    return lincomb([*terms, (-structure.epsilon_label(x), structure.one())])
 
 
 def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:

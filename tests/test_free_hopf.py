@@ -226,6 +226,16 @@ def test_two_agreeing_budgets_do_not_show_stability():
     assert [g[2] for g in graded] == [3, 3, 2]
 
 
+@pytest.mark.parametrize(
+    "n, graded",
+    [(4, [1, 4, 12, 36, 108]), (5, [1, 4, 12, 36, 108, 324]), (6, [1, 4, 12, 36, 107, 320, 956])],
+)
+def test_trig_ladder_pins_the_truncation_artefact(n, graded):
+    # trig M=2 in degree 4: 108 at budgets 4 and 5, then 107 once budget 6 derives
+    # one more ideal element; each graded dim is an upper bound at its budget
+    assert free_poisson_hopf(builtin("trig"), 2, n).quotient.graded_dims() == graded
+
+
 @pytest.mark.parametrize("n, filtration", [(3, [1, 3, 6, 10]), (4, [1, 3, 5, 7, 9])])
 def test_reflection_keeps_the_relations_of_a_non_free_bialgebra(n, filtration):
     # B = coequalizer of g -> g1 and g -> g2 is the free bialgebra on

@@ -4,7 +4,7 @@ import copy
 import pickle
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poissonhopf.linalg import (
     EchelonBasis,
@@ -160,22 +160,47 @@ def test_column_index_matches_full_scan_on_trig_saturation(monkeypatch):
     assert row_reduce(stream, key=colimits.quotient_key) == ideal
 
 
-def test_lincomb_matches_axpy_chain():
-    terms = [
-        (Fraction(2), vec(1, 0, 3)),
-        (Fraction(-1, 2), vec(4, 5, 0)),
-        (Fraction(0), vec(7, 7, 7)),
-    ]
+scalars = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+raw_vecs = st.dictionaries(st.integers(0, 7), scalars, max_size=6)
+
+
+def _dict_oracle(terms):
+    """Sum of c * d over (scalar, plain dict) pairs in Fraction arithmetic, zeros dropped."""
+    acc = {}
+    for c, d in terms:
+        for label, x in d.items():
+            acc[label] = acc.get(label, Fraction(0)) + Fraction(c) * Fraction(x)
+    return {label: x for label, x in acc.items() if x}
+
+
+def _assert_canonical(v, expected):
+    entries = dict(v.items())
+    assert entries == expected
+    assert all(entries.values()), "a zero entry is stored"
+    for x in entries.values():
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), entries
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(scalars, raw_vecs), max_size=5), raw_vecs, raw_vecs, scalars)
+# label 0 cancels; two halves sum to an integral Fraction
+@example(terms=[(1, {0: 2, 1: 1}), (-2, {0: 1})], a={}, b={}, c=0)
+@example(terms=[(Fraction(1, 2), {0: 1}), (Fraction(1, 2), {0: 1})], a={0: Fraction(1, 2)},
+         b={0: Fraction(1, 2)}, c=Fraction(3))
+def test_lincomb_matches_dict_oracle(terms, a, b, c):
+    vecs = [(k, SparseVec(d)) for k, d in terms]
+    _assert_canonical(lincomb(vecs), _dict_oracle(terms))
     chain = SparseVec()
-    for c, v in terms:
-        chain = chain.axpy(c, v)
-    assert lincomb(terms) == chain
-    # label 0 cancels and is not stored
-    cancelled = lincomb([(Fraction(1), vec(2, 1)), (Fraction(-2), vec(1))])
-    assert cancelled == vec(0, 1)
-    assert list(cancelled.labels()) == [1]
-    assert lincomb([]) == SparseVec()
-    assert not lincomb([])
+    for k, v in vecs:
+        chain = chain.axpy(k, v)
+    _assert_canonical(chain, _dict_oracle(terms))
+    u, v = SparseVec(a), SparseVec(b)
+    _assert_canonical(u.axpy(c, v), _dict_oracle([(1, a), (c, b)]))
+    _assert_canonical(u + v, _dict_oracle([(1, a), (1, b)]))
+    _assert_canonical(u - v, _dict_oracle([(1, a), (-1, b)]))
+    _assert_canonical(u.scaled(c), _dict_oracle([(c, a)]))
 
 
 def test_unit_vec_zero_coeff_is_zero():
