@@ -64,6 +64,7 @@ from .poisson import (
     LetterExtension,
     PoissElt,
     PoissMonomial,
+    letter_monomials,
     monomial_str,
     render,
 )
@@ -318,10 +319,6 @@ def bialgebra_coproduct(operands) -> BialgebraCoproduct:
             epsilon_table[tagged] = B.epsilon_table[name]
     result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1)
     return BialgebraCoproduct(result, cp.injections, cp.letter_maps)
-
-
-def letter_monomials(ambient: FreePoissonAlgebra) -> list:
-    return [PoissMonomial((LyndonWord((i,)),)) for i in range(len(ambient.alphabet))]
 
 
 def bialgebra_morphism_report(table: MorphismTable) -> Report:

@@ -1,9 +1,12 @@
 """Free Poisson Hopf algebras via the staged-coproduct antipode construction.
 
 Starting from a Poisson bialgebra B, take the coproduct of M alternating
-copies B, B-op-cop, B, ...; the generator-wise stage shift extends to a map
-S' that is an algebra morphism, a bracket anti-morphism, and a coalgebra
-anti-morphism.  Quotienting by the Poisson ideal generated by both
+copies B, B-op-cop, B, ...; S' is the ``poisson.LetterExtension`` of the
+stage map, which sends each staged letter to its copy one stage up, over
+``poiss_product`` and the swapped ``poiss_bracket`` (``extend_letters``
+with sign -1).  So S' is an algebra morphism and a bracket anti-morphism by
+construction, and a coalgebra anti-morphism because the stages alternate
+the op-cop twist.  Quotienting by the Poisson ideal generated by both
 convolution relations
 
     (S' * Id - unit.counit)(x at stage n),   (Id * S' - unit.counit)(x at stage n)
@@ -41,18 +44,11 @@ from .bialgebra import (
     check_bialgebra,
     coideal_certificate,
     induce_bialgebra,
-    letter_monomials,
     op_cop,
 )
 from .coalgebra import CoalgebraSpec
-from .colimits import (
-    TruncatedQuotient,
-    fixpoint_certificate,
-    flip_bracket,
-    quotient,
-    rename_letters,
-)
-from .poisson import LetterExtension, PoissElt, PoissMonomial, render
+from .colimits import TruncatedQuotient, fixpoint_certificate, quotient
+from .poisson import PoissElt, PoissMonomial, extend_letters, letter_monomials, render
 from .verify import Report, check_antipode, check_antipode_convolution, convolution_residual
 
 
@@ -64,9 +60,9 @@ class StagedBialgebra:
     """Coproduct of M alternating twists of one bialgebra, plus the shift.
 
     ``letter_maps[n]`` maps a base letter index to its stage-n copy, as
-    ``bialgebra_coproduct`` placed it; ``shift`` maps each staged letter below
-    the last stage to its copy one stage up.  ``shiftable`` is the one rule
-    for where S' is defined.
+    ``bialgebra_coproduct`` placed it; ``shift``, the stage map, sends each
+    staged letter below the last stage to its copy one stage up.
+    ``shiftable`` is the one rule for where S' is defined.
     """
 
     def __init__(self, bialgebra: PresentedPoissonBialgebra, base, letter_maps):
@@ -75,6 +71,7 @@ class StagedBialgebra:
         self.letter_maps = letter_maps
         self.stages = len(letter_maps)
         self.shift = {lm[i]: up[i] for lm, up in zip(letter_maps, letter_maps[1:]) for i in lm}
+        self._s_prime = extend_letters(self._shift_letter, self.ambient, -1)
 
     @property
     def ambient(self):
@@ -85,20 +82,15 @@ class StagedBialgebra:
         shift = self.shift
         return all(i in shift for f in m.factors for i in f.letters)
 
-    def s_prime(self, elt: PoissElt) -> PoissElt:
-        """Stage shift extended multiplicatively and bracket-antimorphically.
+    def _shift_letter(self, letter: int) -> PoissElt:
+        alphabet = self.ambient.alphabet
+        if letter not in self.shift:
+            raise StageOverflowError(f"stage overflow: {alphabet[letter]} has no successor")
+        return self.ambient.gen(alphabet[self.shift[letter]])
 
-        Each Lyndon factor of degree d picks up (-1)^(d-1) from reversing
-        its brackets; the letters move up one stage.  The shift adds a fixed
-        offset to every letter index, so it preserves letter order.
-        """
-        try:
-            vec = rename_letters(flip_bracket(elt.vec), self.shift)
-        except KeyError as e:
-            raise StageOverflowError(
-                f"stage overflow: {self.ambient.alphabet[e.args[0]]} has no successor"
-            ) from None
-        return self.ambient.elt(vec, elt.lossy)
+    def s_prime(self, elt: PoissElt) -> PoissElt:
+        """The stage map extended multiplicatively and bracket-antimorphically."""
+        return self._s_prime.apply(elt, self.ambient)
 
     def convolution_relation(self, base: str, stage: int, side: str) -> PoissElt:
         """(S' * Id - u.eps)(x at stage) for side 'left', (Id * S' - u.eps) for 'right'.
@@ -107,8 +99,7 @@ class StagedBialgebra:
         the staged bialgebra's label maps.
         """
         x = letter_monomials(self.ambient)[self.letter_maps[stage][self.base.ambient.index(base)]]
-        residual = convolution_residual(self.bialgebra, x,
-                                        lambda m: self.s_prime(self.ambient.monomial_elt(m)).vec, side)
+        residual = convolution_residual(self.bialgebra, x, lambda m: self._s_prime.monomial(m).vec, side)
         return self.ambient.elt(residual)
 
 
@@ -268,8 +259,7 @@ def hopf_coproduct_antipode(operands) -> HopfCoproduct:
     for H, inj, lm in zip(operands, cp.injections, cp.letter_maps):
         for name, image in H.antipode_table().items():
             antipode_images[names[lm[H.ambient.index(name)]]] = inj.apply(image)
-    S = LetterExtension(lambda letter: antipode_images[names[letter]], q.product,
-                        lambda x, y: q.bracket(y, x), q.one)
+    S = extend_letters(lambda letter: antipode_images[names[letter]], q, -1)
 
     def antipode(m):
         try:

@@ -11,7 +11,9 @@ Elements print as sorted products of bracketed Lyndon words (``a*[a,b]``),
 a form the expression parser reads back verbatim.
 
 Every map the constructions build out of a free Poisson algebra is fixed by
-its letter images; ``LetterExtension`` is the one implementation of that.
+its letter images; ``LetterExtension`` is the one implementation of that,
+and ``extend_letters`` builds the algebra maps among them, Poisson maps or
+bracket anti-morphisms, into an ambient or a quotient.
 
 Monomials are interned in the process-wide ``_monomial_table``, one entry
 per distinct monomial ever built, next to the word table and
@@ -24,7 +26,7 @@ import functools
 import operator
 from fractions import Fraction
 
-from .linalg import SparseVec, unit_vec
+from .linalg import SparseVec, lincomb, unit_vec
 from .lyndon import LyndonWord, bracket_words, lyndon_words, standard_factorization
 
 
@@ -178,6 +180,14 @@ class FreePoissonAlgebra:
 
     def monomial_elt(self, m: PoissMonomial) -> "PoissElt":
         return PoissElt(self, unit_vec(m), False)
+
+    # -- the target protocol of ``extend_letters``, shared with quotients --
+
+    def product(self, a: "PoissElt", b: "PoissElt") -> "PoissElt":
+        return poiss_product(a, b)
+
+    def bracket(self, a: "PoissElt", b: "PoissElt") -> "PoissElt":
+        return poiss_bracket(a, b)
 
     # -- the label protocol of ``verify``, on the free algebra itself --
 
@@ -362,6 +372,35 @@ class LetterExtension:
                 out = self.mul(self.monomial(PoissMonomial(factors[:-1])), self.word(factors[-1]))
             self.monomials[m] = out
         return out
+
+    def apply(self, elt: PoissElt, algebra: FreePoissonAlgebra) -> PoissElt:
+        """The linear extension to an element, for images in ``algebra``.
+
+        The result is lossy when the element or one of the images is.
+        """
+        terms, lossy = [], elt.lossy
+        for m, c in elt.vec.items():
+            image = self.monomial(m)
+            lossy = lossy or image.lossy
+            terms.append((c, image.vec))
+        return algebra.elt(lincomb(terms), lossy)
+
+
+def extend_letters(letter_image, target, sign: int) -> LetterExtension:
+    """The algebra map out of a free Poisson algebra with the given letter images.
+
+    ``target`` is a ``FreePoissonAlgebra`` or a quotient of one: its
+    ``product``, ``bracket`` and ``one`` are the operations extended over.
+    With ``sign`` 1 the map is a Poisson map; with -1 it is a bracket
+    anti-morphism, {a, b} -> {f(b), f(a)}, extended over the swapped bracket.
+    """
+    bracket = target.bracket if sign == 1 else lambda x, y: target.bracket(y, x)
+    return LetterExtension(letter_image, target.product, bracket, target.one)
+
+
+def letter_monomials(ambient: FreePoissonAlgebra) -> list:
+    """The letters as monomials, in alphabet order."""
+    return [PoissMonomial((LyndonWord((i,)),)) for i in range(ambient.size)]
 
 
 @functools.lru_cache(maxsize=None)

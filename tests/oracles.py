@@ -6,8 +6,10 @@ exhaustive rotation search for Lyndon words, the Mobius/Witt counting
 formula, generating-function series for graded dimensions, a naive
 batch-closure loop for ideal saturation, the commutator expansion of
 Lie brackets in the tensor algebra, coassociativity expanded into
-triples, echelon back-substitution by scanning every stored row, and
-the Hopf relations by element arithmetic on the ambient coproduct table.
+triples, echelon back-substitution by scanning every stored row,
+the Hopf relations by element arithmetic on the ambient coproduct table,
+and maps fixed by order-preserving letter renamings by renaming each
+monomial and negating the bracket factor by factor.
 """
 
 import functools
@@ -140,6 +142,29 @@ def brute_force_saturation(ambient, generators, n):
         if after.rank == basis.rank:
             return after
         current = list(after.rows)
+
+
+def flip_bracket(vec):
+    """The bracket-flip automorphism on a vector over monomials.
+
+    Each Lyndon factor of degree d carries d-1 brackets, so negating the
+    bracket rescales a monomial by (-1)^(degree - number of factors).
+    """
+    return SparseVec((m, -c if (m.degree - len(m.factors)) % 2 else c) for m, c in vec.items())
+
+
+def rename_letters(vec, letter_map):
+    """Push a vector through an order-preserving letter renaming.
+
+    Such a renaming keeps every Lyndon word Lyndon, with the same standard
+    factorization, and keeps the factor order of a monomial.  A letter
+    missing from ``letter_map`` raises ``KeyError`` with its index.
+    """
+
+    def rename(m):
+        return PoissMonomial(tuple(LyndonWord(tuple(letter_map[i] for i in f.letters)) for f in m.factors))
+
+    return SparseVec((rename(m), c) for m, c in vec.items())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poissonhopf import colimits
-from poissonhopf.bialgebra import induce_bialgebra
+from poissonhopf.bialgebra import PresentedPoissonBialgebra, induce_bialgebra, op_cop
 from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
 from poissonhopf.colimits import (
     MorphismTable,
@@ -29,7 +29,7 @@ from poissonhopf.poisson import (
 from poissonhopf.verify import check_jacobi, check_leibniz
 
 
-from oracles import brute_force_saturation
+from oracles import brute_force_saturation, flip_bracket, rename_letters
 from test_delta_label import grouplike_coequalizer
 
 
@@ -285,6 +285,36 @@ def test_coproduct_with_initial_object_is_identity():
     assert cp.quotient.graded_dims() == A.graded_dims()
     inj = cp.injections[0]
     assert inj.well_defined_report().ok
+
+
+_TRIG = induce_bialgebra(builtin("trig"), 4)
+
+
+def _trig_vectors(min_size):
+    monomials = [m for m in _TRIG.ambient.monomials_upto() if m.degree >= 1]
+    return st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3).filter(bool),
+                           min_size=min_size, max_size=4).map(SparseVec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_trig_vectors(1), min_size=1, max_size=2), _trig_vectors(0), st.sampled_from([1, -1]))
+def test_coproduct_lifts_relations_and_elements_as_the_renaming_oracle(relations, vec, sign):
+    # the second operand carries random relations, op-cop twisted when sign is -1:
+    # its relations and its injection go through the bracket flip, then the
+    # order-preserving renaming onto its letters
+    B, amb = _TRIG, _TRIG.ambient
+    operand = PresentedPoissonBialgebra(quotient(amb, [amb.elt(r) for r in relations]),
+                                        B.delta_table, B.epsilon_table)
+    if sign == -1:
+        operand = op_cop(operand)
+    cp = poisson_coproduct([B, operand])
+    target, lm = cp.quotient.ambient, cp.letter_maps[1]
+
+    def oracle(v):
+        return target.elt(rename_letters(flip_bracket(v) if sign == -1 else v, lm))
+
+    assert list(cp.quotient.generators) == [oracle(r) for r in relations]
+    assert cp.injections[1].apply(amb.elt(vec)) == cp.quotient.normal_form(oracle(vec))
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (2, 1)])

@@ -1,8 +1,10 @@
 """Staged construction: shift map, convolution relations, Hopf quotients."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poissonhopf import free_hopf
 from poissonhopf.bialgebra import bialgebra_coequalizer, check_bialgebra, induce_bialgebra
@@ -18,11 +20,12 @@ from poissonhopf.free_hopf import (
     staged_coproduct,
     verify_antipode,
 )
-from poissonhopf.poisson import poiss_bracket, poiss_product
+from poissonhopf.linalg import SparseVec
+from poissonhopf.poisson import extend_letters, poiss_bracket, poiss_product
 from poissonhopf.exprs import parse
 from poissonhopf.verify import Report, Violation
 
-from oracles import hopf_relations_oracle
+from oracles import flip_bracket, hopf_relations_oracle, rename_letters
 
 
 def test_staged_coproduct_grouplike_two_stages():
@@ -77,6 +80,75 @@ def test_s_prime_overflow():
     staged = staged_coproduct(B, 2)
     with pytest.raises(StageOverflowError, match="overflow"):
         staged.s_prime(staged.ambient.gen("g_1"))
+
+
+def test_s_prime_overflow_names_the_last_stage_letter():
+    staged = staged_coproduct(induce_bialgebra(builtin("trig"), 3), 3)
+    amb = staged.ambient
+    for name in ("c_2", "s_2"):
+        with pytest.raises(StageOverflowError) as info:
+            staged.s_prime(poiss_product(amb.gen("c_0"), amb.gen(name)))
+        assert str(info.value) == f"stage overflow: {name} has no successor"
+
+
+@functools.cache
+def _staged_m3_n4(name):
+    return staged_coproduct(induce_bialgebra(builtin(name), 4), 3)
+
+
+def _coefficients():
+    return st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grouplike-2", "trig"]), st.data())
+def test_s_prime_matches_the_renaming_oracle(name, data):
+    # the stage map preserves letter order, so S' is the order-preserving
+    # renaming after the bracket flip; a last-stage letter raises, naming the
+    # first letter the renaming misses
+    staged = _staged_m3_n4(name)
+    amb = staged.ambient
+    monomials = amb.monomials_upto()
+    entries = data.draw(st.dictionaries(st.sampled_from([m for m in monomials if staged.shiftable(m)]),
+                                        _coefficients(), max_size=6))
+    extra = data.draw(st.dictionaries(st.sampled_from(monomials), _coefficients(), max_size=1))
+    elt = amb.elt(SparseVec({**entries, **extra}))
+    try:
+        expected = amb.elt(rename_letters(flip_bracket(elt.vec), staged.shift))
+    except KeyError as e:
+        with pytest.raises(StageOverflowError) as info:
+            staged.s_prime(elt)
+        assert str(info.value) == f"stage overflow: {amb.alphabet[e.args[0]]} has no successor"
+    else:
+        assert staged.s_prime(elt) == expected
+
+
+def test_stage_swap_extends_to_a_bracket_antimorphism():
+    # the stage-0 <-> stage-1 swap reverses letter order, so no order-preserving
+    # renaming expresses it; its extension is an algebra map and a bracket
+    # anti-morphism on every in-budget pair, and an involution
+    n = 4
+    staged = staged_coproduct(induce_bialgebra(builtin("trig"), n), 2)
+    amb = staged.ambient
+    lm0, lm1 = staged.letter_maps
+    swap = {**{lm0[i]: lm1[i] for i in lm0}, **{lm1[i]: lm0[i] for i in lm0}}
+    c0c1 = poiss_bracket(amb.gen("c_0"), amb.gen("c_1"))
+    with pytest.raises(ValueError, match="not a Lyndon word"):
+        rename_letters(c0c1.vec, swap)
+    S = extend_letters(lambda letter: amb.gen(amb.alphabet[swap[letter]]), amb, -1)
+    monomials = amb.monomials_upto()
+    image = {m: S.monomial(m) for m in monomials}
+    assert not any(x.lossy for x in image.values())
+    pairs = 0
+    for a, b in itertools.product(monomials, repeat=2):
+        if a.degree + b.degree > n:
+            continue
+        ea, eb = amb.monomial_elt(a), amb.monomial_elt(b)
+        assert S.apply(poiss_product(ea, eb), amb) == poiss_product(image[a], image[b])
+        assert S.apply(poiss_bracket(ea, eb), amb) == poiss_bracket(image[b], image[a])
+        pairs += 1
+    assert pairs > 1000
+    assert all(S.apply(image[m], amb) == amb.monomial_elt(m) for m in monomials)
 
 
 @pytest.mark.parametrize("stages", [2, 3, 4])
