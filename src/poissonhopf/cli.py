@@ -7,7 +7,8 @@ files, all read by ``read_json``; a ``--degree`` below 1; a law the artifact
 has no structure for), 3 validation
 failures (coalgebra laws, axiom violations, ill-defined morphisms), 4 stage
 or degree overflow (``eval`` of an expression with terms above the budget; a
-free Hopf algebra with fewer than 2 stages or a degree budget below 2),
+free Hopf algebra with fewer than 2 stages or a degree budget below 2; a
+budget whose ambient would hold more than ``AMBIENT_CAP``, 50,000 monomials),
 1 unexpected internal failure, among them a construction whose own
 certificate fails (``Report.require``).
 Reports are emitted with sorted keys and stable ordering, so identical
@@ -72,14 +73,40 @@ def reports(named: dict) -> dict:
 # the artifact kinds ``verify`` re-runs, each built by ``construct`` exactly as its command builds it
 KINDS = ("induce", "coproduct", "free-hopf")
 
+# the most ambient monomials ``construct`` builds; matrix-2 at M=2, N=5 (37,449)
+# is the largest budget measured to finish
+AMBIENT_CAP = 50_000
+
+
+def ambient_size(letters: int, degree: int) -> int:
+    """sum_{d <= N} k^d, the monomials on k letters by PBW, summed only until it passes the cap."""
+    size, term = 0, 1
+    # each step adds at least 1 while k >= 1, so the cap bounds the steps too
+    for _ in range(min(degree, AMBIENT_CAP) + 1):
+        size += term
+        if size > AMBIENT_CAP:
+            break
+        term *= letters
+    return size
+
 
 def construct(kind: str, spec, degree: int, stages=None):
-    """The one construction of an artifact kind; ``spec`` is a reference, or two for a coproduct."""
+    """The one construction of an artifact kind; ``spec`` is a reference, or two for a coproduct.
+
+    Once the specs resolve, a budget whose ambient would pass ``AMBIENT_CAP``
+    is refused before any monomial is built.  The letters are dim C, summed
+    over a coproduct's two, and times M on M stages.
+    """
+    coalgebras = [resolve_spec(ref) for ref in (spec if kind == "coproduct" else [spec])]
+    letters = sum(len(C.basis) for C in coalgebras) * (max(stages, 0) if kind == "free-hopf" else 1)
+    if ambient_size(letters, degree) > AMBIENT_CAP:
+        raise StageOverflowError(f"the ambient at degree budget {degree} on an alphabet of size {letters}"
+                                 f" has more than {AMBIENT_CAP:,} monomials, the cap")
     if kind == "coproduct":
-        return bialgebra_coproduct([construct("induce", ref, degree) for ref in spec]).bialgebra
+        return bialgebra_coproduct([induce_bialgebra(C, degree) for C in coalgebras]).bialgebra
     if kind == "free-hopf":
-        return free_poisson_hopf(resolve_spec(spec), stages, degree)
-    return induce_bialgebra(resolve_spec(spec), degree)
+        return free_poisson_hopf(coalgebras[0], stages, degree)
+    return induce_bialgebra(coalgebras[0], degree)
 
 
 # ---- command handlers -------------------------------------------------------

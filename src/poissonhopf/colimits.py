@@ -15,8 +15,9 @@ so a bracket that would be thrown away is never formed;
 
 A quotient never changes once built, so it keeps two tables that live and
 die with it: ``_nf_cache`` (monomial -> normal form) and ``_label_ops``
-((op, a, b) -> normal form of the product or bracket of two monomials,
-the label maps of the checker protocol).
+((op, a, b) -> normal form of the ambient's product or bracket of two
+monomials: the label maps of the checker protocol are the ambient's,
+followed by the normal form).
 
 Coproducts are computed on presentations: the coproduct of P(V)/I and
 P(W)/J is P(V (+) W) over the union of the lifted relation sets, with the
@@ -253,9 +254,8 @@ class TruncatedQuotient:
             if op == "-bracket":
                 r = -self.label_op("bracket", a, b)
             else:
-                fn = poiss_product if op == "product" else poiss_bracket
-                elt = self.ambient.monomial_elt
-                r = self.nf_vec(fn(elt(a), elt(b)).vec)
+                fn = self.ambient.product_labels if op == "product" else self.ambient.bracket_labels
+                r = self.nf_vec(fn(a, b))
             self._label_ops[key] = r
         return r
 

@@ -76,7 +76,8 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.advance()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", tok[2])
         return tok
 
     def parse_expr(self) -> PoissElt:
@@ -120,7 +121,7 @@ class _Parser:
             right = self.parse_expr()
             self.expect(closing)
             return poiss_bracket(left, right)
-        raise ParseError(f"unexpected token {value!r}", pos)
+        raise ParseError("unexpected end of input" if kind == "end" else f"unexpected token {value!r}", pos)
 
     def parse_scalar(self) -> Fraction:
         tok = self.expect("int")

@@ -53,7 +53,7 @@ from .verify import Report, check_antipode, check_antipode_convolution, convolut
 
 
 class StageOverflowError(ValueError):
-    """An operation needed a stage beyond the configured budget."""
+    """A stage or degree budget out of range, or an operation needed a stage beyond it."""
 
 
 class StagedBialgebra:

@@ -2,6 +2,9 @@
 
 Everything is a value: vectors are immutable, a basis is built once and then
 only queried.  ``lincomb`` is the one loop that sums scaled vectors, and
+``bilinear`` the one extension of a label-pair map to vectors: targets,
+quotients and the free Lie algebra are given by their label maps, and only
+the free Poisson product and bracket keep loops, to track truncation loss.
 ``EchelonBasis``, the growing span, keeps a column index (label -> rows
 holding it) so that an insert back-substitutes without scanning every row.
 Labels may be any hashable objects; the global order used for pivoting
@@ -174,6 +177,11 @@ def lincomb(terms) -> SparseVec:
             else:
                 del data[label]
     return SparseVec._raw(data)
+
+
+def bilinear(op, u: SparseVec, v: SparseVec) -> SparseVec:
+    """Sum of c * d * op(a, b) over the entries (a, c) of u and (b, d) of v."""
+    return lincomb((ca * cb, op(a, b)) for a, ca in u._entries.items() for b, cb in v._entries.items())
 
 
 def outer_sum(terms) -> SparseVec:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .linalg import SparseVec, lincomb, unit_vec
+from .linalg import SparseVec, bilinear, lincomb, unit_vec
 
 
 def is_lyndon(letters: tuple) -> bool:
@@ -208,8 +208,5 @@ def lie_word(alphabet_size: int, letters) -> LieElt:
 def lie_bracket(x: LieElt, y: LieElt) -> LieElt:
     """Bilinear bracket, normalized into the Lyndon basis."""
     x._check(y)
-    out = lincomb(
-        (cu * cv, bracket_words(u, v)) for u, cu in x.vec.items() for v, cv in y.vec.items()
-    )
-    return LieElt(x.alphabet_size, out)
+    return LieElt(x.alphabet_size, bilinear(bracket_words, x.vec, y.vec))
 

@@ -10,7 +10,9 @@ Two closed-form families:
 
 Both kinds satisfy the Poisson bialgebra compatibilities by construction and
 carry an antipode, and both are exactly computable over Q.  Elements are
-sparse vectors over the printed monomial labels given below.
+sparse vectors over the printed monomial labels given below.  Each target
+is given by its label maps: ``mul``, ``bracket`` and ``delta`` extend its
+``product_labels``, ``bracket_labels`` and ``delta_label`` to vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import SparseVec, lincomb, unit_vec
+from .linalg import SparseVec, bilinear, lincomb, unit_vec
 
 
 class GroupAlgebra:
@@ -44,17 +46,13 @@ class GroupAlgebra:
         return unit_vec(tuple(exps))
 
     def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return SparseVec(
-            (tuple(x + y for x, y in zip(a, b)), ca * cb)
-            for a, ca in u.items()
-            for b, cb in v.items()
-        )
+        return bilinear(self.product_labels, u, v)
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return SparseVec()
 
     def delta(self, u: SparseVec) -> SparseVec:
-        return SparseVec({(a, a): c for a, c in u.items()})
+        return lincomb((c, self.delta_label(a)) for a, c in u.items())
 
     def epsilon(self, u: SparseVec) -> Fraction:
         return sum((c for _, c in u.items()), Fraction(0))
@@ -69,7 +67,10 @@ class GroupAlgebra:
             f"t{i+1}^{e}" for i, e in enumerate(label) if e
         )
 
-    # -- protocol for ``check_coalgebra_map``: labels are the exponent tuples --
+    # -- label maps: labels are the exponent tuples --
+
+    def product_labels(self, a, b) -> SparseVec:
+        return unit_vec(tuple(x + y for x, y in zip(a, b)))
 
     def delta_label(self, label) -> SparseVec:
         return unit_vec((label, label))
@@ -90,14 +91,11 @@ class SymmetricLieHopf:
     def __init__(self, names, brackets, truncation: int):
         self.names = tuple(names)
         self.truncation = truncation
-        n = len(self.names)
         table = {}
         for (i, j), terms in brackets.items():
             vec = SparseVec({(k,): Fraction(c) for k, c in terms.items()})
             table[(i, j)] = vec
             table[(j, i)] = -vec
-        for i in range(n):
-            table.setdefault((i, i), SparseVec())
         self._table = table
         self._check_lie_axioms()
 
@@ -128,44 +126,13 @@ class SymmetricLieHopf:
         return unit_vec((i,))
 
     def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return SparseVec(
-            (tuple(sorted(a + b)), ca * cb)
-            for a, ca in u.items()
-            for b, cb in v.items()
-            if len(a) + len(b) <= self.truncation
-        )
-
-    def _mono_bracket_terms(self, a: tuple, b: tuple):
-        for i in range(len(a)):
-            rest_a = a[:i] + a[i + 1 :]
-            for j in range(len(b)):
-                rest = rest_a + b[:j] + b[j + 1 :]
-                for (k,), c in self._gen_bracket(a[i], b[j]).items():
-                    mono = tuple(sorted(rest + (k,)))
-                    if len(mono) <= self.truncation:
-                        yield mono, c
+        return bilinear(self.product_labels, u, v)
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return SparseVec(
-            (mono, ca * cb * c)
-            for a, ca in u.items()
-            for b, cb in v.items()
-            for mono, c in self._mono_bracket_terms(a, b)
-        )
+        return bilinear(self.bracket_labels, u, v)
 
     def delta(self, u: SparseVec) -> SparseVec:
-        """Primitive on generators, extended multiplicatively (binomial splits)."""
-        terms = []
-        for mono, c in u.items():
-            acc = unit_vec(((), ()))
-            for idx in mono:
-                acc = SparseVec(
-                    (key, cv)
-                    for (l, r), cv in acc.items()
-                    for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,)))))
-                )
-            terms.append((c, acc))
-        return lincomb(terms)
+        return lincomb((c, self.delta_label(mono)) for mono, c in u.items())
 
     def epsilon(self, u: SparseVec) -> Fraction:
         return u.get(())
@@ -178,7 +145,7 @@ class SymmetricLieHopf:
             return "1"
         return "*".join(self.names[i] for i in label)
 
-    # -- protocol for the axiom checkers: labels are the sorted index tuples --
+    # -- label maps, and the rest of the checker protocol: labels are the sorted index tuples --
 
     def labels_upto(self):
         out = [()]
@@ -189,20 +156,36 @@ class SymmetricLieHopf:
     def label_degree(self, label) -> int:
         return len(label)
 
-    def delta_label(self, label) -> SparseVec:
-        return self.delta(unit_vec(label))
-
-    def epsilon_label(self, label) -> Fraction:
-        return self.epsilon(unit_vec(label))
-
     def product_labels(self, a, b) -> SparseVec:
-        return self.mul(unit_vec(a), unit_vec(b))
+        return unit_vec(tuple(sorted(a + b))) if len(a) + len(b) <= self.truncation else SparseVec()
 
     def bracket_labels(self, a, b) -> SparseVec:
-        return self.bracket(unit_vec(a), unit_vec(b))
+        """The structure constants extended by the Leibniz rule in both slots."""
+        if len(a) + len(b) - 1 > self.truncation:
+            return SparseVec()
+        return SparseVec(
+            (tuple(sorted(a[:i] + a[i + 1 :] + b[:j] + b[j + 1 :] + (k,))), c)
+            for i in range(len(a))
+            for j in range(len(b))
+            for (k,), c in self._gen_bracket(a[i], b[j]).items()
+        )
+
+    def delta_label(self, label) -> SparseVec:
+        """Primitive on generators, extended multiplicatively (binomial splits)."""
+        acc = unit_vec(((), ()))
+        for idx in label:
+            acc = SparseVec(
+                (key, cv)
+                for (l, r), cv in acc.items()
+                for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,)))))
+            )
+        return acc
+
+    def epsilon_label(self, label) -> int:
+        return 0 if label else 1
 
     def antipode_label(self, label) -> SparseVec:
-        return self.antipode(unit_vec(label))
+        return unit_vec(label, -1 if len(label) % 2 else 1)
 
 
 def sl2_hopf(truncation: int) -> SymmetricLieHopf:

@@ -50,10 +50,10 @@ ambient, whose bracket is the Lie bracket of Lyndon words extended as a
 biderivation.  ``colimits.fixpoint_certificate`` shows the ideal I closed
 under in-budget products and brackets with letters, and by Leibniz and
 Jacobi in the ambient that closes it under every in-budget product and
-bracket: I is a Poisson ideal.  The quotient's operations are the
-ambient's followed by the normal form, so every in-budget identity of the
-ambient holds on the quotient.  ``check_leibniz`` and ``check_jacobi``
-stay as exhaustive checks of the label maps.
+bracket: I is a Poisson ideal.  The quotient's label maps are the
+ambient's followed by the normal form (``TruncatedQuotient.label_op``), so
+every in-budget ambient identity holds on the quotient.  ``check_leibniz``
+and ``check_jacobi`` stay as exhaustive checks of the label maps.
 
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket, coproduct or antipode many times, so a structure
@@ -70,7 +70,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 
-from .linalg import SparseVec, lincomb, map_pairs, outer_sum, unit_vec
+from .linalg import SparseVec, bilinear, lincomb, map_pairs, outer_sum, unit_vec
 
 
 class Violation(namedtuple("Violation", "law witnesses residual")):
@@ -179,11 +179,7 @@ def render_tensor(structure, vec: SparseVec) -> str:
     )
 
 
-# ---- bilinear plumbing over label vectors ----------------------------------
-
-
-def op_vec_vec(op, va: SparseVec, vb: SparseVec) -> SparseVec:
-    return lincomb((ca * cb, op(a, b)) for a, ca in va.items() for b, cb in vb.items())
+# ---- label maps on vectors and tensors (``linalg.bilinear`` on vectors) ----
 
 
 def delta_vec(structure, v: SparseVec) -> SparseVec:
@@ -322,8 +318,8 @@ def check_leibniz(structure) -> Report:
     for p in within[n]:
         for q in within[n - deg(p)]:
             for r in within[n - deg(p) - deg(q)]:
-                lhs = op_vec_vec(br, unit_vec(p), mul(q, r))
-                rhs = op_vec_vec(mul, br(p, q), unit_vec(r)) + op_vec_vec(mul, unit_vec(q), br(p, r))
+                lhs = bilinear(br, unit_vec(p), mul(q, r))
+                rhs = bilinear(mul, br(p, q), unit_vec(r)) + bilinear(mul, unit_vec(q), br(p, r))
                 report.record("leibniz", lhs - rhs, (p, q, r), structure.render_label, vector)
     return report
 
@@ -345,9 +341,9 @@ def check_jacobi(structure) -> Report:
             zs = within[n - dx - deg(y)]
             for z in zs[bisect_left(zs, position(y), key=position):]:
                 residual = (
-                    op_vec_vec(br, unit_vec(x), br(y, z))
-                    + op_vec_vec(br, unit_vec(y), br(z, x))
-                    + op_vec_vec(br, unit_vec(z), br(x, y))
+                    bilinear(br, unit_vec(x), br(y, z))
+                    + bilinear(br, unit_vec(y), br(z, x))
+                    + bilinear(br, unit_vec(z), br(x, y))
                 )
                 report.record("jacobi", residual, (x, y, z), structure.render_label, vector)
     return report
@@ -373,7 +369,7 @@ def check_antipode_antimorphism(structure) -> Report:
             if direct is None:
                 ops += 1
                 continue
-            report.record(law, direct - op_vec_vec(op, sb, sa), (a, b), structure.render_label, vector)
+            report.record(law, direct - bilinear(op, sb, sa), (a, b), structure.render_label, vector)
     report.skip("antipode", pairs, "label pairs", "S is undefined on one of their labels")
     report.skip("antipode", ops, "products or brackets", "S is undefined on one of their labels")
     return report
@@ -391,7 +387,7 @@ def convolution_residual(structure, x, antipode, side: str):
         u, v = (antipode(a), unit_vec(b)) if side == "left" else (unit_vec(a), antipode(b))
         if u is None or v is None:
             return None
-        terms.append((c, op_vec_vec(structure.product_labels, u, v)))
+        terms.append((c, bilinear(structure.product_labels, u, v)))
     return lincomb([*terms, (-structure.epsilon_label(x), structure.one())])
 
 

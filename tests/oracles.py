@@ -8,8 +8,9 @@ batch-closure loop for ideal saturation, the commutator expansion of
 Lie brackets in the tensor algebra, coassociativity expanded into
 triples, echelon back-substitution by scanning every stored row,
 the Hopf relations by element arithmetic on the ambient coproduct table,
-and maps fixed by order-preserving letter renamings by renaming each
-monomial and negating the bracket factor by factor.
+maps fixed by order-preserving letter renamings by renaming each
+monomial and negating the bracket factor by factor, and the closed-form
+targets' product, bracket and coproduct by pair loops over their labels.
 """
 
 import functools
@@ -288,3 +289,63 @@ def hopf_relations_oracle(staged):
         for base in staged.base.ambient.alphabet
         for side in ("left", "right")
     ]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form targets' operations on vectors, by the pair loops over
+# labels that ``targets.GroupAlgebra`` and ``targets.SymmetricLieHopf`` ran
+# before their label maps became the primitives
+
+
+def group_algebra_mul(u, v):
+    return SparseVec(
+        (tuple(x + y for x, y in zip(a, b)), ca * cb) for a, ca in u.items() for b, cb in v.items()
+    )
+
+
+def group_algebra_delta(u):
+    return SparseVec({(a, a): c for a, c in u.items()})
+
+
+def symmetric_lie_mul(T, u, v):
+    return SparseVec(
+        (tuple(sorted(a + b)), ca * cb)
+        for a, ca in u.items()
+        for b, cb in v.items()
+        if len(a) + len(b) <= T.truncation
+    )
+
+
+def _symmetric_lie_bracket_terms(T, a, b):
+    for i in range(len(a)):
+        rest_a = a[:i] + a[i + 1 :]
+        for j in range(len(b)):
+            rest = rest_a + b[:j] + b[j + 1 :]
+            for (k,), c in T._gen_bracket(a[i], b[j]).items():
+                mono = tuple(sorted(rest + (k,)))
+                if len(mono) <= T.truncation:
+                    yield mono, c
+
+
+def symmetric_lie_bracket(T, u, v):
+    return SparseVec(
+        (mono, ca * cb * c)
+        for a, ca in u.items()
+        for b, cb in v.items()
+        for mono, c in _symmetric_lie_bracket_terms(T, a, b)
+    )
+
+
+def symmetric_lie_delta(u):
+    """Primitive on generators, extended multiplicatively (binomial splits)."""
+    terms = []
+    for mono, c in u.items():
+        acc = unit_vec(((), ()))
+        for idx in mono:
+            acc = SparseVec(
+                (key, cv)
+                for (l, r), cv in acc.items()
+                for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,)))))
+            )
+        terms.append((c, acc))
+    return lincomb(terms)

@@ -420,6 +420,47 @@ def test_eval_deeply_nested_expression_exits_2(capsys):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("(", "unexpected end of input at offset 1"),
+    ("(c", "expected ')', found end of input at offset 2"),
+])
+def test_eval_names_the_end_of_input(capsys, expr, message):
+    code, out, err = run(capsys, "eval", "builtin:trig", expr, "--degree", "2")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, letters", [
+    (("dims", "builtin:matrix-3", "--degree", "9"), 9),
+    (("free-hopf", "builtin:trig", "--stages", "200", "--degree", "3"), 400),
+    (("induce", "builtin:grouplike-1", "--degree", "1000000000"), 1),
+])
+def test_runaway_budget_is_refused_before_any_monomial(capsys, monkeypatch, argv, letters):
+    from poissonhopf import cli
+
+    def unreachable(*args):
+        raise AssertionError("a construction started")
+
+    monkeypatch.setattr(cli, "induce_bialgebra", unreachable)
+    monkeypatch.setattr(cli, "free_poisson_hopf", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == (f"overflow: the ambient at degree budget {argv[-1]} on an alphabet of size {letters}"
+                   " has more than 50,000 monomials, the cap\n")
+
+
+def test_ambient_estimate_admits_the_measured_frontier():
+    from poissonhopf.cli import AMBIENT_CAP, ambient_size
+
+    # trig M=2 N=7 (4 letters) and matrix-2 M=2 N=5 (8 letters) finish; 341 is the laurent workload
+    assert ambient_size(4, 7) == 21_845 <= AMBIENT_CAP
+    assert ambient_size(8, 5) == 37_449 <= AMBIENT_CAP
+    assert ambient_size(4, 4) == 341
+    # one letter gives N+1 monomials; no letter gives the unit alone
+    assert ambient_size(1, 9) == 10 and ambient_size(0, 9) == 1
+    assert ambient_size(1, AMBIENT_CAP - 1) == AMBIENT_CAP < ambient_size(1, AMBIENT_CAP)
+
+
 def _unreadable_inputs(tmp_path):
     directory = tmp_path / "a_directory"
     directory.mkdir()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from poissonhopf import free_hopf
 from poissonhopf.bialgebra import bialgebra_coequalizer, check_bialgebra, induce_bialgebra
 from poissonhopf.coalgebra import builtin
-from poissonhopf.colimits import MorphismTable
+from poissonhopf.colimits import MorphismTable, quotient
 from poissonhopf.free_hopf import (
     StageOverflowError,
     TruncatedHopf,
@@ -149,6 +149,47 @@ def test_stage_swap_extends_to_a_bracket_antimorphism():
         pairs += 1
     assert pairs > 1000
     assert all(S.apply(image[m], amb) == amb.monomial_elt(m) for m in monomials)
+
+
+def _stage_map(staged, stage_of):
+    # the extension, over the swapped bracket, of the map sending each stage-n
+    # letter to its copy at stage stage_of(n)
+    amb, lms = staged.ambient, staged.letter_maps
+    images = {lm[i]: lms[stage_of(n)][i] for n, lm in enumerate(lms) for i in lm}
+    return extend_letters(lambda letter: amb.gen(amb.alphabet[images[letter]]), amb, -1)
+
+
+def _rows_leaving_the_ideal(q, S):
+    return sum(not q.ideal.contains(S.apply(q.ambient.elt(row), q.ambient).vec) for row in q.ideal.rows)
+
+
+@pytest.mark.parametrize("name, n, rank", [("trig", 4, 180), ("matrix-2", 3, 111)])
+def test_two_stage_hopf_ideal_is_closed_under_the_stage_swap(name, n, rank):
+    # S' as the stage-0 <-> stage-1 swap would be total at M=2: each ideal row,
+    # not only each generator, swaps back into the ideal
+    H = free_poisson_hopf(builtin(name), 2, n)
+    assert H.quotient.ideal.rank == rank
+    assert _rows_leaving_the_ideal(H.quotient, _stage_map(H.staged, lambda stage: 1 - stage)) == 0
+
+
+def test_left_convolution_relations_alone_are_not_closed_under_the_stage_swap():
+    # negative control: the swap sends a left relation to a right one, so the
+    # ideal of the left relations alone is not swap-stable on matrix-2, whose
+    # two sides differ
+    staged = staged_coproduct(induce_bialgebra(builtin("matrix-2"), 3), 2)
+    left = [staged.convolution_relation(base, 0, "left") for base in staged.base.ambient.alphabet]
+    q = quotient(staged.ambient, [*staged.bialgebra.quotient.generators, *left])
+    assert q.ideal.rank == 68
+    assert _rows_leaving_the_ideal(q, _stage_map(staged, lambda stage: 1 - stage)) == 64
+
+
+def test_fold_back_stage_map_keeps_the_three_stage_ideal():
+    # at M=3 the fold-back map sends stage 2 to stage 1 and every other stage one
+    # stage up; at M=2 the same rule is the swap
+    H = free_poisson_hopf(builtin("trig"), 3, 4)
+    assert H.quotient.ideal.rank == 1394
+    fold_back = _stage_map(H.staged, lambda stage: stage + 1 if stage < 2 else 1)
+    assert _rows_leaving_the_ideal(H.quotient, fold_back) == 0
 
 
 @pytest.mark.parametrize("stages", [2, 3, 4])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from poissonhopf.linalg import (
     EchelonBasis,
     SparseVec,
+    bilinear,
     label_key,
     lincomb,
     row_reduce,
@@ -201,6 +202,22 @@ def test_lincomb_matches_dict_oracle(terms, a, b, c):
     _assert_canonical(u + v, _dict_oracle([(1, a), (1, b)]))
     _assert_canonical(u - v, _dict_oracle([(1, a), (-1, b)]))
     _assert_canonical(u.scaled(c), _dict_oracle([(c, a)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), raw_vecs, max_size=8),
+       st.dictionaries(st.integers(0, 3), scalars, max_size=4),
+       st.dictionaries(st.integers(0, 3), scalars, max_size=4))
+# two label pairs whose images cancel; two halves that sum to an integral Fraction
+@example(table={(0, 0): {5: 1}, (0, 1): {5: 1}}, a={0: 1}, b={0: 1, 1: -1})
+@example(table={(0, 0): {5: Fraction(1, 2)}}, a={0: 1}, b={0: 2})
+def test_bilinear_matches_double_sum_oracle(table, a, b):
+    def op(x, y):
+        return SparseVec(table.get((x, y), {}))
+
+    expected = _dict_oracle([(Fraction(ca) * Fraction(cb), table.get((x, y), {}))
+                             for x, ca in a.items() for y, cb in b.items()])
+    _assert_canonical(bilinear(op, SparseVec(a), SparseVec(b)), expected)
 
 
 def test_unit_vec_zero_coeff_is_zero():
