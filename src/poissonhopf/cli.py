@@ -8,7 +8,9 @@ has no structure for), 3 validation
 failures (coalgebra laws, axiom violations, ill-defined morphisms), 4 stage
 or degree overflow (``eval`` of an expression with terms above the budget; a
 free Hopf algebra with fewer than 2 stages or a degree budget below 2; a
-budget whose ambient would hold more than ``AMBIENT_CAP``, 50,000 monomials),
+budget whose ambient would hold more than ``AMBIENT_CAP``, 50,000 monomials;
+a degree budget above ``DEGREE_CAP``, 64, which one letter reaches under the
+ambient cap: its ``verify`` took 1.7 s at degree 64 and 21 s at 150),
 1 unexpected internal failure, among them a construction whose own
 certificate fails (``Report.require``).
 Reports are emitted with sorted keys and stable ordering, so identical
@@ -39,7 +41,6 @@ from .coalgebra import (
 from .colimits import MorphismTable
 from .exprs import ParseError, parse
 from .free_hopf import StageOverflowError, free_poisson_hopf, verify_antipode
-from .lyndon import lyndon_words
 from .poisson import render
 from .verify import (
     check_antipode,
@@ -77,6 +78,10 @@ KINDS = ("induce", "coproduct", "free-hopf")
 # is the largest budget measured to finish
 AMBIENT_CAP = 50_000
 
+# the largest degree budget ``construct`` accepts; one letter passes the ambient
+# cap up to degree 49,999, but its ``verify`` took 21 s at degree 150
+DEGREE_CAP = 64
+
 
 def ambient_size(letters: int, degree: int) -> int:
     """sum_{d <= N} k^d, the monomials on k letters by PBW, summed only until it passes the cap."""
@@ -94,14 +99,17 @@ def construct(kind: str, spec, degree: int, stages=None):
     """The one construction of an artifact kind; ``spec`` is a reference, or two for a coproduct.
 
     Once the specs resolve, a budget whose ambient would pass ``AMBIENT_CAP``
-    is refused before any monomial is built.  The letters are dim C, summed
-    over a coproduct's two, and times M on M stages.
+    is refused before any monomial is built, and so is a degree budget above
+    ``DEGREE_CAP``.  The letters are dim C, summed over a coproduct's two, and
+    times M on M stages.
     """
     coalgebras = [resolve_spec(ref) for ref in (spec if kind == "coproduct" else [spec])]
     letters = sum(len(C.basis) for C in coalgebras) * (max(stages, 0) if kind == "free-hopf" else 1)
     if ambient_size(letters, degree) > AMBIENT_CAP:
         raise StageOverflowError(f"the ambient at degree budget {degree} on an alphabet of size {letters}"
                                  f" has more than {AMBIENT_CAP:,} monomials, the cap")
+    if degree > DEGREE_CAP:
+        raise StageOverflowError(f"the degree budget {degree} is above {DEGREE_CAP}, the cap")
     if kind == "coproduct":
         return bialgebra_coproduct([induce_bialgebra(C, degree) for C in coalgebras]).bialgebra
     if kind == "free-hopf":
@@ -286,8 +294,7 @@ def cmd_verify(args) -> int:
 def cmd_dims(args) -> int:
     B = construct("induce", args.spec, args.degree)
     n = len(B.ambient.alphabet)
-    grouped = lyndon_words(n, args.degree) if n else {}
-    lyndon_counts = [len(grouped.get(d, [])) for d in range(1, args.degree + 1)]
+    lyndon_counts = [len(B.ambient.lyndon_basis(d)) for d in range(1, args.degree + 1)]
     emit(
         args,
         {

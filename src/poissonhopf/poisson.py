@@ -17,12 +17,14 @@ bracket anti-morphisms, into an ambient or a quotient.
 
 Monomials are interned in the process-wide ``_monomial_table``, one entry
 per distinct monomial ever built, next to the word table and
-``_bracket_memo`` of ``lyndon``; none of the three is ever cleared.
+``_bracket_memo`` of ``lyndon``; none of the three is ever cleared.  Each
+``FreePoissonAlgebra`` keeps two tables of its own, which go with it: its
+Lyndon words by degree, grouped once on first use, and its monomials by
+degree, built once, bottom-up.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from fractions import Fraction
 
@@ -94,7 +96,8 @@ class FreePoissonAlgebra:
         self.alphabet = alphabet
         self.truncation = truncation
         self._index = {name: i for i, name in enumerate(alphabet)}
-        self._monomials_cache: dict = {}
+        self._words = None  # Lyndon words by degree, grouped on first use
+        self._monomials = {0: [UNIT_MONOMIAL]}  # monomials by degree, built bottom-up
 
     @property
     def size(self) -> int:
@@ -118,46 +121,25 @@ class FreePoissonAlgebra:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def lyndon_basis(self, degree: int):
-        if degree < 1 or degree > self.truncation:
-            return []
-        return lyndon_words(self.size, self.truncation).get(degree, [])
+        if self._words is None:
+            self._words = lyndon_words(self.size, self.truncation)
+        return self._words.get(degree, [])
 
     def monomials(self, degree: int):
         """All monomials of the given exact degree, in canonical order."""
-        if degree < 0:
-            return []
-        cached = self._monomials_cache.get(degree)
-        if cached is not None:
-            return cached
-        words = []
-        for d in range(1, degree + 1):
-            words.extend(self.lyndon_basis(d))
-
-        out = []
-
-        def grow(prefix, start, remaining):
-            if remaining == 0:
-                out.append(PoissMonomial(tuple(prefix)))
-                return
-            for i in range(start, len(words)):
-                w = words[i]
-                if w.degree > remaining:
-                    continue
-                prefix.append(w)
-                grow(prefix, i, remaining - w.degree)
-                prefix.pop()
-
-        grow([], 0, degree)
-        out.sort(key=lambda m: m.sort_key)
-        self._monomials_cache[degree] = out
-        return out
+        kept = self._monomials
+        for d in range(len(kept), degree + 1):
+            # each kept monomial of degree d - deg w with no factor above w, times w
+            out = [PoissMonomial(m.factors + (w,)) for e in range(1, d + 1) for w in self.lyndon_basis(e)
+                   for m in kept[d - e] if not m.factors or not w < m.factors[-1]]
+            out.sort(key=_SORT_KEY)
+            # setdefault, so threads racing on a degree still share one list
+            kept.setdefault(d, out)
+        return kept.get(degree, [])
 
     def monomials_upto(self, max_degree=None):
         n = self.truncation if max_degree is None else min(max_degree, self.truncation)
-        out = []
-        for d in range(0, n + 1):
-            out.extend(self.monomials(d))
-        return out
+        return [m for d in range(n + 1) for m in self.monomials(d)]
 
     def zero(self) -> "PoissElt":
         return PoissElt(self, SparseVec(), False)
@@ -403,7 +385,6 @@ def letter_monomials(ambient: FreePoissonAlgebra) -> list:
     return [PoissMonomial((LyndonWord((i,)),)) for i in range(ambient.size)]
 
 
-@functools.lru_cache(maxsize=None)
 def graded_dimension(dim_v: int, degree: int) -> int:
     """Number of monomials of exact degree over dim_v generators, by enumeration."""
     if dim_v < 1 or degree < 1:

@@ -91,13 +91,18 @@ class SymmetricLieHopf:
     def __init__(self, names, brackets, truncation: int):
         self.names = tuple(names)
         self.truncation = truncation
-        table = {}
+        table, clash = {}, False
         for (i, j), terms in brackets.items():
             vec = SparseVec({(k,): Fraction(c) for k, c in terms.items()})
+            # an entry must agree with the antisymmetric image of an earlier one
+            clash = clash or table.get((i, j), vec) != vec
             table[(i, j)] = vec
             table[(j, i)] = -vec
         self._table = table
         self._check_lie_axioms()
+        # refused after the Jacobi check, so a table failing both names Jacobi
+        if clash:
+            raise ValueError("bracket table not antisymmetric")
 
     def _gen_bracket(self, i: int, j: int) -> SparseVec:
         return self._table.get((i, j), SparseVec())

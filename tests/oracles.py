@@ -2,7 +2,8 @@
 
 Each function here recomputes an expected value by a route disjoint from
 the implementation under test: fraction-free integer elimination for ranks,
-exhaustive rotation search for Lyndon words, the Mobius/Witt counting
+exhaustive rotation search for Lyndon words, their multisets of one
+degree sum for the monomial basis, the Mobius/Witt counting
 formula, generating-function series for graded dimensions, a naive
 batch-closure loop for ideal saturation, the commutator expansion of
 Lie brackets in the tensor algebra, coassociativity expanded into
@@ -76,6 +77,25 @@ def brute_force_lyndon(alphabet_size, degree):
         if all(word[i:] + word[:i] > word for i in range(1, degree)):
             found.append(word)
     return found
+
+
+def brute_force_monomials(ambient, degree):
+    """The sorted multisets of Lyndon words with degree sum ``degree``, in canonical order.
+
+    The words come from ``brute_force_lyndon``; a multiset of k words takes
+    them from those of degree at most ``degree - k + 1``.
+    """
+    import itertools
+
+    words = [LyndonWord(letters) for e in range(1, min(degree, ambient.truncation) + 1)
+             for letters in brute_force_lyndon(ambient.size, e)]
+    words.sort(key=lambda w: w.sort_key)
+    found = [PoissMonomial(())] if degree == 0 else []
+    for k in range(1, degree + 1):
+        pool = [w for w in words if w.degree <= degree - k + 1]
+        found.extend(PoissMonomial(factors) for factors in itertools.combinations_with_replacement(pool, k)
+                     if sum(w.degree for w in factors) == degree)
+    return sorted(found, key=lambda m: m.sort_key)
 
 
 def generating_function_dims(lyndon_counts, max_degree):

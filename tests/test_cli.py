@@ -461,6 +461,30 @@ def test_ambient_estimate_admits_the_measured_frontier():
     assert ambient_size(1, AMBIENT_CAP - 1) == AMBIENT_CAP < ambient_size(1, AMBIENT_CAP)
 
 
+@pytest.mark.parametrize("artifact", [False, True])
+def test_degree_budget_above_the_cap_is_refused_before_any_monomial(capsys, tmp_path, monkeypatch, artifact):
+    from poissonhopf import cli
+
+    def unreachable(*args):
+        raise AssertionError("a construction started")
+
+    monkeypatch.setattr(cli, "induce_bialgebra", unreachable)
+    argv = ("induce", "builtin:grouplike-1", "--degree", "65")
+    if artifact:
+        path = tmp_path / "art.json"
+        path.write_text(json.dumps({"construct": "induce", "spec": "builtin:grouplike-1", "degree": 65}))
+        argv = ("verify", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "overflow: the degree budget 65 is above 64, the cap\n"
+
+
+def test_degree_budget_at_the_cap_is_built(capsys):
+    code, out, err = run(capsys, "induce", "builtin:grouplike-1", "--degree", "64")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["graded_dims"] == [1] * 65
+
+
 def _unreadable_inputs(tmp_path):
     directory = tmp_path / "a_directory"
     directory.mkdir()

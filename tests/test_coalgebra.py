@@ -164,6 +164,14 @@ def test_symmetric_hopf_rejects_bad_structure_constants():
         SymmetricLieHopf(("x", "y", "z"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}, (0, 2): {0: 1}}, 3)
 
 
+def test_symmetric_hopf_rejects_an_entry_contradicting_its_antisymmetric_image():
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        SymmetricLieHopf(("x", "y", "z"), {(0, 1): {2: 1}, (1, 0): {2: 1}}, 2)
+    T = SymmetricLieHopf(("x", "y", "z"), {(0, 1): {2: 1}, (1, 0): {2: -1}}, 2)
+    assert T.bracket_labels((0,), (1,)) == SparseVec({(2,): 1})
+    assert T.bracket_labels((1,), (0,)) == SparseVec({(2,): -1})
+
+
 def test_sl2_bracket_and_primitive_delta():
     T = sl2_hopf(4)
     e, f, h = T.gen(0), T.gen(1), T.gen(2)

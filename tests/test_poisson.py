@@ -150,6 +150,38 @@ def test_dimension_law_matches_generating_function_and_closed_form(n):
         assert dim == n**d
 
 
+@pytest.mark.parametrize("letters, n", [(1, 5), (2, 5), (3, 4), (3, 5)])
+def test_monomials_are_the_multisets_of_lyndon_words(letters, n):
+    from oracles import brute_force_monomials
+
+    P = FreePoissonAlgebra(tuple(f"x{i}" for i in range(letters)), n)
+    for d in range(n + 1):
+        assert P.monomials(d) == brute_force_monomials(P, d)
+
+
+def test_monomials_reach_a_long_budget_without_recursion():
+    P = FreePoissonAlgebra(("g",), 1500)
+    assert [m.factors for m in P.monomials(1500)] == [(w(0),) * 1500]
+    assert len(P.monomials_upto()) == 1501
+
+
+def test_an_ambient_groups_its_lyndon_words_once(monkeypatch):
+    from poissonhopf import poisson
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return lyndon_words(*args)
+
+    monkeypatch.setattr(poisson, "lyndon_words", counting)
+    P = FreePoissonAlgebra(("p", "q", "r"), 4)
+    P.monomials_upto()
+    for _ in range(3):
+        assert [len(P.lyndon_basis(d)) for d in range(6)] == [0, 3, 3, 8, 18, 0]
+    assert calls == [(3, 4)]
+
+
 def test_render_examples():
     P = FreePoissonAlgebra(("a", "b"), 4)
     a, b = P.gen("a"), P.gen("b")
@@ -228,6 +260,36 @@ def test_interning_under_racing_threads():
     for out in results[1:]:
         assert len(out) == len(results[0])
         assert all(a is b for pa, pb in zip(out, results[0]) for a, b in zip(pa, pb))
+
+
+def test_monomials_under_racing_threads():
+    import sys
+    import threading
+
+    P = FreePoissonAlgebra(("a", "b", "c"), 5)
+    results = [None] * 4
+    barrier = threading.Barrier(len(results))
+
+    def build(k):
+        barrier.wait()
+        results[k] = [P.monomials(d) for d in (5, 2, 4, 0)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    # every thread reads the one kept list of each degree, 3^d monomials long
+    for out in results:
+        assert [len(ms) for ms in out] == [243, 9, 81, 1]
+        assert all(a is b for a, b in zip(out, results[0]))
+    assert [len(P.monomials(d)) for d in range(6)] == [1, 3, 9, 27, 81, 243]
 
 
 def test_lossy_bracket_interns_no_monomial_above_the_budget():
