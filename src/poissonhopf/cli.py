@@ -5,7 +5,8 @@ construction, ``construct``, which its command and ``verify`` both run.
 Exit codes: 0 clean, 2 parse errors (expressions; spec, map and artifact
 files, all read by ``read_json``; a ``--degree`` below 1; a law the artifact
 has no structure for), 3 validation
-failures (coalgebra laws, axiom violations, ill-defined morphisms), 4 stage
+failures (coalgebra laws, axiom violations, ill-defined morphisms, a map
+file naming generators outside its source basis), 4 stage
 or degree overflow (``eval`` of an expression with terms above the budget; a
 free Hopf algebra with fewer than 2 stages or a degree budget below 2; a
 budget whose ambient would hold more than ``AMBIENT_CAP``, 50,000 monomials;
@@ -191,7 +192,10 @@ def cmd_coequalize(args) -> int:
     _, images_g = load_map(args.maps[1], expected_source=src_ref)
     source = construct("induce", src_ref, args.degree)
     tables = []
-    for images in (images_f, images_g):
+    for path, images in zip(args.maps, (images_f, images_g)):
+        unknown = set(images) - set(source.ambient.alphabet)
+        if unknown:
+            raise SpecError(f"map file {path} gives images of unknown generators {sorted(unknown)}")
         resolved = {
             name: target.quotient.normal_form(parse(expr, target.ambient))
             for name, expr in sorted(images.items())

@@ -82,7 +82,6 @@ class LyndonWord:
         return f"LyndonWord{self.letters}"
 
 
-@functools.lru_cache(maxsize=None)
 def lyndon_letters(alphabet_size: int, max_degree: int) -> tuple:
     """All Lyndon letter tuples of length <= max_degree in lexicographic order, via Duval's algorithm."""
     if alphabet_size < 0 or max_degree < 1:

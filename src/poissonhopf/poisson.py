@@ -10,6 +10,9 @@ leans on.
 Elements print as sorted products of bracketed Lyndon words (``a*[a,b]``),
 a form the expression parser reads back verbatim.
 
+``biderivation`` is the one expansion of a bracket of monomials over factor
+pairs: ``poiss_bracket`` and ``targets.SymmetricLieHopf`` both run it.
+
 Every map the constructions build out of a free Poisson algebra is fixed by
 its letter images; ``LetterExtension`` is the one implementation of that,
 and ``extend_letters`` builds the algebra maps among them, Poisson maps or
@@ -73,9 +76,6 @@ class PoissMonomial:
 
     def __mul__(self, other: "PoissMonomial") -> "PoissMonomial":
         return PoissMonomial(self.factors + other.factors)
-
-    def drop(self, i: int) -> tuple:
-        return self.factors[:i] + self.factors[i + 1 :]
 
     def __repr__(self) -> str:
         return f"PoissMonomial{tuple(f.letters for f in self.factors)}"
@@ -271,17 +271,21 @@ def poiss_product(u: PoissElt, v: PoissElt) -> PoissElt:
     return PoissElt(u.algebra, vec, lossy)
 
 
-def _mono_bracket_terms(a: PoissMonomial, b: PoissMonomial):
-    """Biderivation expansion of {a, b}: pairwise Lie brackets times the rest."""
-    for i, fa in enumerate(a.factors):
-        rest_a = a.drop(i)
-        for j, fb in enumerate(b.factors):
-            lie = bracket_words(fa, fb)
-            if not lie:
+def biderivation(a: tuple, b: tuple, bracket):
+    """The expansion of {a, b} as a biderivation, for monomials given as factor tuples.
+
+    Yields ``(rest, w, c)``: a term ``c*w`` of ``bracket(x, y)`` for factors x of a
+    and y of b, and the other factors ``rest``.  A pair with ``x is y`` commutes, so
+    it is skipped without a call.
+    """
+    for i, x in enumerate(a):
+        rest_a = a[:i] + a[i + 1 :]
+        for j, y in enumerate(b):
+            if x is y:
                 continue
-            rest = rest_a + b.drop(j)
-            for w, c in lie.items():
-                yield PoissMonomial(rest + (w,)), c
+            rest = rest_a + b[:j] + b[j + 1 :]
+            for w, c in bracket(x, y).items():
+                yield rest, w, c
 
 
 def poiss_bracket(u: PoissElt, v: PoissElt) -> PoissElt:
@@ -306,8 +310,8 @@ def poiss_bracket(u: PoissElt, v: PoissElt) -> PoissElt:
                     lossy = lossy or any(fa is not fb for fa in ma.factors for fb in mb.factors)
                     continue
                 coeff = ca * cb
-                for m, c in _mono_bracket_terms(ma, mb):
-                    yield m, coeff * c
+                for rest, w, c in biderivation(ma.factors, mb.factors, bracket_words):
+                    yield PoissMonomial(rest + (w,)), coeff * c
 
     vec = SparseVec(terms())
     return PoissElt(u.algebra, vec, lossy)

@@ -4,15 +4,15 @@ Two closed-form families:
 
 * ``SymmetricLieHopf`` -- the symmetric algebra on a finite Lie algebra,
   primitive comultiplication, bracket extending the structure constants as
-  a biderivation, truncated by total degree.
+  a biderivation (``poisson.biderivation``), truncated by total degree.
 * ``GroupAlgebra`` -- the group algebra of a free abelian group Z^r
   (Laurent monomials), group-like comultiplication, zero bracket.
 
 Both kinds satisfy the Poisson bialgebra compatibilities by construction and
 carry an antipode, and both are exactly computable over Q.  Elements are
 sparse vectors over the printed monomial labels given below.  Each target
-is given by its label maps: ``mul``, ``bracket`` and ``delta`` extend its
-``product_labels``, ``bracket_labels`` and ``delta_label`` to vectors.
+keeps only its label maps; ``LabelTarget`` derives the maps on vectors from
+them, through ``linalg.bilinear`` and ``linalg.lincomb``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,33 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import SparseVec, bilinear, lincomb, unit_vec
+from .linalg import SparseVec, bilinear, exact, lincomb, unit_vec
+from .poisson import biderivation
 
 
-class GroupAlgebra:
+class LabelTarget:
+    """The maps on vectors, from the label maps (``product_labels`` ... ``antipode_label``)."""
+
+    def zero(self) -> SparseVec:
+        return SparseVec()
+
+    def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
+        return bilinear(self.product_labels, u, v)
+
+    def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
+        return bilinear(self.bracket_labels, u, v)
+
+    def delta(self, u: SparseVec) -> SparseVec:
+        return lincomb((c, self.delta_label(a)) for a, c in u.items())
+
+    def epsilon(self, u: SparseVec) -> int | Fraction:
+        return exact(sum(c * self.epsilon_label(a) for a, c in u.items()))
+
+    def antipode(self, u: SparseVec) -> SparseVec:
+        return lincomb((c, self.antipode_label(a)) for a, c in u.items())
+
+
+class GroupAlgebra(LabelTarget):
     """k[Z^rank]: basis labels are integer exponent tuples, all group-like."""
 
     def __init__(self, rank: int):
@@ -37,28 +60,10 @@ class GroupAlgebra:
     def one(self) -> SparseVec:
         return unit_vec(self.unit_label())
 
-    def zero(self) -> SparseVec:
-        return SparseVec()
-
     def gen(self, i: int, power: int = 1) -> SparseVec:
         exps = [0] * self.rank
         exps[i] = power
         return unit_vec(tuple(exps))
-
-    def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return bilinear(self.product_labels, u, v)
-
-    def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return SparseVec()
-
-    def delta(self, u: SparseVec) -> SparseVec:
-        return lincomb((c, self.delta_label(a)) for a, c in u.items())
-
-    def epsilon(self, u: SparseVec) -> Fraction:
-        return sum((c for _, c in u.items()), Fraction(0))
-
-    def antipode(self, u: SparseVec) -> SparseVec:
-        return SparseVec({tuple(-x for x in a): c for a, c in u.items()})
 
     def render_label(self, label) -> str:
         if all(x == 0 for x in label):
@@ -72,14 +77,20 @@ class GroupAlgebra:
     def product_labels(self, a, b) -> SparseVec:
         return unit_vec(tuple(x + y for x, y in zip(a, b)))
 
+    def bracket_labels(self, a, b) -> SparseVec:
+        return SparseVec()
+
     def delta_label(self, label) -> SparseVec:
         return unit_vec((label, label))
 
     def epsilon_label(self, label) -> int:
         return 1
 
+    def antipode_label(self, label) -> SparseVec:
+        return unit_vec(tuple(-x for x in label))
 
-class SymmetricLieHopf:
+
+class SymmetricLieHopf(LabelTarget):
     """S(g) for a finite-dimensional Lie algebra g, truncated by degree.
 
     Labels are sorted tuples of generator indices.  The primitive
@@ -124,26 +135,8 @@ class SymmetricLieHopf:
     def one(self) -> SparseVec:
         return unit_vec(())
 
-    def zero(self) -> SparseVec:
-        return SparseVec()
-
     def gen(self, i: int) -> SparseVec:
         return unit_vec((i,))
-
-    def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return bilinear(self.product_labels, u, v)
-
-    def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return bilinear(self.bracket_labels, u, v)
-
-    def delta(self, u: SparseVec) -> SparseVec:
-        return lincomb((c, self.delta_label(mono)) for mono, c in u.items())
-
-    def epsilon(self, u: SparseVec) -> Fraction:
-        return u.get(())
-
-    def antipode(self, u: SparseVec) -> SparseVec:
-        return SparseVec({a: c if len(a) % 2 == 0 else -c for a, c in u.items()})
 
     def render_label(self, label) -> str:
         if not label:
@@ -165,15 +158,10 @@ class SymmetricLieHopf:
         return unit_vec(tuple(sorted(a + b))) if len(a) + len(b) <= self.truncation else SparseVec()
 
     def bracket_labels(self, a, b) -> SparseVec:
-        """The structure constants extended by the Leibniz rule in both slots."""
+        """The structure constants extended as a biderivation."""
         if len(a) + len(b) - 1 > self.truncation:
             return SparseVec()
-        return SparseVec(
-            (tuple(sorted(a[:i] + a[i + 1 :] + b[:j] + b[j + 1 :] + (k,))), c)
-            for i in range(len(a))
-            for j in range(len(b))
-            for (k,), c in self._gen_bracket(a[i], b[j]).items()
-        )
+        return SparseVec((tuple(sorted(rest + w)), c) for rest, w, c in biderivation(a, b, self._gen_bracket))
 
     def delta_label(self, label) -> SparseVec:
         """Primitive on generators, extended multiplicatively (binomial splits)."""

@@ -249,6 +249,29 @@ def test_coequalize_reports_a_missing_generator_image(capsys, tmp_path):
     ]
 
 
+def test_coequalize_refuses_images_of_unknown_generators(capsys, tmp_path):
+    # h and zz are not generators of grouplike-1: the first map file's are named, sorted
+    f_map = tmp_path / "f.json"
+    g_map = tmp_path / "g.json"
+    f_map.write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"zz": "g2", "g": "g1", "h": "g2"}}))
+    g_map.write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"g": "g2", "zz": "g1"}}))
+    code, out, err = run(
+        capsys,
+        "coequalize", "builtin:grouplike-2", "--map", str(f_map), "--map", str(g_map), "--degree", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        f"validation error: map file {f_map} gives images of unknown generators ['h', 'zz']"
+    ]
+    code, out, err = run(
+        capsys,
+        "coequalize", "builtin:grouplike-2", "--map", str(g_map), "--map", str(g_map), "--degree", "3",
+    )
+    assert code == 3
+    assert err.splitlines() == [f"validation error: map file {g_map} gives images of unknown generators ['zz']"]
+
+
 def test_coequalize_map_source_mismatch(capsys, tmp_path, grouplike_path, trig_path):
     two = tmp_path / "grouplike2.json"
     save_spec(builtin("grouplike-2"), two)

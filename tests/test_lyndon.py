@@ -48,10 +48,9 @@ def test_counts_match_witt_formula_and_brute_force(n, d):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_duval_generates_lexicographic_order(size):
-    # lyndon_words keeps this order per degree without sorting; the uncached
-    # call keeps the larger tables out of the process-wide cache
+    # lyndon_words keeps this order per degree without sorting
     for n in range(1, 9):
-        letters = lyndon_letters.__wrapped__(size, n)
+        letters = lyndon_letters(size, n)
         assert list(letters) == sorted(letters)
     for words in lyndon_words(size, 4).values():
         assert [w.letters for w in words] == sorted(w.letters for w in words)

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from poissonhopf import poisson
 from poissonhopf.linalg import unit_vec
-from poissonhopf.lyndon import LyndonWord, lyndon_words
+from poissonhopf.lyndon import LyndonWord, bracket_words, lyndon_words
 from poissonhopf.poisson import (
     FreePoissonAlgebra,
     PoissMonomial,
@@ -300,3 +301,21 @@ def test_lossy_bracket_interns_no_monomial_above_the_budget():
     out = poiss_bracket(x10, x11 * x11)
     assert out.lossy and out.is_zero()
     assert all(m.degree <= 2 for m in set(_monomial_table.values()) - before)
+
+
+def test_one_letter_bracket_calls_no_word_bracket(monkeypatch):
+    # every factor pair of g^3 and g^2 is the word g twice, which commutes with itself
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return bracket_words(u, v)
+
+    monkeypatch.setattr(poisson, "bracket_words", counted)
+    g = FreePoissonAlgebra(("g",), 5).gen("g")
+    assert poiss_bracket(g * g * g, g * g).is_zero()
+    assert calls == []
+    # the wrapper is the one the bracket calls: two letters make one call
+    a, b = FreePoissonAlgebra(("a", "b"), 2).gens()
+    assert not poiss_bracket(a, b).is_zero()
+    assert calls == [(w(0), w(1))]

@@ -14,6 +14,7 @@ from poissonhopf.linalg import SparseVec
 from poissonhopf.targets import GroupAlgebra, sl2_hopf
 
 from oracles import (
+    _symmetric_lie_bracket_terms,
     group_algebra_delta,
     group_algebra_mul,
     symmetric_lie_bracket,
@@ -39,6 +40,15 @@ def test_symmetric_lie_ops_match_the_pair_loops(n, data):
     assert T.delta(u) == symmetric_lie_delta(u)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_symmetric_lie_bracket_labels_match_the_pair_loop(n, data):
+    T = sl2_hopf(n)
+    a, b = (data.draw(st.sampled_from(T.labels_upto())) for _ in range(2))
+    assert T.bracket_labels(a, b) == SparseVec(_symmetric_lie_bracket_terms(T, a, b))
+
+
 GROUP_LABELS = list(itertools.product(range(-2, 3), repeat=2))
 
 
@@ -50,3 +60,12 @@ def test_group_algebra_ops_match_the_pair_loops(u, v):
     assert not T.bracket(u, v)
     assert T.delta(u) == group_algebra_delta(u)
 
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(vectors(GROUP_LABELS), vectors(GROUP_LABELS))
+def test_group_algebra_antipode_counit_and_bracket_keep_their_closed_forms(u, v):
+    # the exponents negated, the sum of the coefficients, and zero
+    T = GroupAlgebra(2)
+    assert T.antipode(u) == SparseVec({tuple(-x for x in a): c for a, c in u.items()})
+    assert T.epsilon(u) == sum(c for _, c in u.items())
+    assert T.bracket(u, v) == SparseVec()
