@@ -31,7 +31,7 @@ print("  this is the Laurent ring truncated to powers |k| <= 4: 2N+1 = 9 classes
 g0, g1 = H.ambient.gen("g_0"), H.ambient.gen("g_1")
 print("  g_0 * g_1 =", render(H.quotient.product(g0, g1)))
 print("  {g_0, g_1} =", render(H.quotient.bracket(g0, g1)), " (brackets all die)")
-print("  S(g_0) =", render(H.antipode(g0)))
+print("  S(g_0) =", render(H.antipode(g0)), "  S(g_1) =", render(H.antipode(g1)), " (S' swaps the two stages)")
 
 print()
 print("Certificates carried by the quotient:")

@@ -41,7 +41,7 @@ from .coalgebra import (
 )
 from .colimits import MorphismTable
 from .exprs import ParseError, parse
-from .free_hopf import StageOverflowError, free_poisson_hopf, verify_antipode
+from .free_hopf import StageOverflowError, free_poisson_hopf, s_prime_stability_certificate, verify_antipode
 from .poisson import render
 from .verify import (
     check_antipode,
@@ -286,9 +286,11 @@ def cmd_verify(args) -> int:
     structure = construct(kind, spec, degree, stages)
     obj = {"artifact": args.artifact}
     if kind == "free-hopf":
-        # the coideal certificate again, on every ideal row rather than the generators
-        coideal = coideal_certificate(structure, structure.quotient.ideal.rows)
-        obj["certificates"] = reports({**structure.certificates, "coideal": coideal})
+        # the coideal and S'-stability certificates again, on every ideal row rather than the generators
+        rows = structure.quotient.ideal.rows
+        on_rows = {"coideal": coideal_certificate(structure, rows),
+                   "sprime-stability": s_prime_stability_certificate(structure, rows)}
+        obj["certificates"] = reports({**structure.certificates, **on_rows})
     results = {law: check(structure) for law, check in CHECKERS.items() if law in laws}
     obj["laws"] = reports(results)
     emit(args, obj)

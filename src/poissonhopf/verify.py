@@ -12,7 +12,7 @@ bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
     epsilon_label(l)          exact scalar (int when integral, else Fraction)
     product_labels(a, b)      SparseVec over labels
     bracket_labels(a, b)      SparseVec over labels
-    antipode_label(l)         SparseVec over labels, or None where undefined
+    antipode_label(l)         SparseVec over labels, defined on every label
     one()                     the unit's normal form, a SparseVec over labels
     render_label(l)           printable form
 
@@ -40,10 +40,10 @@ Every checker and certificate writes its report through ``Report.record``,
 which counts one formed residual in ``checked`` and, only when it is
 nonzero, renders its witnesses and residual into a violation; so a report
 has no violations if and only if every counted residual is exactly zero.  A
-residual that cannot be formed, or not exactly within the budget, is not
-counted: ``Report.skip`` writes the ones sharing a reason as one skip
-carrying their count.  A construction whose own certificate fails raises
-through ``Report.require``.
+residual that cannot be formed exactly within the budget is not counted:
+``Report.skip`` writes the ones sharing a reason as one skip carrying their
+count.  A construction whose own certificate fails raises through
+``Report.require``.
 
 Leibniz and Jacobi get no certificate of their own.  Both hold in the free
 ambient, whose bracket is the Lie bracket of Lyndon words extended as a
@@ -350,43 +350,26 @@ def check_jacobi(structure) -> Report:
 
 
 def check_antipode_antimorphism(structure) -> Report:
-    """S(ab) = S(b)S(a) and S([a,b]) = [S(b), S(a)] where S is defined; the rest is skipped."""
+    """S(ab) = S(b)S(a) and S([a,b]) = [S(b), S(a)] on every label pair within the budget."""
     report, vector = Report(), partial(render_vec, structure)
-    pairs = ops = 0
-
-    def s_vec(v):
-        terms = [(c, structure.antipode_label(l)) for l, c in v.items()]
-        return None if any(sv is None for _, sv in terms) else lincomb(terms)
-
+    s = structure.antipode_label
     for a, b in _pairs_within(structure):
-        sa, sb = structure.antipode_label(a), structure.antipode_label(b)
-        if sa is None or sb is None:
-            pairs += 1
-            continue
+        sa, sb = s(a), s(b)
         for law, op in (("antipode-product", structure.product_labels),
                         ("antipode-bracket", structure.bracket_labels)):
-            direct = s_vec(op(a, b))
-            if direct is None:
-                ops += 1
-                continue
+            direct = lincomb((c, s(l)) for l, c in op(a, b).items())
             report.record(law, direct - bilinear(op, sb, sa), (a, b), structure.render_label, vector)
-    report.skip("antipode", pairs, "label pairs", "S is undefined on one of their labels")
-    report.skip("antipode", ops, "products or brackets", "S is undefined on one of their labels")
     return report
 
 
 def convolution_residual(structure, x, antipode, side: str):
     """sum c S(a) b - eps(x) 1 (side "left") or sum c a S(b) - eps(x) 1 ("right").
 
-    Delta x = sum c a (x) b, and S is ``antipode(label)``, a normal form or
-    None where undefined; the residual is None where the side needs an
-    undefined S.
+    Delta x = sum c a (x) b, and S is ``antipode(label)``, a normal form.
     """
     terms = []
     for (a, b), c in structure.delta_label(x).items():
         u, v = (antipode(a), unit_vec(b)) if side == "left" else (unit_vec(a), antipode(b))
-        if u is None or v is None:
-            return None
         terms.append((c, bilinear(structure.product_labels, u, v)))
     return lincomb([*terms, (-structure.epsilon_label(x), structure.one())])
 
@@ -394,31 +377,25 @@ def convolution_residual(structure, x, antipode, side: str):
 def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
     """Both ``convolution_residual`` sides vanish on each given label x.
 
-    S is ``antipode(label)``, a normal form or None where undefined.  A label
-    with 2 deg x > N is skipped: the slots of Delta x reach deg x, so S(a) b
-    may leave the budget and a true law would read as a violation.  So is a
-    side that needs S where it is undefined.  Each reason is one skip with
-    its count.
+    S is ``antipode(label)``, a normal form.  A label with 2 deg x > N is
+    skipped, as one skip with their count: the slots of Delta x reach deg x,
+    so S(a) b may leave the budget and a true law would read as a violation.
     """
     report, vector = Report(), partial(render_vec, structure)
-    over_budget = undefined = 0
+    over_budget = 0
     for x in labels:
         if 2 * structure.label_degree(x) > structure.truncation:
             over_budget += 1
             continue
         for side in ("left", "right"):
-            residual = convolution_residual(structure, x, antipode, side)
-            if residual is None:
-                undefined += 1
-            else:
-                report.record(f"{law}-{side}", residual, (x,), structure.render_label, vector)
+            report.record(f"{law}-{side}", convolution_residual(structure, x, antipode, side), (x,),
+                          structure.render_label, vector)
     report.skip(law, over_budget, "labels", "2*deg > N, so S(a)*b may leave the budget")
-    report.skip(law, undefined, "sides", "S is undefined on a slot of their coproduct")
     return report
 
 
 def check_antipode(structure) -> Report:
-    """The anti-morphism laws and both convolution laws, where S is defined."""
+    """The anti-morphism laws on every label pair and both convolution laws on every label."""
     report = check_antipode_antimorphism(structure)
     return report.merge(check_antipode_convolution(
         structure, structure.labels_upto(), structure.antipode_label, "antipode-convolution"

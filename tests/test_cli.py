@@ -145,18 +145,18 @@ def test_free_hopf_stage_overflow_exit_code(capsys, grouplike_path):
     assert "overflow" in err
 
 
-def test_free_hopf_three_stages_skips_brackets_past_the_last_stage(capsys):
-    # normal forms prefer last-stage letters (c_2, s_2), where S is undefined:
-    # both convolution sides of those classes are skipped, not failed
+def test_free_hopf_three_stages_skips_only_classes_past_half_the_budget(capsys):
+    # normal forms prefer last-stage letters (c_2, s_2), which S' folds back to
+    # stage 1: both convolution sides of those classes are checked
     code, out, _ = run(capsys, "free-hopf", "builtin:trig", "--stages", "3", "--degree", "3")
     assert code == 0
     antipode = json.loads(out)["antipode_residuals"]
-    assert antipode["violations"] == []
-    assert {
+    assert antipode["violations"] == [] and antipode["checked"] == 10
+    assert antipode["skipped"] == [{
         "law": "antipode-convolution",
-        "witnesses": ["4 sides"],
-        "reason": "S is undefined on a slot of their coproduct",
-    } in antipode["skipped"]
+        "witnesses": ["62 labels"],
+        "reason": "2*deg > N, so S(a)*b may leave the budget",
+    }]
 
 
 @pytest.mark.parametrize("spec", ["builtin:trig", "builtin:grouplike-1"])
@@ -196,7 +196,8 @@ def test_verify_checks_the_antipode_laws_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
     obj = json.loads(out)
     assert "antipode_residuals" not in obj
-    assert obj["laws"]["antipode"]["checked"] == 104
+    # both anti-morphism laws on 261 class pairs, and both convolution sides of 5 classes
+    assert obj["laws"]["antipode"]["checked"] == 532
 
 
 def test_coequalize_command(capsys, tmp_path, grouplike_path):

@@ -7,6 +7,9 @@ pivots included, of every Hopf quotient, twist and coequalizer below.  On
 the same structures the coideal certificate on the ideal generators, which
 the constructions run, agrees with the one on every ideal row, and the
 generator certificate of the bialgebra laws agrees with ``check_bialgebra``.
+On the Hopf quotients among them the S'-stability certificate on the
+generators agrees with the one on every row, S is total and an involution,
+and the antipode, Leibniz and Jacobi laws hold on every class.
 """
 
 import pytest
@@ -22,7 +25,13 @@ from poissonhopf.bialgebra import (
 )
 from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
 from poissonhopf.colimits import MorphismTable, quotient
-from poissonhopf.free_hopf import free_poisson_hopf, free_poisson_hopf_on_bialgebra
+from poissonhopf.free_hopf import (
+    free_poisson_hopf,
+    free_poisson_hopf_on_bialgebra,
+    s_prime_stability_certificate,
+)
+from poissonhopf.linalg import lincomb, unit_vec
+from poissonhopf.verify import check_antipode, check_jacobi, check_leibniz
 
 from oracles import hopf_relations_oracle
 
@@ -106,6 +115,38 @@ def test_generator_and_row_coideal_certificates_agree(name):
     on_rows = coideal_certificate(B, B.quotient.ideal.rows)
     assert on_generators.ok and on_rows.ok, (on_generators.lines(), on_rows.lines())
     assert on_generators.checked > 0 and on_rows.checked > 0
+
+
+# the Hopf quotients among CASES, and matrix-2 at three stages
+NOT_HOPF = ("trig-hopf-op-cop", "grouplike-2-coequalizer")
+HOPF = {
+    **{name: make for name, make in CASES.items() if name not in NOT_HOPF},
+    "matrix-2-M3-N3": hopf(lambda: builtin("matrix-2"), 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOPF))
+def test_generator_and_row_sprime_certificates_agree(name):
+    H = HOPF[name]()
+    q = H.quotient
+    on_generators = s_prime_stability_certificate(H, (g.vec for g in q.generators))
+    on_rows = s_prime_stability_certificate(H, q.ideal.rows)
+    assert on_generators.ok and on_rows.ok, (on_generators.lines(), on_rows.lines())
+    assert (on_generators.checked, on_rows.checked) == (len(q.generators), q.ideal.rank)
+
+
+@pytest.mark.parametrize("name", sorted(HOPF))
+def test_antipode_is_a_total_involution_and_the_laws_hold(name):
+    # coassociativity, the counit laws and bracket-comultiplicativity are
+    # checked on CASES by test_generator_certificate_and_check_bialgebra_agree
+    H = HOPF[name]()
+    S = H.antipode_label
+    not_involutive = [H.render_label(m) for m in H.labels_upto()
+                      if lincomb((c, S(l)) for l, c in S(m).items()) != unit_vec(m)]
+    assert not not_involutive, not_involutive[:5]
+    for report in (check_antipode(H), check_leibniz(H), check_jacobi(H)):
+        assert report.ok and report.checked > 0, report.lines()
+        assert {s.reason for s in report.skipped} <= {"2*deg > N, so S(a)*b may leave the budget"}
 
 
 BIALGEBRAS = {

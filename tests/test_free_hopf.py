@@ -17,6 +17,7 @@ from poissonhopf.free_hopf import (
     hopf_coproduct_antipode,
     free_poisson_hopf_on_bialgebra,
     hopf_ideal_generators,
+    s_prime_stability_certificate,
     staged_coproduct,
     verify_antipode,
 )
@@ -75,22 +76,6 @@ def test_s_prime_on_generators_products_brackets():
     assert staged.s_prime(poiss_bracket(g0, h0)) == -poiss_bracket(g1, h1)
 
 
-def test_s_prime_overflow():
-    B = induce_bialgebra(builtin("grouplike-1"), 3)
-    staged = staged_coproduct(B, 2)
-    with pytest.raises(StageOverflowError, match="overflow"):
-        staged.s_prime(staged.ambient.gen("g_1"))
-
-
-def test_s_prime_overflow_names_the_last_stage_letter():
-    staged = staged_coproduct(induce_bialgebra(builtin("trig"), 3), 3)
-    amb = staged.ambient
-    for name in ("c_2", "s_2"):
-        with pytest.raises(StageOverflowError) as info:
-            staged.s_prime(poiss_product(amb.gen("c_0"), amb.gen(name)))
-        assert str(info.value) == f"stage overflow: {name} has no successor"
-
-
 @functools.cache
 def _staged_m3_n4(name):
     return staged_coproduct(induce_bialgebra(builtin(name), 4), 3)
@@ -103,35 +88,29 @@ def _coefficients():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["grouplike-2", "trig"]), st.data())
 def test_s_prime_matches_the_renaming_oracle(name, data):
-    # the stage map preserves letter order, so S' is the order-preserving
-    # renaming after the bracket flip; a last-stage letter raises, naming the
-    # first letter the renaming misses
+    # below the last stage the stage map preserves letter order, so there S'
+    # is the order-preserving renaming after the bracket flip; the fold-back
+    # of the last stage does not preserve it, so those monomials are left out
     staged = _staged_m3_n4(name)
     amb = staged.ambient
-    monomials = amb.monomials_upto()
-    entries = data.draw(st.dictionaries(st.sampled_from([m for m in monomials if staged.shiftable(m)]),
-                                        _coefficients(), max_size=6))
-    extra = data.draw(st.dictionaries(st.sampled_from(monomials), _coefficients(), max_size=1))
-    elt = amb.elt(SparseVec({**entries, **extra}))
-    try:
-        expected = amb.elt(rename_letters(flip_bracket(elt.vec), staged.shift))
-    except KeyError as e:
-        with pytest.raises(StageOverflowError) as info:
-            staged.s_prime(elt)
-        assert str(info.value) == f"stage overflow: {amb.alphabet[e.args[0]]} has no successor"
-    else:
-        assert staged.s_prime(elt) == expected
+    last = set(staged.letter_maps[-1].values())
+    below_last = [m for m in amb.monomials_upto() if not any(i in last for f in m.factors for i in f.letters)]
+    entries = data.draw(st.dictionaries(st.sampled_from(below_last), _coefficients(), max_size=6))
+    elt = amb.elt(SparseVec(entries))
+    assert staged.s_prime(elt) == amb.elt(rename_letters(flip_bracket(elt.vec), staged.shift))
 
 
 def test_stage_swap_extends_to_a_bracket_antimorphism():
-    # the stage-0 <-> stage-1 swap reverses letter order, so no order-preserving
-    # renaming expresses it; its extension is an algebra map and a bracket
-    # anti-morphism on every in-budget pair, and an involution
+    # at M=2 the stage map is the stage-0 <-> stage-1 swap; it reverses letter
+    # order, so no order-preserving renaming expresses it; its extension is an
+    # algebra map and a bracket anti-morphism on every in-budget pair, and an
+    # involution
     n = 4
     staged = staged_coproduct(induce_bialgebra(builtin("trig"), n), 2)
     amb = staged.ambient
     lm0, lm1 = staged.letter_maps
     swap = {**{lm0[i]: lm1[i] for i in lm0}, **{lm1[i]: lm0[i] for i in lm0}}
+    assert staged.shift == swap
     c0c1 = poiss_bracket(amb.gen("c_0"), amb.gen("c_1"))
     with pytest.raises(ValueError, match="not a Lyndon word"):
         rename_letters(c0c1.vec, swap)
@@ -151,50 +130,44 @@ def test_stage_swap_extends_to_a_bracket_antimorphism():
     assert all(S.apply(image[m], amb) == amb.monomial_elt(m) for m in monomials)
 
 
-def _stage_map(staged, stage_of):
-    # the extension, over the swapped bracket, of the map sending each stage-n
-    # letter to its copy at stage stage_of(n)
-    amb, lms = staged.ambient, staged.letter_maps
-    images = {lm[i]: lms[stage_of(n)][i] for n, lm in enumerate(lms) for i in lm}
-    return extend_letters(lambda letter: amb.gen(amb.alphabet[images[letter]]), amb, -1)
-
-
-def _rows_leaving_the_ideal(q, S):
-    return sum(not q.ideal.contains(S.apply(q.ambient.elt(row), q.ambient).vec) for row in q.ideal.rows)
+def left_relations_hopf():
+    # matrix-2 M=2 N=3 quotiented by the left convolution relations alone
+    staged = staged_coproduct(induce_bialgebra(builtin("matrix-2"), 3), 2)
+    left = [staged.convolution_relation(base, 0, "left") for base in staged.base.ambient.alphabet]
+    return TruncatedHopf(staged, quotient(staged.ambient, [*staged.bialgebra.quotient.generators, *left]))
 
 
 @pytest.mark.parametrize("name, n, rank", [("trig", 4, 180), ("matrix-2", 3, 111)])
 def test_two_stage_hopf_ideal_is_closed_under_the_stage_swap(name, n, rank):
-    # S' as the stage-0 <-> stage-1 swap would be total at M=2: each ideal row,
-    # not only each generator, swaps back into the ideal
+    # S' is the stage-0 <-> stage-1 swap at M=2: each ideal row, not only each
+    # generator, swaps back into the ideal
     H = free_poisson_hopf(builtin(name), 2, n)
-    assert H.quotient.ideal.rank == rank
-    assert _rows_leaving_the_ideal(H.quotient, _stage_map(H.staged, lambda stage: 1 - stage)) == 0
+    on_rows = s_prime_stability_certificate(H, H.quotient.ideal.rows)
+    assert H.quotient.ideal.rank == rank == on_rows.checked and on_rows.ok
 
 
 def test_left_convolution_relations_alone_are_not_closed_under_the_stage_swap():
     # negative control: the swap sends a left relation to a right one, so the
     # ideal of the left relations alone is not swap-stable on matrix-2, whose
-    # two sides differ
-    staged = staged_coproduct(induce_bialgebra(builtin("matrix-2"), 3), 2)
-    left = [staged.convolution_relation(base, 0, "left") for base in staged.base.ambient.alphabet]
-    q = quotient(staged.ambient, [*staged.bialgebra.quotient.generators, *left])
-    assert q.ideal.rank == 68
-    assert _rows_leaving_the_ideal(q, _stage_map(staged, lambda stage: 1 - stage)) == 64
+    # two sides differ; the certificate fails on the generators and on the rows
+    H = left_relations_hopf()
+    on_generators = s_prime_stability_certificate(H, (g.vec for g in H.quotient.generators))
+    on_rows = s_prime_stability_certificate(H, H.quotient.ideal.rows)
+    assert (len(on_generators.violations), on_generators.checked) == (4, 4)
+    assert (len(on_rows.violations), on_rows.checked) == (64, 68)
 
 
 def test_fold_back_stage_map_keeps_the_three_stage_ideal():
-    # at M=3 the fold-back map sends stage 2 to stage 1 and every other stage one
-    # stage up; at M=2 the same rule is the swap
+    # at M=3 S' sends stage 2 to stage 1 and every other stage one stage up
     H = free_poisson_hopf(builtin("trig"), 3, 4)
-    assert H.quotient.ideal.rank == 1394
-    fold_back = _stage_map(H.staged, lambda stage: stage + 1 if stage < 2 else 1)
-    assert _rows_leaving_the_ideal(H.quotient, fold_back) == 0
+    on_rows = s_prime_stability_certificate(H, H.quotient.ideal.rows)
+    assert H.quotient.ideal.rank == 1394 == on_rows.checked and on_rows.ok
 
 
 @pytest.mark.parametrize("stages", [2, 3, 4])
 @pytest.mark.parametrize("name", ["grouplike-1", "grouplike-2", "trig", "matrix-2"])
 def test_shift_moves_each_letter_one_stage_up(name, stages):
+    # ...and folds the last stage back to stage M-2
     staged = staged_coproduct(induce_bialgebra(builtin(name), 2), stages)
     alphabet = staged.ambient.alphabet
 
@@ -202,28 +175,10 @@ def test_shift_moves_each_letter_one_stage_up(name, stages):
         base, _, stage = alphabet[letter].rpartition("_")
         return base, int(stage)
 
-    last = {j for j in range(len(alphabet)) if parsed(j)[1] == stages - 1}
-    assert len(last) == len(builtin(name).basis)
-    assert not last & set(staged.shift)
-    assert len(staged.shift) == len(alphabet) - len(last)
+    assert sorted(staged.shift) == list(range(len(alphabet)))
     for j, up in staged.shift.items():
         base, stage = parsed(j)
-        assert parsed(up) == (base, stage + 1)
-
-
-@pytest.mark.parametrize("name", ["trig", "grouplike-2"])
-def test_shiftable_is_where_s_prime_is_defined(name):
-    staged = staged_coproduct(induce_bialgebra(builtin(name), 3), 3)
-    seen = set()
-    for m in staged.ambient.monomials_upto():
-        try:
-            staged.s_prime(staged.ambient.monomial_elt(m))
-            defined = True
-        except StageOverflowError:
-            defined = False
-        assert staged.shiftable(m) == defined
-        seen.add(defined)
-    assert seen == {True, False}
+        assert parsed(up) == (base, stage + 1 if stage < stages - 1 else stages - 2)
 
 
 def test_hopf_ideal_generators_grouplike():
@@ -414,13 +369,6 @@ def test_verify_antipode_depth_overflow():
         verify_antipode(H, depth=2)
 
 
-def test_antipode_is_partial():
-    H = free_poisson_hopf(builtin("grouplike-1"), 2, 4)
-    top_stage = H.ambient.gen("g_1")
-    with pytest.raises(StageOverflowError):
-        H.antipode(top_stage)
-
-
 # ---- coproducts of Hopf quotients ----
 
 
@@ -429,7 +377,7 @@ def test_hopf_coproduct_transports_antipodes():
     out = hopf_coproduct_antipode([H, H])
     assert out.report.ok, out.report.lines()
     amb = out.bialgebra.ambient
-    assert set(out.antipode_images) == {"g_0_0", "g_0_1"}
+    assert set(out.antipode_images) == {"g_0_0", "g_0_1", "g_1_0", "g_1_1"}
     # S(g_0 of copy 1) is the inverse class g_1 of copy 1
     img = out.antipode_images["g_0_0"]
     assert img == out.bialgebra.quotient.normal_form(amb.gen("g_1_0"))
@@ -444,28 +392,11 @@ def test_single_operand_hopf_coproduct_matches_operand():
     assert out.bialgebra.quotient.graded_dims() == H.quotient.graded_dims()
 
 
-def test_hopf_coproduct_counts_only_formed_residuals(monkeypatch):
-    H = free_poisson_hopf(builtin("trig"), 2, 2, check=False)
-    full = H.antipode_table()
-    assert hopf_coproduct_antipode([H]).report.checked == 4  # both sides of c_0_0 and s_0_0
-    monkeypatch.setattr(H, "antipode_table", lambda: {k: v for k, v in full.items() if k != "s_0"})
-    out = hopf_coproduct_antipode([H])
-    # delta(c) = c (x) c - s (x) s: without S(s_0) neither side of c_0 can be formed
-    assert set(out.antipode_images) == {"c_0_0"}
-    assert out.report.checked == 0
-    assert out.report.ok
-    # ...but they are reported as skipped, so the empty pass is visible
-    assert [(s.law, s.witnesses, s.reason) for s in out.report.skipped] == [
-        ("coproduct-antipode", ("2 sides",), "S is undefined on a slot of their coproduct")
-    ]
-    assert "coproduct-antipode skipped at (2 sides)" in out.report.lines()[1]
-
-
 def test_hopf_coproduct_of_hopf_quotients_passes_both_convolution_sides():
     H = free_poisson_hopf(builtin("trig"), 2, 3)
     report = hopf_coproduct_antipode([H, H]).report
-    # c_0 and s_0 of each copy carry an antipode image, each with two sides
-    assert report.ok and report.checked == 8 and not report.skipped
+    # c_0, s_0, c_1 and s_1 of each copy carry an antipode image, each with two sides
+    assert report.ok and report.checked == 16 and not report.skipped
 
 
 def test_empty_ideal_fails_the_convolution_laws():
@@ -567,14 +498,9 @@ def test_coefficients_stay_exact_rationals():
     assert all(c.denominator != 1 for v in vectors for _, c in v.items() if type(c) is Fraction)
 
 
-@pytest.mark.parametrize("stages, degree, checked", [(2, 3, 0), (3, 2, 2)])
-def test_sprime_stability_records_rows_without_headroom(stages, degree, checked):
+@pytest.mark.parametrize("stages, degree, checked", [(2, 3, 4), (3, 2, 8)])
+def test_sprime_stability_checks_the_generators(stages, degree, checked):
+    # both convolution relations of each base letter at each stage but the last
     H = free_poisson_hopf(builtin("trig"), stages, degree)
     cert = H.certificates["sprime-stability"]
-    skipped = H.quotient.ideal.rank - checked
-    assert cert.ok and cert.checked == checked
-    assert [s.to_json_obj() for s in cert.skipped] == [{
-        "law": "sprime-stability",
-        "witnesses": [f"{skipped} ideal rows"],
-        "reason": "a letter at the last stage, so S' is undefined",
-    }]
+    assert cert == Report(checked=checked)

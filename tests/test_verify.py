@@ -142,13 +142,7 @@ def test_sign_flipped_antipode_entry_fails():
     H = free_poisson_hopf(builtin("grouplike-1"), 2, 4, check=False)
     g0 = gm((0,))
 
-    def bad_antipode(m):
-        out = H.antipode_label(m)
-        if out is not None and m == g0:
-            return -out
-        return out
-
-    corrupted = Corrupted(H, antipode_label=bad_antipode)
+    corrupted = Corrupted(H, antipode_label=lambda m: -H.antipode_label(m) if m == g0 else H.antipode_label(m))
     report = check_antipode_antimorphism(corrupted)
     assert not report.ok
 
@@ -203,25 +197,14 @@ def test_zero_bracket_structures_pass_antipode_bracket_law():
 
 
 def test_antipode_antimorphism_records_its_skipped_pairs():
-    reason = "S is undefined on one of their labels"
-    H = free_poisson_hopf(builtin("trig"), 2, 3)
-    report = check_antipode_antimorphism(H)
-    assert report.ok and report.checked == 98
-    assert report.skipped == [Skip("antipode", ("212 label pairs",), reason)]
-    # S is total on a symmetric Lie Hopf algebra: nothing to skip
-    full = check_antipode_antimorphism(sl2_hopf(3))
-    assert full.ok and full.checked > 0 and not full.skipped
-    # S on letters only: of the 9 letter pairs, the brackets (letters of sl2)
-    # are checked and the products (degree 2) cannot be formed
-    S = sl2_hopf(3)
-    letters_only = Corrupted(S, antipode_label=lambda l: S.antipode_label(l) if len(l) == 1 else None)
-    partial = check_antipode_antimorphism(letters_only)
-    assert partial.ok and partial.checked == 9
-    pairs = sum(1 for a in S.labels_upto() for b in S.labels_upto() if len(a) + len(b) <= 3)
-    assert partial.skipped == [
-        Skip("antipode", (f"{pairs - 9} label pairs",), reason),
-        Skip("antipode", ("9 products or brackets",), reason),
-    ]
+    # S is total, on the free Hopf quotient as on a symmetric Lie Hopf
+    # algebra: both laws are formed on every label pair, and none is skipped
+    for structure in (free_poisson_hopf(builtin("trig"), 2, 3), sl2_hopf(3)):
+        labels = structure.labels_upto()
+        pairs = sum(1 for a in labels for b in labels
+                    if structure.label_degree(a) + structure.label_degree(b) <= structure.truncation)
+        report = check_antipode_antimorphism(structure)
+        assert report == Report(checked=2 * pairs)
 
 
 def test_report_json_shape_and_lines():
@@ -238,19 +221,20 @@ def test_report_json_shape_and_lines():
     clean = Report(checked=3)
     assert clean.ok and clean.lines() == ["ok: 3 residuals, all zero"]
     assert "skipped" not in clean.to_json_obj()
-    skip = Skip("coproduct-antipode", ("c_0_0",), "S(s_0_0) is undefined")
+    skip = Skip("antipode-convolution", ("1 labels",), "2*deg > N, so S(a)*b may leave the budget")
     partial = Report(checked=2).merge(Report(skipped=[skip]))
     assert partial.ok and partial.skipped == [skip]
     assert partial.to_json_obj() == {
         "checked": 2,
         "violations": [],
         "skipped": [
-            {"law": "coproduct-antipode", "witnesses": ["c_0_0"], "reason": "S(s_0_0) is undefined"}
+            {"law": "antipode-convolution", "witnesses": ["1 labels"],
+             "reason": "2*deg > N, so S(a)*b may leave the budget"}
         ],
     }
     assert partial.lines() == [
         "ok: 2 residuals, all zero",
-        "coproduct-antipode skipped at (c_0_0): S(s_0_0) is undefined",
+        "antipode-convolution skipped at (1 labels): 2*deg > N, so S(a)*b may leave the budget",
     ]
 
 
@@ -258,7 +242,7 @@ def test_report_defaults_are_fresh_and_constructors_name_their_fields():
     assert Report().violations is not Report().violations
     assert Report().skipped is not Report().skipped
     violation = Violation("leibniz", ("a", "b", "c"), "2*a")
-    skip = Skip("antipode", ("1 label pairs",), "S is undefined on one of their labels")
+    skip = Skip("antipode-convolution", ("1 labels",), "2*deg > N, so S(a)*b may leave the budget")
     positional = Report([violation])
     assert positional.violations == [violation] and positional.checked == 0
     assert not positional.skipped and positional == Report(violations=[violation])

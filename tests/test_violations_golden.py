@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_free_hopf import left_relations_hopf
 from test_verify import Corrupted, broken_spec, corrupted_trig, gm, one_sided_spec
 
 from poissonhopf.bialgebra import (
@@ -98,8 +99,6 @@ def sl2_with(corrupted):
         "epsilon_label": lambda l: 1 if l == (0,) else S.epsilon_label(l),
         # [e, f] = e*f in one orientation only
         "bracket_labels": lambda a, b: unit_vec((0, 1)) if (a, b) == ((0,), (1,)) else S.bracket_labels(a, b),
-        # S on letters only
-        "antipode_label": lambda l: S.antipode_label(l) if len(l) == 1 else None,
     }
     return Corrupted(S, **{corrupted: maps[corrupted]})
 
@@ -175,6 +174,11 @@ def hopf_with_dropped_rows():
     return TruncatedHopf(H.staged, TruncatedQuotient(H.ambient, kept, H.quotient.generators))
 
 
+def sprime_stability(H, rows):
+    q = H.quotient
+    return s_prime_stability_certificate(H, q.ideal.rows if rows else (g.vec for g in q.generators))
+
+
 def line_morphism(image):
     # x |-> image(y) out of Q[x]/(x^2) into Q[y], at budget 2; no image when None
     src_amb = FreePoissonAlgebra(("x",), 2)
@@ -199,7 +203,6 @@ CASES = {
     "antipode-antimorphism/grouplike-1-negated-s-g0": lambda: check_antipode_antimorphism(
         grouplike_hopf_negating_s_of(gm((0,)))
     ),
-    "antipode-antimorphism/sl2-letters-only": lambda: check_antipode_antimorphism(sl2_with("antipode_label")),
     "antipode/grouplike-1-negated-s-g0": lambda: check_antipode(grouplike_hopf_negating_s_of(gm((0,)))),
     "antipode/empty-ideal": lambda: verify_antipode(empty_ideal_hopf()),
     "antipode-convolution/naive-budget": naive_convolution,
@@ -211,7 +214,8 @@ CASES = {
     "coideal/generators": lambda: no_coideal(False),
     "coideal/rows": lambda: no_coideal(True),
     "fixpoint/dropped-rows-M3": lambda: fixpoint_certificate(hopf_with_dropped_rows().quotient),
-    "sprime-stability/dropped-rows-M3": lambda: s_prime_stability_certificate(hopf_with_dropped_rows()),
+    "sprime-stability/dropped-rows-M3": lambda: sprime_stability(hopf_with_dropped_rows(), True),
+    "sprime-stability/matrix-2-left-relations": lambda: sprime_stability(left_relations_hopf(), False),
     "well-defined/lossy-image": lambda: line_morphism(lambda y: y * y),
     "well-defined/non-vanishing-image": lambda: line_morphism(lambda y: y),
     "well-defined/missing-image": lambda: line_morphism(None),
