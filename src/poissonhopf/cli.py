@@ -13,7 +13,15 @@ budget whose ambient would hold more than ``AMBIENT_CAP``, 50,000 monomials;
 a degree budget above ``DEGREE_CAP``, 64, which one letter reaches under the
 ambient cap: its ``verify`` took 1.7 s at degree 64 and 21 s at 150),
 1 unexpected internal failure, among them a construction whose own
-certificate fails (``Report.require``).
+certificate fails (``Report.require``).  A ``ValueError`` raised below the
+CLI carries its own code as the class attribute ``exit_code`` (2 on
+``ParseError`` and ``SpecParseError``, 4 on ``StageOverflowError``, 3 when
+absent), which ``main`` reads, so mapping an error to its code loads no
+construction module.
+Importing this module loads no layer: each command imports the layers it
+runs where it runs them.  ``induce``, ``coproduct``, ``dims``, ``validate``
+and ``eval`` never load ``free_hopf``, and only ``eval`` and ``coequalize``
+load the expression parser.
 Reports are emitted with sorted keys and stable ordering, so identical
 invocations produce byte-identical output.
 """
@@ -24,36 +32,10 @@ import argparse
 import json
 import sys
 
-from .bialgebra import (
-    bialgebra_coequalizer,
-    bialgebra_coproduct,
-    coideal_certificate,
-    generator_certificate,
-    induce_bialgebra,
-)
-from .coalgebra import (
-    SpecError,
-    SpecParseError,
-    builtin,
-    load_spec,
-    read_json,
-    validate_coalgebra,
-)
-from .colimits import MorphismTable
-from .exprs import ParseError, parse
-from .free_hopf import StageOverflowError, free_poisson_hopf, s_prime_stability_certificate, verify_antipode
-from .poisson import render
-from .verify import (
-    check_antipode,
-    check_coassociativity,
-    check_counit,
-    check_jacobi,
-    check_leibniz,
-    check_poisson_compat,
-)
-
 
 def resolve_spec(ref: str):
+    from .coalgebra import builtin, load_spec
+
     if ref.startswith("builtin:"):
         return builtin(ref[len("builtin:"):])
     return load_spec(ref)
@@ -104,6 +86,8 @@ def construct(kind: str, spec, degree: int, stages=None):
     ``DEGREE_CAP``.  The letters are dim C, summed over a coproduct's two, and
     times M on M stages.
     """
+    from .poisson import StageOverflowError
+
     coalgebras = [resolve_spec(ref) for ref in (spec if kind == "coproduct" else [spec])]
     letters = sum(len(C.basis) for C in coalgebras) * (max(stages, 0) if kind == "free-hopf" else 1)
     if ambient_size(letters, degree) > AMBIENT_CAP:
@@ -111,9 +95,13 @@ def construct(kind: str, spec, degree: int, stages=None):
                                  f" has more than {AMBIENT_CAP:,} monomials, the cap")
     if degree > DEGREE_CAP:
         raise StageOverflowError(f"the degree budget {degree} is above {DEGREE_CAP}, the cap")
+    from .bialgebra import bialgebra_coproduct, induce_bialgebra
+
     if kind == "coproduct":
         return bialgebra_coproduct([induce_bialgebra(C, degree) for C in coalgebras]).bialgebra
     if kind == "free-hopf":
+        from .free_hopf import free_poisson_hopf
+
         return free_poisson_hopf(coalgebras[0], stages, degree)
     return induce_bialgebra(coalgebras[0], degree)
 
@@ -122,6 +110,8 @@ def construct(kind: str, spec, degree: int, stages=None):
 
 
 def cmd_validate(args) -> int:
+    from .coalgebra import SpecError, SpecParseError, validate_coalgebra
+
     try:
         spec = resolve_spec(args.spec)
     except SpecParseError:
@@ -137,6 +127,8 @@ def cmd_validate(args) -> int:
 
 def emit_bialgebra(args, B, fields: dict) -> int:
     """The report tail of ``induce`` and ``coproduct``: the laws certified on the generators."""
+    from .bialgebra import generator_certificate
+
     report = generator_certificate(B)
     emit(args, {**fields, "degree": args.degree, "graded_dims": B.quotient.graded_dims(),
                 "report": report.to_json_obj()})
@@ -154,6 +146,9 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .exprs import parse
+    from .poisson import render
+
     B = construct("induce", args.spec, args.degree)
     elt = parse(args.expr, B.ambient)
     if elt.lossy:
@@ -170,6 +165,8 @@ def cmd_eval(args) -> int:
 
 
 def load_map(path: str, expected_source=None):
+    from .coalgebra import SpecError, SpecParseError, read_json
+
     obj = read_json(path)
     if not isinstance(obj, dict) or set(obj) - {"source_spec", "images"}:
         raise SpecParseError(f"map file {path} must carry source_spec and images")
@@ -185,6 +182,11 @@ def load_map(path: str, expected_source=None):
 
 
 def cmd_coequalize(args) -> int:
+    from .bialgebra import bialgebra_coequalizer
+    from .coalgebra import SpecError, SpecParseError
+    from .colimits import MorphismTable
+    from .exprs import parse
+
     if len(args.maps) != 2:
         raise SpecParseError("coequalize needs exactly two --map files")
     target = construct("induce", args.spec, args.degree)
@@ -217,6 +219,8 @@ def cmd_coequalize(args) -> int:
 
 
 def cmd_free_hopf(args) -> int:
+    from .free_hopf import verify_antipode
+
     # a failed certificate raises RuntimeError (exit 1); only the antipode law can fail here
     H = construct("free-hopf", args.spec, args.degree, args.stages)
     antipode = verify_antipode(H, depth=1)
@@ -236,21 +240,23 @@ def cmd_free_hopf(args) -> int:
     return 0 if antipode.ok else 3
 
 
-# law name -> checker, in the order ``verify`` runs them; only a free-hopf
+# the laws ``verify`` checks, in the order it runs them; only a free-hopf
 # artifact has an antipode to check, so ``all`` leaves it out elsewhere and
 # naming it elsewhere is refused
-CHECKERS = {
-    "coassociativity": check_coassociativity,
-    "counit": check_counit,
-    "poisson-compat": check_poisson_compat,
-    "leibniz": check_leibniz,
-    "jacobi": check_jacobi,
-    "antipode": check_antipode,
-}
-LAW_NAMES = tuple(CHECKERS)
+LAW_NAMES = ("coassociativity", "counit", "poisson-compat", "leibniz", "jacobi", "antipode")
+
+
+def law_checkers() -> dict:
+    """Law name -> checker, keyed by ``LAW_NAMES`` in its order."""
+    from . import verify
+
+    return dict(zip(LAW_NAMES, (verify.check_coassociativity, verify.check_counit, verify.check_poisson_compat,
+                                verify.check_leibniz, verify.check_jacobi, verify.check_antipode)))
 
 
 def artifact_int(desc: dict, key: str, least: int) -> int:
+    from .coalgebra import SpecParseError
+
     value = desc.get(key)
     # bool is a subclass of int, but true is no budget
     if type(value) is not int or value < least:
@@ -259,6 +265,8 @@ def artifact_int(desc: dict, key: str, least: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .coalgebra import SpecParseError, read_json
+
     desc = read_json(args.artifact)
     if not isinstance(desc, dict) or "construct" not in desc:
         raise SpecParseError("artifact must carry a construct field")
@@ -269,6 +277,10 @@ def cmd_verify(args) -> int:
     kind = desc["construct"]
     if kind not in KINDS:
         raise SpecParseError(f"unknown construct {kind!r}")
+    # only a free-hopf artifact carries a stage budget
+    extra = set(desc) - {"construct", "spec", "degree"} - ({"stages"} if kind == "free-hopf" else set())
+    if extra:
+        raise SpecParseError(f"{kind} artifact has unknown fields: {sorted(extra)}")
     if kind != "free-hopf":
         if args.laws != "all" and "antipode" in laws:
             raise SpecParseError(f"law antipode needs a free-hopf artifact, not {kind}")
@@ -286,12 +298,15 @@ def cmd_verify(args) -> int:
     structure = construct(kind, spec, degree, stages)
     obj = {"artifact": args.artifact}
     if kind == "free-hopf":
+        from .bialgebra import coideal_certificate
+        from .free_hopf import s_prime_stability_certificate
+
         # the coideal and S'-stability certificates again, on every ideal row rather than the generators
         rows = structure.quotient.ideal.rows
         on_rows = {"coideal": coideal_certificate(structure, rows),
                    "sprime-stability": s_prime_stability_certificate(structure, rows)}
         obj["certificates"] = reports({**structure.certificates, **on_rows})
-    results = {law: check(structure) for law, check in CHECKERS.items() if law in laws}
+    results = {law: check(structure) for law, check in law_checkers().items() if law in laws}
     obj["laws"] = reports(results)
     emit(args, obj)
     return 0 if all(r.ok for r in results.values()) else 3
@@ -353,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the stderr prefix of each exit code a ``ValueError`` carries
+ERROR_KINDS = {2: "parse error", 3: "validation error", 4: "overflow"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -362,18 +381,13 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, SpecParseError) as e:
-        sys.stderr.write(f"parse error: {e}\n")
-        return 2
-    except StageOverflowError as e:
-        sys.stderr.write(f"overflow: {e}\n")
-        return 4
     except FileNotFoundError as e:
         sys.stderr.write(f"missing file: {e}\n")
         return 2
     except ValueError as e:
-        sys.stderr.write(f"validation error: {e}\n")
-        return 3
+        code = getattr(e, "exit_code", 3)
+        sys.stderr.write(f"{ERROR_KINDS[code]}: {e}\n")
+        return code
     except RuntimeError as e:
         sys.stderr.write(f"internal error: {e}\n")
         return 1

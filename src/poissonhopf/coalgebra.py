@@ -24,6 +24,8 @@ class SpecError(ValueError):
 class SpecParseError(SpecError):
     """Malformed spec file: JSON syntax, field shapes, scalar format."""
 
+    exit_code = 2
+
 
 class CoalgebraSpec(namedtuple("CoalgebraSpec", "basis delta epsilon")):
     """Coalgebra with named basis; delta and epsilon stored canonically.

@@ -24,6 +24,8 @@ from .poisson import FreePoissonAlgebra, PoissElt, poiss_bracket
 class ParseError(ValueError):
     """Syntax or name-resolution error, carrying a character offset."""
 
+    exit_code = 2
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
         self.position = position

@@ -65,12 +65,8 @@ from .bialgebra import (
 )
 from .coalgebra import CoalgebraSpec
 from .colimits import TruncatedQuotient, fixpoint_certificate, quotient
-from .poisson import PoissElt, extend_letters, letter_monomials, render
+from .poisson import PoissElt, StageOverflowError, extend_letters, letter_monomials, render
 from .verify import Report, check_antipode_convolution, convolution_residual
-
-
-class StageOverflowError(ValueError):
-    """A stage, depth or degree budget out of range, refused up front."""
 
 
 class StagedBialgebra:

@@ -84,6 +84,12 @@ class PoissMonomial:
 UNIT_MONOMIAL = PoissMonomial(())
 
 
+class StageOverflowError(ValueError):
+    """A stage, depth or degree budget out of range, refused up front."""
+
+    exit_code = 4
+
+
 class FreePoissonAlgebra:
     """Truncated free Poisson algebra on named degree-1 generators."""
 

@@ -173,7 +173,7 @@ def test_free_hopf_degree_budget_below_two_exits_4(capsys, tmp_path, spec):
 
 
 def test_verify_checks_the_antipode_laws_once(capsys, tmp_path, monkeypatch):
-    from poissonhopf import cli, free_hopf, verify
+    from poissonhopf import free_hopf, verify
 
     original = verify.check_antipode_antimorphism
     calls = []
@@ -183,12 +183,9 @@ def test_verify_checks_the_antipode_laws_once(capsys, tmp_path, monkeypatch):
         return original(structure)
 
     # rebind every name the package holds for the checker
-    for module in (verify, free_hopf, cli):
+    for module in (verify, free_hopf):
         if getattr(module, "check_antipode_antimorphism", None) is original:
             monkeypatch.setattr(module, "check_antipode_antimorphism", counting)
-    for law, check in cli.CHECKERS.items():
-        if check is original:
-            monkeypatch.setitem(cli.CHECKERS, law, counting)
     artifact = tmp_path / "artifact.json"
     artifact.write_text(json.dumps({"construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2}))
     code, out, _ = run(capsys, "verify", str(artifact), "--laws", "all")
@@ -342,6 +339,10 @@ def test_verify_refuses_the_antipode_law_without_an_antipode(capsys, tmp_path, c
         {"construct": "induce", "spec": "builtin:trig", "degree": "3"},
         {"construct": "induce", "spec": "builtin:trig", "degree": True},
         {"construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2.5},
+        # fields no artifact carries, and a stage budget on a construct without stages
+        {"construct": "induce", "spec": "builtin:trig", "degree": 2, "stages": "x", "extra": 1},
+        {"construct": "coproduct", "spec": ["builtin:trig"] * 2, "degree": 2, "stages": 2},
+        {"construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2, "bogus": 0},
     ],
 )
 def test_verify_rejects_malformed_artifact_fields(capsys, tmp_path, desc):
@@ -460,13 +461,14 @@ def test_eval_names_the_end_of_input(capsys, expr, message):
     (("induce", "builtin:grouplike-1", "--degree", "1000000000"), 1),
 ])
 def test_runaway_budget_is_refused_before_any_monomial(capsys, monkeypatch, argv, letters):
-    from poissonhopf import cli
+    from poissonhopf import bialgebra, free_hopf
 
     def unreachable(*args):
         raise AssertionError("a construction started")
 
-    monkeypatch.setattr(cli, "induce_bialgebra", unreachable)
-    monkeypatch.setattr(cli, "free_poisson_hopf", unreachable)
+    # the CLI imports each construction where it runs it, so patching the defining module reaches it
+    monkeypatch.setattr(bialgebra, "induce_bialgebra", unreachable)
+    monkeypatch.setattr(free_hopf, "free_poisson_hopf", unreachable)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == (f"overflow: the ambient at degree budget {argv[-1]} on an alphabet of size {letters}"
@@ -487,12 +489,12 @@ def test_ambient_estimate_admits_the_measured_frontier():
 
 @pytest.mark.parametrize("artifact", [False, True])
 def test_degree_budget_above_the_cap_is_refused_before_any_monomial(capsys, tmp_path, monkeypatch, artifact):
-    from poissonhopf import cli
+    from poissonhopf import bialgebra
 
     def unreachable(*args):
         raise AssertionError("a construction started")
 
-    monkeypatch.setattr(cli, "induce_bialgebra", unreachable)
+    monkeypatch.setattr(bialgebra, "induce_bialgebra", unreachable)
     argv = ("induce", "builtin:grouplike-1", "--degree", "65")
     if artifact:
         path = tmp_path / "art.json"

@@ -1,5 +1,5 @@
-"""The runtime imports nothing but the standard library and itself, and
-starts without the heavy stdlib modules."""
+"""The runtime imports nothing but the standard library and itself, starts
+without the heavy stdlib modules, and loads only the layers a command runs."""
 
 import ast
 import os
@@ -33,16 +33,49 @@ def test_package_imports_only_stdlib():
     assert not foreign, sorted(foreign)
 
 
-def test_cli_import_loads_no_heavy_stdlib_modules():
-    # against the modules loaded before the import, since site differs between hosts
+def modules_added_by(statement: str) -> set:
+    """The modules a fresh interpreter loads while running ``statement``.
+
+    Counted against the modules loaded before it, since site differs between
+    hosts; a statement that exits (``--help``) still reports them.
+    """
     code = (
-        "import sys; before = set(sys.modules); import poissonhopf.cli; "
-        "print(*sorted(set(sys.modules) - before))"
+        "import sys; before = set(sys.modules)\n"
+        f"try:\n    {statement}\n"
+        "finally:\n    sys.stderr.write('\\n' + ' '.join(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    added = set(proc.stdout.split())
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def run_module(*argv: str) -> str:
+    """The statement ``python -m poissonhopf.cli ARGV`` runs, exit included."""
+    return (f"import runpy; sys.argv = ['poissonhopf.cli', *{list(argv)!r}]; "
+            "runpy.run_module('poissonhopf.cli', run_name='__main__', alter_sys=True)")
+
+
+def package_modules(added: set) -> set:
+    return {name for name in added if name.partition(".")[0] == "poissonhopf"}
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    added = modules_added_by("import poissonhopf.cli")
     assert "poissonhopf.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+
+
+def test_cli_import_loads_no_layer():
+    assert package_modules(modules_added_by("import poissonhopf.cli")) == {"poissonhopf", "poissonhopf.cli"}
+
+
+def test_help_loads_no_layer():
+    assert package_modules(modules_added_by(run_module("--help"))) == {"poissonhopf"}
+
+
+def test_induce_loads_only_the_layers_it_runs():
+    loaded = package_modules(modules_added_by(run_module("induce", "builtin:trig", "--degree", "2")))
+    assert "poissonhopf.bialgebra" in loaded
+    assert not loaded & {"poissonhopf.free_hopf", "poissonhopf.exprs", "poissonhopf.targets"}, sorted(loaded)
