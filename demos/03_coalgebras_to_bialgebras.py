@@ -8,6 +8,7 @@ through the free object into closed-form target Hopf algebras.
 from poissonhopf import (
     CoalgebraMapError,
     GroupAlgebra,
+    PoissMonomial,
     builtin,
     check_bialgebra,
     factor_through_free,
@@ -25,7 +26,8 @@ print("Inducing the free Poisson bialgebra on the trigonometric coalgebra:")
 B = induce_bialgebra(builtin("trig"), 3)
 c_pairs = B.delta_table["c"]
 print("  Delta(c) entries:", {(B.render_label(l), B.render_label(r)): str(k) for (l, r), k in c_pairs.items()})
-w = B.delta_of_word(next(iter(B.ambient.lyndon_basis(2))))
+(cs,) = B.ambient.lyndon_basis(2)  # the one Lyndon word of degree 2, {c,s}
+w = B.delta_label(PoissMonomial((cs,)))
 print("  Delta({c,s}) has", len(w), "terms, forced by the tensor-square bracket")
 report = check_bialgebra(B)
 print("  axiom check over all monomials of degree <= 3:", report.lines()[0])

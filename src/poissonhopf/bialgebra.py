@@ -20,7 +20,11 @@ the quotient's label maps): ``delta_label`` computes in (Q/I) (x) (Q/I)
 directly, from letter images reduced once; the ambient coproduct
 ``delta_of_monomial``, reduced slotwise, gives the same vector once the
 ideal passes the fixpoint certificate; it is the tests' oracle, not called
-at run time.  Maps into and out of a bialgebra are checked by
+at run time.  The counit is the scalar ``LetterExtension``, read through
+``epsilon_label``, and the coideal certificate extends ``delta_label`` to
+each vector with ``linalg.linear``.  A map into a closed-form target
+(``FreeFactorization``) is built by ``poisson.extend_letters``, like every
+other algebra map.  Maps into and out of a bialgebra are checked by
 ``verify.check_coalgebra_map`` on ``delta_label``.
 
 The bialgebra laws are checked on every class by ``check_bialgebra`` and
@@ -53,17 +57,17 @@ from .colimits import (
     TruncatedQuotient,
     difference_quotient,
     fixpoint_certificate,
-    free_quotient,
     poisson_coproduct,
+    quotient,
 )
-from .linalg import SparseVec, exact, lincomb, map_pairs, unit_vec
-from .lyndon import LyndonWord
+from .linalg import SparseVec, exact, linear, map_pairs, unit_vec
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
     LetterExtension,
     PoissElt,
     PoissMonomial,
+    extend_letters,
     letter_monomials,
     monomial_str,
     render,
@@ -75,7 +79,6 @@ from .verify import (
     check_coassociativity,
     check_counit,
     check_poisson_compat,
-    delta_vec,
     record_coassociativity,
     record_counit,
     record_poisson_compat,
@@ -138,19 +141,13 @@ class PresentedPoissonBialgebra:
 
     # -- comultiplication and counit on ambient representatives --
 
-    def delta_of_word(self, w: LyndonWord) -> SparseVec:
-        # independent of the twist: the sign of the element expression
-        # s(w) = sign*{s(u), s(v)} cancels the twisted tensor bracket
-        return self._delta_ambient.word(w)
-
     def delta_of_monomial(self, m: PoissMonomial) -> SparseVec:
+        # independent of the twist: the sign of the element expression
+        # s(w) = sign*{s(u), s(v)} of a Lyndon word cancels the twisted tensor bracket
         return self._delta_ambient.monomial(m)
 
-    def epsilon_of_monomial(self, m: PoissMonomial) -> int | Fraction:
-        return self._epsilon.monomial(m)
-
     def epsilon(self, elt: PoissElt) -> int | Fraction:
-        return exact(sum(c * self.epsilon_of_monomial(m) for m, c in elt.vec.items()))
+        return exact(sum(c * self.epsilon_label(m) for m, c in elt.vec.items()))
 
     # -- ambient tensor-square bracket, truncated per side --
 
@@ -182,7 +179,7 @@ class PresentedPoissonBialgebra:
         return self._delta_quotient.monomial(m)
 
     def epsilon_label(self, m) -> int | Fraction:
-        return self.epsilon_of_monomial(m)
+        return self._epsilon.monomial(m)
 
     def product_labels(self, a, b) -> SparseVec:
         return self.quotient.product_labels(a, b)
@@ -205,13 +202,11 @@ def induce_bialgebra(spec: CoalgebraSpec, truncation: int) -> PresentedPoissonBi
     ambient = FreePoissonAlgebra(spec.basis, truncation)
     letters = letter_monomials(ambient)
     delta_table = {
-        name: map_pairs(spec.delta_vec(name), lambda l: unit_vec(letters[ambient.index(l)]))
+        name: map_pairs(spec.delta_label(name), lambda l: unit_vec(letters[ambient.index(l)]))
         for name in spec.basis
     }
-    epsilon_table = {name: spec.epsilon_of(name) for name in spec.basis}
-    return PresentedPoissonBialgebra(
-        free_quotient(ambient), delta_table, epsilon_table, 1
-    )
+    epsilon_table = {name: spec.epsilon_label(name) for name in spec.basis}
+    return PresentedPoissonBialgebra(quotient(ambient, ()), delta_table, epsilon_table, 1)
 
 
 def check_bialgebra(B: PresentedPoissonBialgebra) -> Report:
@@ -246,8 +241,8 @@ class FreeFactorization:
     """Poisson algebra map out of the free bialgebra, fixed by generator images.
 
     Images live in one of the closed-form target Hopf families; the map is
-    the ``LetterExtension`` of the generator images over the target's
-    product and bracket, extended linearly.
+    the ``extend_letters`` extension of the generator images over the
+    target's product and bracket, extended linearly.
     """
 
     def __init__(self, spec: CoalgebraSpec, bialgebra, target, images: dict):
@@ -256,12 +251,11 @@ class FreeFactorization:
         self.target = target
         self.images = dict(images)
         names = bialgebra.ambient.alphabet
-        extension = LetterExtension(lambda letter: self.images[names[letter]], target.mul,
-                                    target.bracket, target.one)
+        extension = extend_letters(lambda letter: self.images[names[letter]], target, 1)
         self.apply_word, self.apply_monomial = extension.word, extension.monomial
 
     def apply(self, elt: PoissElt) -> SparseVec:
-        return lincomb((c, self.apply_monomial(m)) for m, c in elt.vec.items())
+        return linear(self.apply_monomial, elt.vec)
 
     def coalgebra_map_report(self) -> Report:
         """Delta_T(image) must equal the image of Delta on every basis monomial."""
@@ -359,7 +353,7 @@ def coideal_certificate(B: PresentedPoissonBialgebra, vectors) -> Report:
     report, tensor = Report(), partial(render_tensor, B)
     for vec in vectors:
         elt = B.ambient.elt(vec)
-        report.record("coideal-delta", delta_vec(B, vec), (elt,), render, tensor)
+        report.record("coideal-delta", linear(B.delta_label, vec), (elt,), render, tensor)
         report.record("coideal-counit", B.epsilon(elt), (elt,), render)
     return report
 

@@ -61,19 +61,7 @@ class CoalgebraSpec(namedtuple("CoalgebraSpec", "basis delta epsilon")):
     def dim(self) -> int:
         return len(self.basis)
 
-    def delta_vec(self, name: str) -> SparseVec:
-        for n, rows in self.delta:
-            if n == name:
-                return SparseVec({(l, r): c for l, r, c in rows})
-        raise KeyError(name)
-
-    def epsilon_of(self, name: str) -> int | Fraction:
-        for n, value in self.epsilon:
-            if n == name:
-                return value
-        raise KeyError(name)
-
-    # -- protocol for the axiom checkers (coalgebra laws only) --
+    # -- protocol for the axiom checkers (coalgebra laws only): labels are the basis names --
 
     truncation = 1
 
@@ -84,10 +72,16 @@ class CoalgebraSpec(namedtuple("CoalgebraSpec", "basis delta epsilon")):
         return 1
 
     def delta_label(self, label) -> SparseVec:
-        return self.delta_vec(label)
+        for n, rows in self.delta:
+            if n == label:
+                return SparseVec({(l, r): c for l, r, c in rows})
+        raise KeyError(label)
 
     def epsilon_label(self, label) -> int | Fraction:
-        return self.epsilon_of(label)
+        for n, value in self.epsilon:
+            if n == label:
+                return value
+        raise KeyError(label)
 
     def render_label(self, label) -> str:
         return str(label)

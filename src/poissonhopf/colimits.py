@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 
-from .linalg import EchelonBasis, SparseVec, SubspaceBasis, lincomb, unit_vec
+from .linalg import EchelonBasis, SparseVec, SubspaceBasis, linear, unit_vec
 from .lyndon import LyndonWord
 from .poisson import (
     UNIT_MONOMIAL,
@@ -190,7 +190,7 @@ class TruncatedQuotient:
         return r
 
     def nf_vec(self, vec: SparseVec) -> SparseVec:
-        return lincomb((c, self.nf_label(m)) for m, c in vec.items())
+        return linear(self.nf_label, vec)
 
     def normal_form(self, elt: PoissElt) -> PoissElt:
         if elt.algebra != self.ambient:
@@ -276,7 +276,7 @@ def quotient(ambient: FreePoissonAlgebra, generators) -> TruncatedQuotient:
 
 
 def free_quotient(ambient: FreePoissonAlgebra) -> TruncatedQuotient:
-    return TruncatedQuotient(ambient, ideal_saturate(ambient, ()), ())
+    return quotient(ambient, ())
 
 
 def fixpoint_certificate(q: TruncatedQuotient) -> Report:

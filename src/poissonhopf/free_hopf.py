@@ -154,17 +154,10 @@ class TruncatedHopf(PresentedPoissonBialgebra):
             f" M={self.stages}, N={self.truncation})"
         )
 
-    def certificates_ok(self) -> bool:
-        return all(r.ok for r in self.certificates.values())
-
     def antipode(self, elt: PoissElt) -> PoissElt:
         """pi(S'(representative))."""
         rep = self.quotient.normal_form(elt)
         return self.quotient.normal_form(self.staged.s_prime(rep))
-
-    def antipode_table(self) -> dict:
-        """Images of the staged generators in the quotient, by name."""
-        return {name: self.antipode(self.ambient.gen(name)) for name in self.ambient.alphabet}
 
     # -- checker protocol: the bialgebra's, plus S --
 
@@ -250,8 +243,8 @@ def hopf_coproduct_antipode(operands) -> HopfCoproduct:
     names = q.ambient.alphabet
     antipode_images = {}
     for H, inj, lm in zip(operands, cp.injections, cp.letter_maps):
-        for name, image in H.antipode_table().items():
-            antipode_images[names[lm[H.ambient.index(name)]]] = inj.apply(image)
+        for i, name in enumerate(H.ambient.alphabet):
+            antipode_images[names[lm[i]]] = inj.apply(H.antipode(H.ambient.gen(name)))
     S = extend_letters(lambda letter: antipode_images[names[letter]], q, -1)
     letters = letter_monomials(q.ambient)
     report = check_antipode_convolution(cp.bialgebra, letters, lambda m: S.monomial(m).vec,

@@ -1,10 +1,11 @@
 """Exact linear algebra over Q on sparse vectors with orderable labels.
 
 Everything is a value: vectors are immutable, a basis is built once and then
-only queried.  ``lincomb`` is the one loop that sums scaled vectors, and
-``bilinear`` the one extension of a label-pair map to vectors: targets,
-quotients and the free Lie algebra are given by their label maps, and only
-the free Poisson product and bracket keep loops, to track truncation loss.
+only queried.  ``lincomb`` is the one loop that sums scaled vectors,
+``linear`` the one extension of a label map to vectors and ``bilinear`` that
+of a label-pair map: targets, quotients, coalgebras and the free Lie algebra
+are given by their label maps, and only the free Poisson product and bracket
+keep loops, to track truncation loss.
 ``EchelonBasis``, the growing span, keeps a column index (label -> rows
 holding it) so that an insert back-substitutes without scanning every row.
 Labels may be any hashable objects; the global order used for pivoting
@@ -177,6 +178,11 @@ def lincomb(terms) -> SparseVec:
             else:
                 del data[label]
     return SparseVec._raw(data)
+
+
+def linear(f, v: SparseVec) -> SparseVec:
+    """Sum of c * f(a) over the entries (a, c) of v."""
+    return lincomb((c, f(a)) for a, c in v._entries.items())
 
 
 def bilinear(op, u: SparseVec, v: SparseVec) -> SparseVec:

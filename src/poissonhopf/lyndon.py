@@ -12,7 +12,8 @@ recursion that builds such images is ``poisson.LetterExtension``.
 
 Two process-wide tables live here, and neither is ever cleared:
 ``_word_table`` interns Lyndon words (one entry per distinct word ever
-built), and ``_bracket_memo`` holds the bracket of each ordered word pair
+built, each keeping its standard factorization once it is asked for), and
+``_bracket_memo`` holds the bracket of each ordered word pair
 once it has been normalized.  Its keys are pairs of the interned words
 themselves, so a lookup hashes two identities, not two letter tuples; a
 pair in decreasing order and a pair of equal words are stored too, so a
@@ -21,7 +22,6 @@ repeated call never builds a vector.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 
 from .linalg import SparseVec, bilinear, lincomb, unit_vec
@@ -50,10 +50,11 @@ class LyndonWord:
 
     ``degree`` and ``sort_key`` are computed once, when the word is first
     built; ``is_lyndon`` runs then too, and a rejected word never enters the
-    table, so it raises on every attempt.
+    table, so it raises on every attempt.  ``split``, the standard
+    factorization, is set on the first ``standard_factorization`` call.
     """
 
-    __slots__ = ("letters", "degree", "sort_key")
+    __slots__ = ("letters", "degree", "sort_key", "split")
 
     def __new__(cls, letters: tuple):
         w = _word_table.get(letters)
@@ -65,6 +66,7 @@ class LyndonWord:
             init(w, "letters", letters)
             init(w, "degree", len(letters))
             init(w, "sort_key", (len(letters), letters))
+            init(w, "split", None)
             # setdefault, so threads racing on a new word still share one instance
             w = _word_table.setdefault(letters, w)
         return w
@@ -111,21 +113,18 @@ def lyndon_words(alphabet_size: int, max_degree: int) -> dict:
     return grouped
 
 
-@functools.lru_cache(maxsize=None)
-def _std_split(letters: tuple) -> int:
-    # start index of the longest proper suffix that is Lyndon
-    for i in range(1, len(letters)):
-        if is_lyndon(letters[i:]):
-            return i
-    raise ValueError(f"no Lyndon suffix in {letters}")
-
-
 def standard_factorization(w: LyndonWord):
     """Right standard factorization w = u v, v the longest proper Lyndon suffix."""
-    if w.degree < 2:
-        raise ValueError("letters have no factorization")
-    i = _std_split(w.letters)
-    return LyndonWord(w.letters[:i]), LyndonWord(w.letters[i:])
+    split = w.split
+    if split is None:
+        if w.degree < 2:
+            raise ValueError("letters have no factorization")
+        letters = w.letters
+        # the last letter alone is a Lyndon suffix, so the search ends
+        i = next(i for i in range(1, len(letters)) if is_lyndon(letters[i:]))
+        split = LyndonWord(letters[:i]), LyndonWord(letters[i:])
+        object.__setattr__(w, "split", split)
+    return split
 
 
 _bracket_memo: dict = {}

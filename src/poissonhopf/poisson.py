@@ -16,7 +16,7 @@ pairs: ``poiss_bracket`` and ``targets.SymmetricLieHopf`` both run it.
 Every map the constructions build out of a free Poisson algebra is fixed by
 its letter images; ``LetterExtension`` is the one implementation of that,
 and ``extend_letters`` builds the algebra maps among them, Poisson maps or
-bracket anti-morphisms, into an ambient or a quotient.
+bracket anti-morphisms, into an ambient, a quotient or a closed-form target.
 
 Monomials are interned in the process-wide ``_monomial_table``, one entry
 per distinct monomial ever built, next to the word table and
@@ -381,8 +381,9 @@ class LetterExtension:
 def extend_letters(letter_image, target, sign: int) -> LetterExtension:
     """The algebra map out of a free Poisson algebra with the given letter images.
 
-    ``target`` is a ``FreePoissonAlgebra`` or a quotient of one: its
-    ``product``, ``bracket`` and ``one`` are the operations extended over.
+    ``target`` is a ``FreePoissonAlgebra``, a quotient of one or a
+    ``targets.LabelTarget``: its ``product``, ``bracket`` and ``one`` are the
+    operations extended over.
     With ``sign`` 1 the map is a Poisson map; with -1 it is a bracket
     anti-morphism, {a, b} -> {f(b), f(a)}, extended over the swapped bracket.
     """

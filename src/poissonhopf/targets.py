@@ -12,7 +12,9 @@ Both kinds satisfy the Poisson bialgebra compatibilities by construction and
 carry an antipode, and both are exactly computable over Q.  Elements are
 sparse vectors over the printed monomial labels given below.  Each target
 keeps only its label maps; ``LabelTarget`` derives the maps on vectors from
-them, through ``linalg.bilinear`` and ``linalg.lincomb``.
+them, through ``linalg.linear`` and ``linalg.bilinear``.  Its ``product``,
+``bracket`` and ``one`` are the protocol of ``poisson.extend_letters``, so a
+map out of a free Poisson algebra into a target is built like every other.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import SparseVec, bilinear, exact, lincomb, unit_vec
+from .linalg import SparseVec, bilinear, exact, lincomb, linear, unit_vec
 from .poisson import biderivation
 
 
@@ -30,20 +32,20 @@ class LabelTarget:
     def zero(self) -> SparseVec:
         return SparseVec()
 
-    def mul(self, u: SparseVec, v: SparseVec) -> SparseVec:
+    def product(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return bilinear(self.product_labels, u, v)
 
     def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return bilinear(self.bracket_labels, u, v)
 
     def delta(self, u: SparseVec) -> SparseVec:
-        return lincomb((c, self.delta_label(a)) for a, c in u.items())
+        return linear(self.delta_label, u)
 
     def epsilon(self, u: SparseVec) -> int | Fraction:
         return exact(sum(c * self.epsilon_label(a) for a, c in u.items()))
 
     def antipode(self, u: SparseVec) -> SparseVec:
-        return lincomb((c, self.antipode_label(a)) for a, c in u.items())
+        return linear(self.antipode_label, u)
 
 
 class GroupAlgebra(LabelTarget):
@@ -96,14 +98,18 @@ class SymmetricLieHopf(LabelTarget):
     Labels are sorted tuples of generator indices.  The primitive
     comultiplication makes every generator primitive; the bracket extends
     the supplied structure constants by the Leibniz rule in both slots.
-    Structure constants are validated for antisymmetry and Jacobi.
+    Structure constants are validated for their generator indices, which
+    must lie in 0..n-1, then for antisymmetry and Jacobi.
     """
 
     def __init__(self, names, brackets, truncation: int):
         self.names = tuple(names)
         self.truncation = truncation
-        table, clash = {}, False
+        n, table, clash = len(self.names), {}, False
         for (i, j), terms in brackets.items():
+            for k in (i, j, *terms):
+                if k not in range(n):
+                    raise ValueError(f"bracket table names generator index {k!r}, not in 0..{n - 1}")
             vec = SparseVec({(k,): Fraction(c) for k, c in terms.items()})
             # an entry must agree with the antisymmetric image of an earlier one
             clash = clash or table.get((i, j), vec) != vec

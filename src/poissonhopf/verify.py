@@ -3,7 +3,8 @@
 Checkers are written against a small duck-typed protocol so the same code
 verifies finite-dimensional coalgebras, free and quotient Poisson
 bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
-*labels* and all operations as maps between sparse vectors over labels:
+*labels* and each operation as a label map, with sparse vectors over labels
+as values; ``linalg.linear`` and ``linalg.bilinear`` extend them to vectors:
 
     truncation                degree budget of every check
     labels_upto()             basis labels in canonical order, up to truncation
@@ -70,7 +71,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 
-from .linalg import SparseVec, bilinear, lincomb, map_pairs, outer_sum, unit_vec
+from .linalg import SparseVec, bilinear, lincomb, linear, map_pairs, outer_sum, unit_vec
 
 
 class Violation(namedtuple("Violation", "law witnesses residual")):
@@ -179,11 +180,7 @@ def render_tensor(structure, vec: SparseVec) -> str:
     )
 
 
-# ---- label maps on vectors and tensors (``linalg.bilinear`` on vectors) ----
-
-
-def delta_vec(structure, v: SparseVec) -> SparseVec:
-    return lincomb((c, structure.delta_label(l)) for l, c in v.items())
+# ---- label maps on tensors (``linalg.linear`` and ``linalg.bilinear`` on vectors) ----
 
 
 def tensor_product(structure, ta: SparseVec, tb: SparseVec) -> SparseVec:
@@ -303,7 +300,7 @@ def check_poisson_compat(structure) -> Report:
 
 def record_poisson_compat(report: Report, structure, a, b) -> None:
     """Record the bracket-comultiplicativity residual delta{a, b} - {delta a, delta b}."""
-    lhs = delta_vec(structure, structure.bracket_labels(a, b))
+    lhs = linear(structure.delta_label, structure.bracket_labels(a, b))
     rhs = tensor_bracket(structure, structure.delta_label(a), structure.delta_label(b))
     report.record("bracket-comultiplicativity", lhs - rhs, (a, b), structure.render_label,
                   partial(render_tensor, structure))
@@ -357,7 +354,7 @@ def check_antipode_antimorphism(structure) -> Report:
         sa, sb = s(a), s(b)
         for law, op in (("antipode-product", structure.product_labels),
                         ("antipode-bracket", structure.bracket_labels)):
-            direct = lincomb((c, s(l)) for l, c in op(a, b).items())
+            direct = linear(s, op(a, b))
             report.record(law, direct - bilinear(op, sb, sa), (a, b), structure.render_label, vector)
     return report
 
@@ -407,7 +404,7 @@ def check_coalgebra_map(source, labels, image, target, law: str) -> Report:
     report, tensor = Report(), partial(render_tensor, target)
     for l in labels:
         v = image(l)
-        residual = delta_vec(target, v) - map_pairs(source.delta_label(l), image)
+        residual = linear(target.delta_label, v) - map_pairs(source.delta_label(l), image)
         report.record(f"{law}-delta", residual, (l,), source.render_label, tensor)
         residual = sum(c * target.epsilon_label(t) for t, c in v.items()) - source.epsilon_label(l)
         report.record(f"{law}-counit", residual, (l,), source.render_label)

@@ -203,7 +203,7 @@ def test_criterion_09_universal_factorization():
 
                 left = PoissMonomial(m.factors[:cut])
                 right = PoissMonomial(m.factors[cut:])
-                assert whole == fac.target.mul(fac.apply_monomial(left), fac.apply_monomial(right))
+                assert whole == fac.target.product(fac.apply_monomial(left), fac.apply_monomial(right))
     _pass(9, "the three factorizations reproduce f on generators and are unique")
 
 

@@ -35,7 +35,7 @@ def test_matrix_coalgebra_is_valid():
 def test_trig_is_valid():
     spec = builtin("trig")
     assert validate_coalgebra(spec).ok
-    assert spec.delta_vec("c") == SparseVec({("c", "c"): 1, ("s", "s"): -1})
+    assert spec.delta_label("c") == SparseVec({("c", "c"): 1, ("s", "s"): -1})
 
 
 def test_corrupted_counit_is_reported():
@@ -153,7 +153,7 @@ def test_spec_reader_rejects_non_string_names_and_boolean_scalars(obj):
 def test_group_algebra_is_hopf_like():
     T = GroupAlgebra(1)
     gamma = T.gen(0)
-    assert T.mul(gamma, T.antipode(gamma)) == T.one()
+    assert T.product(gamma, T.antipode(gamma)) == T.one()
     assert T.delta(gamma) == SparseVec({((1,), (1,)): 1})
     assert T.epsilon(gamma) == 1
     assert not T.bracket(gamma, gamma)
@@ -172,13 +172,24 @@ def test_symmetric_hopf_rejects_an_entry_contradicting_its_antisymmetric_image()
     assert T.bracket_labels((1,), (0,)) == SparseVec({(2,): -1})
 
 
+@pytest.mark.parametrize("names, brackets, index", [
+    (("x", "y"), {(0, 5): {1: 1}}, 5),  # a bracket of a generator that does not exist
+    (("x", "y"), {(0, 1): {7: 1}}, 7),  # a bracket whose value names one
+    # this table also fails Jacobi (the first test above): the index is named first
+    (("x", "y", "z"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}, (0, 2): {0: 1}, (0, 3): {0: 1}}, 3),
+])
+def test_symmetric_hopf_refuses_generator_indices_outside_its_names(names, brackets, index):
+    with pytest.raises(ValueError, match=rf"generator index {index}, not in 0\.\.{len(names) - 1}$"):
+        SymmetricLieHopf(names, brackets, 3)
+
+
 def test_sl2_bracket_and_primitive_delta():
     T = sl2_hopf(4)
     e, f, h = T.gen(0), T.gen(1), T.gen(2)
     assert T.bracket(h, e) == 2 * e
     assert T.bracket(e, f) == h
     assert T.delta(e) == SparseVec({((0,), ()): 1, ((), (0,)): 1})
-    ef = T.mul(e, f)
+    ef = T.product(e, f)
     # binomial splitting of a degree-2 monomial
     assert T.delta(ef) == SparseVec(
         {
@@ -203,13 +214,13 @@ def test_symmetric_hopf_poisson_compatibility_on_generators():
             rhs = SparseVec()
             for (p, q), c1 in T.delta(a).items():
                 for (r, s), c2 in T.delta(b).items():
-                    left_mul = T.mul(unit_vec(p), unit_vec(r))
+                    left_mul = T.product(unit_vec(p), unit_vec(r))
                     right_br = T.bracket(unit_vec(q), unit_vec(s))
                     for x, cx in left_mul.items():
                         for y, cy in right_br.items():
                             rhs = rhs.axpy(c1 * c2 * cx * cy, unit_vec((x, y)))
                     left_br = T.bracket(unit_vec(p), unit_vec(r))
-                    right_mul = T.mul(unit_vec(q), unit_vec(s))
+                    right_mul = T.product(unit_vec(q), unit_vec(s))
                     for x, cx in left_br.items():
                         for y, cy in right_mul.items():
                             rhs = rhs.axpy(c1 * c2 * cx * cy, unit_vec((x, y)))

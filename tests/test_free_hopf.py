@@ -231,7 +231,7 @@ def test_free_hopf_raises_before_any_coideal_residual_when_the_fixpoint_fails(mo
 
 def test_free_hopf_grouplike_laurent_shape():
     H = free_poisson_hopf(builtin("grouplike-1"), 2, 4)
-    assert H.certificates_ok()
+    assert all(r.ok for r in H.certificates.values())
     # filtration dims 2N+1: Laurent polynomials truncated symmetrically
     assert H.quotient.filtration_dims() == [1, 3, 5, 7, 9]
     # basis classes are powers of g_0 and g_1, bracket identically zero
@@ -315,14 +315,14 @@ def test_reflection_keeps_the_relations_of_a_non_free_bialgebra(n, filtration):
         for name in ("g1", "g2")
     )
     H = free_poisson_hopf_on_bialgebra(bialgebra_coequalizer(f, g).bialgebra, 2)
-    assert H.certificates_ok()
+    assert all(r.ok for r in H.certificates.values())
     assert H.quotient.filtration_dims() == filtration
     assert filtration == free_poisson_hopf(builtin("grouplike-1"), 2, n).quotient.filtration_dims()
 
 
 def test_free_hopf_trig_certificates():
     H = free_poisson_hopf(builtin("trig"), 2, 3)
-    assert H.certificates_ok()
+    assert all(r.ok for r in H.certificates.values())
     report = verify_antipode(H, depth=1)
     assert report.ok, report.lines()
 

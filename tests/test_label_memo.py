@@ -149,7 +149,7 @@ def test_builtin_counits_are_ints():
     for name in ("grouplike-1", "grouplike-2", "matrix-2", "trig"):
         spec = builtin(name)
         B = induce_bialgebra(spec, 2)
-        assert all(type(spec.epsilon_of(x)) is int for x in spec.basis)
+        assert all(type(spec.epsilon_label(x)) is int for x in spec.basis)
         assert all(type(v) is int for v in B.epsilon_table.values())
         assert all(type(B.epsilon_label(m)) is int for m in B.labels_upto())
 
@@ -158,7 +158,7 @@ def test_fractional_counit_stays_fraction():
     # delta(x) = 2 x (x) x with epsilon(x) = 1/2 is a coalgebra
     spec = CoalgebraSpec.make(("x",), {"x": [("x", "x", 2)]}, {"x": "1/2"})
     B = induce_bialgebra(spec, 2)
-    assert spec.epsilon_of("x") == Fraction(1, 2) and type(spec.epsilon_of("x")) is Fraction
+    assert spec.epsilon_label("x") == Fraction(1, 2) and type(spec.epsilon_label("x")) is Fraction
     x = PoissMonomial((LyndonWord((0,)),))
     xx = PoissMonomial((LyndonWord((0,)), LyndonWord((0,))))
     assert type(B.epsilon_label(x)) is Fraction

@@ -35,7 +35,7 @@ def vectors(labels):
 def test_symmetric_lie_ops_match_the_pair_loops(n, data):
     T = sl2_hopf(n)
     u, v = (data.draw(vectors(T.labels_upto())) for _ in range(2))
-    assert T.mul(u, v) == symmetric_lie_mul(T, u, v)
+    assert T.product(u, v) == symmetric_lie_mul(T, u, v)
     assert T.bracket(u, v) == symmetric_lie_bracket(T, u, v)
     assert T.delta(u) == symmetric_lie_delta(u)
 
@@ -56,7 +56,7 @@ GROUP_LABELS = list(itertools.product(range(-2, 3), repeat=2))
 @given(vectors(GROUP_LABELS), vectors(GROUP_LABELS))
 def test_group_algebra_ops_match_the_pair_loops(u, v):
     T = GroupAlgebra(2)
-    assert T.mul(u, v) == group_algebra_mul(u, v)
+    assert T.product(u, v) == group_algebra_mul(u, v)
     assert not T.bracket(u, v)
     assert T.delta(u) == group_algebra_delta(u)
 
