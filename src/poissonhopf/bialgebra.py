@@ -32,16 +32,17 @@ on the letters by ``generator_certificate``, whose lemma lifts them to
 every class in the budget; the ``induce`` and ``coproduct`` commands
 report the certificate.
 
-The op-cop twist keeps the underlying quotient and flips the stored pair
-tables; the negated bracket is carried as a sign so the one ambient serves
-both twists.
+The bialgebra owns the op-cop twist: the twist keeps the underlying
+quotient and flips the stored pair tables, and the negated bracket is
+carried as ``bracket_sign`` -1, so the one ambient serves both twists.
 
 The checker protocol's label maps are memoized per structure:
-``product_labels`` and ``bracket_labels`` read the quotient's ``_label_ops``
-table (shared by a bialgebra, its op-cop twist and a Hopf quotient built on
-the same quotient), and ``delta_label`` keeps its coproducts of monomials
-and Lyndon words in the memos of ``_delta_quotient``, beside the ambient
-``_delta_ambient``.
+``product_labels`` reads the quotient's ``_products`` table and
+``bracket_labels`` its ``_brackets`` (both shared by a bialgebra, its
+op-cop twist and a Hopf quotient built on the same quotient), except that a
+twisted bialgebra keeps the negated brackets in its own ``_brackets``; and
+``delta_label`` keeps its coproducts of monomials and Lyndon words in the
+memos of ``_delta_quotient``, beside the ambient ``_delta_ambient``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .colimits import (
     poisson_coproduct,
     quotient,
 )
-from .linalg import SparseVec, exact, linear, map_pairs, unit_vec
+from .linalg import SparseVec, exact, functional, linear, map_pairs, unit_vec
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
@@ -105,6 +106,7 @@ class PresentedPoissonBialgebra:
         self.delta_table = dict(delta_table)
         self.epsilon_table = {k: exact(v) for k, v in epsilon_table.items()}
         self.bracket_sign = bracket_sign
+        self._brackets: dict = {}  # the negated brackets of a twisted bialgebra
         names = quotient.ambient.alphabet
         unit = unit_vec((UNIT_MONOMIAL, UNIT_MONOMIAL))
         self._delta_ambient = LetterExtension(lambda letter: self.delta_table[names[letter]],
@@ -147,7 +149,7 @@ class PresentedPoissonBialgebra:
         return self._delta_ambient.monomial(m)
 
     def epsilon(self, elt: PoissElt) -> int | Fraction:
-        return exact(sum(c * self.epsilon_label(m) for m, c in elt.vec.items()))
+        return functional(self.epsilon_label, elt.vec)
 
     # -- ambient tensor-square bracket, truncated per side --
 
@@ -185,7 +187,12 @@ class PresentedPoissonBialgebra:
         return self.quotient.product_labels(a, b)
 
     def bracket_labels(self, a, b) -> SparseVec:
-        return self.quotient.label_op("bracket" if self.bracket_sign == 1 else "-bracket", a, b)
+        if self.bracket_sign == 1:
+            return self.quotient.bracket_labels(a, b)
+        r = self._brackets.get((a, b))
+        if r is None:
+            r = self._brackets[(a, b)] = -self.quotient.bracket_labels(a, b)
+        return r
 
     def one(self) -> SparseVec:
         return self.quotient.nf_label(UNIT_MONOMIAL)

@@ -61,15 +61,11 @@ class CoalgebraSpec(namedtuple("CoalgebraSpec", "basis delta epsilon")):
     def dim(self) -> int:
         return len(self.basis)
 
-    # -- protocol for the axiom checkers (coalgebra laws only): labels are the basis names --
-
-    truncation = 1
+    # -- the members the coalgebra checks read (coassociativity, the counit laws and
+    # the coalgebra-map law): labels are the basis names --
 
     def labels_upto(self):
         return self.basis
-
-    def label_degree(self, label) -> int:
-        return 1
 
     def delta_label(self, label) -> SparseVec:
         for n, rows in self.delta:

@@ -13,20 +13,21 @@ is read off the row's degree-n factors first (``letter_bracket_exact``),
 so a bracket that would be thrown away is never formed;
 ``fixpoint_certificate`` uses the same pre-test.
 
-A quotient never changes once built, so it keeps two tables that live and
-die with it: ``_nf_cache`` (monomial -> normal form) and ``_label_ops``
-((op, a, b) -> normal form of the ambient's product or bracket of two
-monomials: the label maps of the checker protocol are the ambient's,
-followed by the normal form).
+A quotient never changes once built, so it keeps three tables that live
+and die with it: ``_nf_cache`` (monomial -> normal form), and
+``_products`` and ``_brackets`` ((a, b) -> normal form of the ambient's
+product or bracket of two monomials: the label maps of the checker
+protocol are the ambient's, followed by the normal form).
 
 Coproducts are computed on presentations: the coproduct of P(V)/I and
 P(W)/J is P(V (+) W) over the union of the lifted relation sets, with the
-generator inclusions as the canonical injections.  An op-cop twisted
-bialgebra keeps its quotient and carries the negated bracket as
-``bracket_sign`` -1; ``MorphismTable`` and ``poisson_coproduct`` read the
-twist off the objects they are given (a bare quotient counts as 1), and
-where the signs differ they extend the letter images over the swapped
-bracket (``poisson.extend_letters``).  Coequalizers quotient
+generator inclusions as the canonical injections.  A quotient answers
+``quotient`` (itself) and ``bracket_sign`` (1) as a bialgebra does, whose
+op-cop twist keeps its quotient and carries the negated bracket as
+``bracket_sign`` -1 (``bialgebra.PresentedPoissonBialgebra``).
+``MorphismTable`` and ``poisson_coproduct`` read both off the objects they
+are given, and where the signs differ they extend the letter images over
+the swapped bracket (``poisson.extend_letters``).  Coequalizers quotient
 by the saturated difference ideal.  The paper needs only these colimits
 (for cocompleteness and the free Hopf construction), so no limits are built.
 """
@@ -50,16 +51,6 @@ from .poisson import (
     render,
 )
 from .verify import Report, Violation
-
-
-def bracket_sign(obj) -> int:
-    """-1 on an op-cop twisted bialgebra, 1 on the others and on a bare quotient."""
-    return getattr(obj, "bracket_sign", 1)
-
-
-def quotient_of(obj) -> "TruncatedQuotient":
-    """The quotient under a bialgebra, or the quotient itself."""
-    return getattr(obj, "quotient", obj)
 
 
 def quotient_key(m: PoissMonomial):
@@ -167,13 +158,16 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
 class TruncatedQuotient:
     """Truncated ambient plus saturated ideal, with cached normal forms."""
 
+    bracket_sign = 1  # untwisted, as a bialgebra's quotient
+
     def __init__(self, ambient: FreePoissonAlgebra, ideal: SubspaceBasis, generators=()):
         self.ambient = ambient
         self.ideal = ideal
         self.generators = tuple(generators)
         self.degenerate = ideal.contains(unit_vec(UNIT_MONOMIAL))
         self._nf_cache: dict = {}
-        self._label_ops: dict = {}
+        self._products: dict = {}
+        self._brackets: dict = {}
         self._pivots = frozenset(ideal.pivots)
 
     def __repr__(self) -> str:
@@ -196,6 +190,10 @@ class TruncatedQuotient:
         if elt.algebra != self.ambient:
             raise ValueError("element not in the ambient algebra")
         return self.ambient.elt(self.nf_vec(elt.vec), elt.lossy)
+
+    @property
+    def quotient(self) -> "TruncatedQuotient":
+        return self
 
     def contains(self, elt: PoissElt) -> bool:
         return not self.nf_vec(elt.vec)
@@ -242,28 +240,17 @@ class TruncatedQuotient:
     def label_degree(self, m) -> int:
         return m.degree
 
-    def label_op(self, op: str, a, b) -> SparseVec:
-        """Normal form of ``op`` on two monomials, computed once per quotient.
-
-        ``op`` is "product", "bracket", or "-bracket" for the negated
-        bracket of op-cop twists, which share their quotient.
-        """
-        key = (op, a, b)
-        r = self._label_ops.get(key)
+    def product_labels(self, a, b) -> SparseVec:
+        r = self._products.get((a, b))
         if r is None:
-            if op == "-bracket":
-                r = -self.label_op("bracket", a, b)
-            else:
-                fn = self.ambient.product_labels if op == "product" else self.ambient.bracket_labels
-                r = self.nf_vec(fn(a, b))
-            self._label_ops[key] = r
+            r = self._products[(a, b)] = self.nf_vec(self.ambient.product_labels(a, b))
         return r
 
-    def product_labels(self, a, b) -> SparseVec:
-        return self.label_op("product", a, b)
-
     def bracket_labels(self, a, b) -> SparseVec:
-        return self.label_op("bracket", a, b)
+        r = self._brackets.get((a, b))
+        if r is None:
+            r = self._brackets[(a, b)] = self.nf_vec(self.ambient.bracket_labels(a, b))
+        return r
 
     def render_label(self, m) -> str:
         return monomial_str(m, self.ambient.alphabet)
@@ -303,22 +290,23 @@ def fixpoint_certificate(q: TruncatedQuotient) -> Report:
 class MorphismTable:
     """Poisson map determined by generator images, applied by extension.
 
-    Images are elements of the target ambient; a monomial's image is the
-    extension of the normalized letter images over the target quotient's
-    product and bracket (``poisson.extend_letters``).  When exactly one of
-    source and target carries the negated bracket
-    (``bracket_sign(source) * bracket_sign(target)`` is -1), the map is a
-    Poisson map of the twisted structures and extends over the swapped
-    bracket.
+    Source and target are quotients or bialgebras.  Images are elements of
+    the target ambient; a monomial's image is the extension of the letter
+    images, normalized once, over the target quotient's product and bracket
+    (``poisson.extend_letters``), so every image it sums is a normal form
+    and ``apply`` needs no second projection.  When exactly one of source
+    and target carries the negated bracket (``source.bracket_sign *
+    target.bracket_sign`` is -1), the map is a Poisson map of the twisted
+    structures and extends over the swapped bracket.
     """
 
     def __init__(self, source, target, images: dict):
         self.source = source
         self.target = target
         self.images = dict(images)
-        self.source_quotient = quotient_of(source)
-        self.target_quotient = tq = quotient_of(target)
-        self._extension = extend_letters(self._letter_image, tq, bracket_sign(source) * bracket_sign(target))
+        self.source_quotient = source.quotient
+        self.target_quotient = tq = target.quotient
+        self._extension = extend_letters(self._letter_image, tq, source.bracket_sign * target.bracket_sign)
 
     def _letter_image(self, letter: int) -> PoissElt:
         name = self.source_quotient.ambient.alphabet[letter]
@@ -329,10 +317,9 @@ class MorphismTable:
         return self.target_quotient.normal_form(out)
 
     def apply(self, elt: PoissElt) -> PoissElt:
-        tq = self.target_quotient
         if elt.algebra != self.source_quotient.ambient:
             raise ValueError("element not in the morphism source")
-        return tq.normal_form(self._extension.apply(elt, tq.ambient))
+        return self._extension.apply(elt, self.target_quotient.ambient)
 
     def well_defined_report(self) -> Report:
         """Every defining relation of the source must map into the target ideal."""
@@ -356,17 +343,16 @@ CoproductResult = namedtuple("CoproductResult", "quotient injections letter_maps
 
 
 def tagged_alphabet(operands):
+    """Names ``f"{n}_{l}"`` for generator n of operand l, and the letter maps.
+
+    No two names collide: each splits at its last underscore into l and a
+    generator name, distinct within operand l.
+    """
     names = []
     maps = []
     for l, op in enumerate(operands):
-        amb = op.ambient
-        lm = {}
-        for i, n in enumerate(amb.alphabet):
-            lm[i] = len(names)
-            names.append(f"{n}_{l}")
-        maps.append(lm)
-    if len(set(names)) != len(names):
-        raise ValueError("tagged generator names collide")
+        maps.append({i: len(names) + i for i in range(op.ambient.size)})
+        names.extend(f"{n}_{l}" for n in op.ambient.alphabet)
     return tuple(names), maps
 
 
@@ -387,8 +373,8 @@ def poisson_coproduct(operands) -> CoproductResult:
     ambient = FreePoissonAlgebra(names, n)
     relations = []
     for op, lm in zip(operands, maps):
-        lift = extend_letters(lambda i: ambient.gen(names[lm[i]]), ambient, bracket_sign(op))
-        relations.extend(lift.apply(g, ambient) for g in quotient_of(op).generators)
+        lift = extend_letters(lambda i: ambient.gen(names[lm[i]]), ambient, op.bracket_sign)
+        relations.extend(lift.apply(g, ambient) for g in op.quotient.generators)
     result = quotient(ambient, relations)
     injections = []
     for op, lm in zip(operands, maps):

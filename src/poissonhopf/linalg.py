@@ -2,8 +2,9 @@
 
 Everything is a value: vectors are immutable, a basis is built once and then
 only queried.  ``lincomb`` is the one loop that sums scaled vectors,
-``linear`` the one extension of a label map to vectors and ``bilinear`` that
-of a label-pair map: targets, quotients, coalgebras and the free Lie algebra
+``linear`` the one extension of a label map to vectors, ``functional`` that
+of a scalar-valued label map (the counits) and ``bilinear`` that of a
+label-pair map: targets, quotients, coalgebras and the free Lie algebra
 are given by their label maps, and only the free Poisson product and bracket
 keep loops, to track truncation loss.
 ``EchelonBasis``, the growing span, keeps a column index (label -> rows
@@ -183,6 +184,11 @@ def lincomb(terms) -> SparseVec:
 def linear(f, v: SparseVec) -> SparseVec:
     """Sum of c * f(a) over the entries (a, c) of v."""
     return lincomb((c, f(a)) for a, c in v._entries.items())
+
+
+def functional(f, v: SparseVec) -> int | Fraction:
+    """Sum of c * f(a) over the entries (a, c) of v, for a scalar-valued f: ``linear``'s twin."""
+    return exact(sum(c * f(a) for a, c in v._entries.items()))
 
 
 def bilinear(op, u: SparseVec, v: SparseVec) -> SparseVec:

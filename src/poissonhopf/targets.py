@@ -12,18 +12,21 @@ Both kinds satisfy the Poisson bialgebra compatibilities by construction and
 carry an antipode, and both are exactly computable over Q.  Elements are
 sparse vectors over the printed monomial labels given below.  Each target
 keeps only its label maps; ``LabelTarget`` derives the maps on vectors from
-them, through ``linalg.linear`` and ``linalg.bilinear``.  Its ``product``,
-``bracket`` and ``one`` are the protocol of ``poisson.extend_letters``, so a
-map out of a free Poisson algebra into a target is built like every other.
+them, through ``linalg.linear``, ``functional`` and ``bilinear``.  Its
+``product``, ``bracket`` and ``one`` are the protocol of
+``poisson.extend_letters``, so a map out of a free Poisson algebra into a
+target is built like every other.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial, reduce
 
-from .linalg import SparseVec, bilinear, exact, lincomb, linear, unit_vec
+from .linalg import SparseVec, bilinear, functional, lincomb, linear, unit_vec
 from .poisson import biderivation
+from .verify import tensor_product
 
 
 class LabelTarget:
@@ -42,7 +45,7 @@ class LabelTarget:
         return linear(self.delta_label, u)
 
     def epsilon(self, u: SparseVec) -> int | Fraction:
-        return exact(sum(c * self.epsilon_label(a) for a, c in u.items()))
+        return functional(self.epsilon_label, u)
 
     def antipode(self, u: SparseVec) -> SparseVec:
         return linear(self.antipode_label, u)
@@ -170,15 +173,9 @@ class SymmetricLieHopf(LabelTarget):
         return SparseVec((tuple(sorted(rest + w)), c) for rest, w, c in biderivation(a, b, self._gen_bracket))
 
     def delta_label(self, label) -> SparseVec:
-        """Primitive on generators, extended multiplicatively (binomial splits)."""
-        acc = unit_vec(((), ()))
-        for idx in label:
-            acc = SparseVec(
-                (key, cv)
-                for (l, r), cv in acc.items()
-                for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,)))))
-            )
-        return acc
+        """The product, in the tensor square, of the primitive images x (x) 1 + 1 (x) x of its factors."""
+        primitives = (unit_vec(((i,), ())) + unit_vec(((), (i,))) for i in label)
+        return reduce(partial(tensor_product, self), primitives, unit_vec(((), ())))
 
     def epsilon_label(self, label) -> int:
         return 0 if label else 1

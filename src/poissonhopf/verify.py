@@ -4,18 +4,22 @@ Checkers are written against a small duck-typed protocol so the same code
 verifies finite-dimensional coalgebras, free and quotient Poisson
 bialgebras, and truncated Hopf quotients.  A structure exposes its basis as
 *labels* and each operation as a label map, with sparse vectors over labels
-as values; ``linalg.linear`` and ``linalg.bilinear`` extend them to vectors:
+as values; ``linalg.linear``, ``functional`` and ``bilinear`` extend them
+to vectors.  A check reads only what it needs: the coalgebra laws
+(coassociativity, the counit laws, the coalgebra-map law) read only the
+first four members, all a ``CoalgebraSpec`` has, and the other laws add
+the budget and the maps they test:
 
-    truncation                degree budget of every check
     labels_upto()             basis labels in canonical order, up to truncation
-    label_degree(l)           grading used for truncation budgets
     delta_label(l)            SparseVec over (label, label) pairs
     epsilon_label(l)          exact scalar (int when integral, else Fraction)
+    render_label(l)           printable form
+    truncation                degree budget of the other laws
+    label_degree(l)           grading used for that budget
     product_labels(a, b)      SparseVec over labels
     bracket_labels(a, b)      SparseVec over labels
     antipode_label(l)         SparseVec over labels, defined on every label
     one()                     the unit's normal form, a SparseVec over labels
-    render_label(l)           printable form
 
 The label maps are the one place that projects to a quotient: every vector
 they return is a normal form, a combination of basis labels (pairs of basis
@@ -52,8 +56,9 @@ biderivation.  ``colimits.fixpoint_certificate`` shows the ideal I closed
 under in-budget products and brackets with letters, and by Leibniz and
 Jacobi in the ambient that closes it under every in-budget product and
 bracket: I is a Poisson ideal.  The quotient's label maps are the
-ambient's followed by the normal form (``TruncatedQuotient.label_op``), so
-every in-budget ambient identity holds on the quotient.  ``check_leibniz``
+ambient's followed by the normal form (``TruncatedQuotient.product_labels``
+and ``bracket_labels``), so every in-budget ambient identity holds on the
+quotient.  ``check_leibniz``
 and ``check_jacobi`` stay as exhaustive checks of the label maps.
 
 The label maps must be pure functions of their labels: the checkers ask for
@@ -71,7 +76,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 
-from .linalg import SparseVec, bilinear, lincomb, linear, map_pairs, outer_sum, unit_vec
+from .linalg import SparseVec, bilinear, functional, lincomb, linear, map_pairs, outer_sum, unit_vec
 
 
 class Violation(namedtuple("Violation", "law witnesses residual")):
@@ -406,6 +411,6 @@ def check_coalgebra_map(source, labels, image, target, law: str) -> Report:
         v = image(l)
         residual = linear(target.delta_label, v) - map_pairs(source.delta_label(l), image)
         report.record(f"{law}-delta", residual, (l,), source.render_label, tensor)
-        residual = sum(c * target.epsilon_label(t) for t, c in v.items()) - source.epsilon_label(l)
+        residual = functional(target.epsilon_label, v) - source.epsilon_label(l)
         report.record(f"{law}-counit", residual, (l,), source.render_label)
     return report

@@ -356,16 +356,17 @@ def symmetric_lie_bracket(T, u, v):
     )
 
 
+def symmetric_lie_delta_label(mono):
+    """Primitive on generators, extended multiplicatively: the binomial splits of one label."""
+    acc = unit_vec(((), ()))
+    for idx in mono:
+        acc = SparseVec(
+            (key, cv)
+            for (l, r), cv in acc.items()
+            for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,)))))
+        )
+    return acc
+
+
 def symmetric_lie_delta(u):
-    """Primitive on generators, extended multiplicatively (binomial splits)."""
-    terms = []
-    for mono, c in u.items():
-        acc = unit_vec(((), ()))
-        for idx in mono:
-            acc = SparseVec(
-                (key, cv)
-                for (l, r), cv in acc.items()
-                for key in ((tuple(sorted(l + (idx,))), r), (l, tuple(sorted(r + (idx,)))))
-            )
-        terms.append((c, acc))
-    return lincomb(terms)
+    return lincomb((c, symmetric_lie_delta_label(mono)) for mono, c in u.items())

@@ -12,7 +12,7 @@ from test_delta_label import twisted_trig
 import poissonhopf
 from poissonhopf.bialgebra import PresentedPoissonBialgebra, induce_bialgebra, letter_monomials
 from poissonhopf.cli import main
-from poissonhopf.coalgebra import builtin, save_spec
+from poissonhopf.coalgebra import CoalgebraSpec, builtin, save_spec
 
 
 @pytest.fixture
@@ -127,6 +127,17 @@ def test_coproduct_command(capsys, trig_path, grouplike_path):
     obj = json.loads(out)
     assert obj["generators"] == ["c_0", "s_0", "g_1"]
     assert obj["graded_dims"] == [1, 3, 9]
+
+
+def test_coproduct_tagged_names_split_at_the_last_underscore(capsys, tmp_path):
+    # a of operand 1 tags to a_1, a basis name, but no tagged name: each splits at its last underscore
+    spec = CoalgebraSpec.make(("a_1", "a"), {"a_1": [("a_1", "a_1", 1)], "a": [("a", "a", 1)]},
+                              {"a_1": 1, "a": 1})
+    path = tmp_path / "a1.json"
+    save_spec(spec, path)
+    code, out, _ = run(capsys, "coproduct", str(path), str(path), "--degree", "2")
+    assert code == 0
+    assert json.loads(out)["generators"] == ["a_1_0", "a_0", "a_1_1", "a_1"]
 
 
 def test_free_hopf_flagship_report(capsys, grouplike_path):
@@ -574,6 +585,14 @@ def test_malformed_spec_fields_exit_2(capsys, tmp_path, spec):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("parse error:")
+
+
+def test_coequalize_with_one_map_exits_2(capsys, tmp_path):
+    path = tmp_path / "map_g1.json"
+    path.write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"g": "g1"}}))
+    code, out, err = run(capsys, "coequalize", "builtin:grouplike-2", "--map", str(path), "--degree", "4")
+    assert (code, out) == (2, "")
+    assert err == "parse error: coequalize needs exactly two --map files\n"
 
 
 @pytest.mark.parametrize("image", [5, None, ["g1"], {"g": "g1"}, True])

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poissonhopf import colimits
-from poissonhopf.bialgebra import PresentedPoissonBialgebra, induce_bialgebra, op_cop
+from poissonhopf.bialgebra import (
+    PresentedPoissonBialgebra,
+    bialgebra_coequalizer,
+    bialgebra_coproduct,
+    induce_bialgebra,
+    op_cop,
+)
 from poissonhopf.coalgebra import CoalgebraSpec, builtin, validate_coalgebra
 from poissonhopf.colimits import (
     MorphismTable,
@@ -449,6 +455,44 @@ def test_identity_extension_is_the_normal_form(build):
     for m in q.ambient.monomials_upto():
         elt = q.ambient.monomial_elt(m)
         assert identity.apply(elt) == q.normal_form(elt), m
+
+
+def _twisted_hopf_injections():
+    H = free_poisson_hopf(builtin("trig"), 2, 3)
+    return bialgebra_coproduct([H, op_cop(H)]).injections
+
+
+def _coequalizer_projection():
+    # g -> g1 and g -> g1*g2 identify g1 with g1*g2, the pivot: the
+    # projection fixes both letters, but not their product
+    src = induce_bialgebra(builtin("grouplike-1"), 4)
+    tgt = induce_bialgebra(builtin("grouplike-2"), 4)
+    g1, g2 = tgt.ambient.gen("g1"), tgt.ambient.gen("g2")
+    f, g = (MorphismTable(src, tgt, {"g": image}) for image in (g1, poiss_product(g1, g2)))
+    return [bialgebra_coequalizer(f, g).projection]
+
+
+@pytest.mark.parametrize("maps", [_twisted_hopf_injections, _coequalizer_projection],
+                         ids=["trig-hopf-and-op-cop-injections", "grouplike-2-coequalizer-projection"])
+def test_morphism_images_are_normal_forms(maps):
+    # apply extends the normalized letter images over the target quotient's
+    # product and bracket and projects nothing after: a second normal form
+    # must leave the image of every source monomial, basis or not, as it is
+    for f in maps():
+        tq = f.target_quotient
+        assert tq.ideal.rank > 0
+        for m in f.source.ambient.monomials_upto():
+            image = f.apply(f.source.ambient.monomial_elt(m))
+            assert tq.normal_form(image) == image, m
+
+
+def test_morphism_carries_a_lossy_letter_image():
+    src = induce_bialgebra(builtin("grouplike-1"), 2)
+    tgt = induce_bialgebra(builtin("grouplike-2"), 2)
+    g1 = tgt.ambient.gen("g1")
+    f = MorphismTable(src, tgt, {"g": poiss_product(poiss_product(g1, g1), g1)})
+    image = f.apply(src.ambient.gen("g"))
+    assert image.lossy and image.is_zero()
 
 
 # ---- coequalizers ----

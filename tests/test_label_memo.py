@@ -49,7 +49,8 @@ def test_memoized_label_maps_match_recomputation(name):
     for m in B.labels_upto():
         assert B.delta_label(m) == B.reduce_pair(B.delta_of_monomial(m))
         assert B.delta_label(m) is B.delta_label(m)
-    tables = [*q._label_ops.values(), *B._delta_quotient.monomials.values()]
+    tables = [*q._products.values(), *q._brackets.values(), *B._brackets.values(),
+              *B._delta_quotient.monomials.values()]
     assert all(type(c) is int or c.denominator != 1 for v in tables for _, c in v.items())
 
 

@@ -10,6 +10,7 @@ from poissonhopf.linalg import (
     EchelonBasis,
     SparseVec,
     bilinear,
+    functional,
     label_key,
     lincomb,
     row_reduce,
@@ -190,6 +191,8 @@ def _assert_canonical(v, expected):
 @example(terms=[(1, {0: 2, 1: 1}), (-2, {0: 1})], a={}, b={}, c=0)
 @example(terms=[(Fraction(1, 2), {0: 1}), (Fraction(1, 2), {0: 1})], a={0: Fraction(1, 2)},
          b={0: Fraction(1, 2)}, c=Fraction(3))
+# a scalar sum of two halves that is integral
+@example(terms=[], a={0: Fraction(1, 2), 1: Fraction(1, 2)}, b={0: 1, 1: 1}, c=0)
 def test_lincomb_matches_dict_oracle(terms, a, b, c):
     vecs = [(k, SparseVec(d)) for k, d in terms]
     _assert_canonical(lincomb(vecs), _dict_oracle(terms))
@@ -202,6 +205,10 @@ def test_lincomb_matches_dict_oracle(terms, a, b, c):
     _assert_canonical(u + v, _dict_oracle([(1, a), (1, b)]))
     _assert_canonical(u - v, _dict_oracle([(1, a), (-1, b)]))
     _assert_canonical(u.scaled(c), _dict_oracle([(c, a)]))
+    # functional, the scalar-valued twin of linear, with the label map b
+    scalar = functional(lambda label: b.get(label, 0), u)
+    assert scalar == sum(_dict_oracle([(b.get(label, 0), {0: x}) for label, x in a.items()]).values())
+    assert type(scalar) is (int if Fraction(scalar).denominator == 1 else Fraction)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -6,7 +6,8 @@ input; the CLI's own refusals are pinned in ``tests/test_cli.py``.
 
 import pytest
 
-from poissonhopf.coalgebra import SpecError, builtin
+from poissonhopf.bialgebra import induce_bialgebra
+from poissonhopf.coalgebra import CoalgebraSpec, SpecError, builtin
 from poissonhopf.colimits import (
     MorphismTable,
     difference_quotient,
@@ -16,7 +17,7 @@ from poissonhopf.colimits import (
     poisson_coproduct,
 )
 from poissonhopf.poisson import FreePoissonAlgebra, PoissMonomial, graded_dimension
-from poissonhopf.targets import GroupAlgebra
+from poissonhopf.targets import GroupAlgebra, SymmetricLieHopf
 
 
 def xy(n=3):
@@ -93,6 +94,13 @@ REFUSALS = {
     "builtin-grouplike-0": (lambda: builtin("grouplike-0"), SpecError, "bad builtin size in 'grouplike-0'"),
     "builtin-matrix-0": (lambda: builtin("matrix-0"), SpecError, "bad builtin size in 'matrix-0'"),
     "group-algebra-of-rank-0": (lambda: GroupAlgebra(0), ValueError, "rank must be >= 1"),
+    "symmetric-hopf-with-a-nonzero-self-bracket": (
+        lambda: SymmetricLieHopf(("x", "y"), {(0, 0): {1: 1}}, 3), ValueError, "bracket table not antisymmetric"),
+    # delta(x) = 2 x (x) x needs epsilon(x) = 1/2, not 1
+    "induce-on-an-invalid-coalgebra": (
+        lambda: induce_bialgebra(CoalgebraSpec.make(("x",), {"x": [("x", "x", 2)]}, {"x": 1}), 2),
+        ValueError, r"invalid coalgebra: counit-left fails at \(x\): residual 1\*x; "
+                    r"counit-right fails at \(x\): residual 1\*x"),
 }
 
 

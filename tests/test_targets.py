@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poissonhopf.linalg import SparseVec
-from poissonhopf.targets import GroupAlgebra, sl2_hopf
+from poissonhopf.targets import GroupAlgebra, SymmetricLieHopf, sl2_hopf
 
 from oracles import (
     _symmetric_lie_bracket_terms,
@@ -19,6 +19,7 @@ from oracles import (
     group_algebra_mul,
     symmetric_lie_bracket,
     symmetric_lie_delta,
+    symmetric_lie_delta_label,
     symmetric_lie_mul,
 )
 
@@ -27,6 +28,17 @@ scalars = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, 
 
 def vectors(labels):
     return st.dictionaries(st.sampled_from(labels), scalars, max_size=5).map(SparseVec)
+
+
+@pytest.mark.parametrize("target, labels", [
+    (sl2_hopf(4), 35),
+    (SymmetricLieHopf(("x", "y"), {}, 5), 21),
+], ids=["sl2-N4", "abelian-2-N5"])
+def test_symmetric_lie_delta_label_matches_the_binomial_splits(target, labels):
+    # the fold of the tensor-square product over x (x) 1 + 1 (x) x, on every label
+    assert len(target.labels_upto()) == labels
+    for label in target.labels_upto():
+        assert target.delta_label(label) == symmetric_lie_delta_label(label), label
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
