@@ -22,10 +22,12 @@ directly, from letter images reduced once; the ambient coproduct
 ideal passes the fixpoint certificate; it is the tests' oracle, not called
 at run time.  The counit is the scalar ``LetterExtension``, read through
 ``epsilon_label``, and the coideal certificate extends ``delta_label`` to
-each vector with ``linalg.linear``.  A map into a closed-form target
-(``FreeFactorization``) is built by ``poisson.extend_letters``, like every
-other algebra map.  Maps into and out of a bialgebra are checked by
-``verify.check_coalgebra_map`` on ``delta_label``.
+each vector with ``linalg.linear``.  Every map fixed by generator images,
+the factorization of a coalgebra map through the free bialgebra
+(``factor_through_free``) and the coequalizer's maps included, is a
+``colimits.MorphismTable``; its ``bialgebra_report`` checks the
+coalgebra-map law on the letters, and ``verify.check_coalgebra_map`` on
+every class is the tests' exhaustive check.
 
 The bialgebra laws are checked on every class by ``check_bialgebra`` and
 on the letters by ``generator_certificate``, whose lemma lifts them to
@@ -68,15 +70,12 @@ from .poisson import (
     LetterExtension,
     PoissElt,
     PoissMonomial,
-    extend_letters,
     letter_monomials,
     monomial_str,
     render,
 )
 from .verify import (
     Report,
-    Violation,
-    check_coalgebra_map,
     check_coassociativity,
     check_counit,
     check_poisson_compat,
@@ -244,49 +243,19 @@ class CoalgebraMapError(ValueError):
         self.report = report
 
 
-class FreeFactorization:
-    """Poisson algebra map out of the free bialgebra, fixed by generator images.
+def factor_through_free(spec: CoalgebraSpec, images: dict, target, truncation: int) -> MorphismTable:
+    """Extend a coalgebra map on C to the free Poisson bialgebra.
 
-    Images live in one of the closed-form target Hopf families; the map is
-    the ``extend_letters`` extension of the generator images over the
-    target's product and bracket, extended linearly.
+    The extension is the ``MorphismTable`` out of ``induce_bialgebra(spec,
+    truncation)``; its ``bialgebra_report`` checks the coalgebra-map law on
+    the letters, which are C's basis, and its lemma lifts the law to every
+    class.  Raises CoalgebraMapError when the report fails.
     """
-
-    def __init__(self, spec: CoalgebraSpec, bialgebra, target, images: dict):
-        self.spec = spec
-        self.bialgebra = bialgebra
-        self.target = target
-        self.images = dict(images)
-        names = bialgebra.ambient.alphabet
-        extension = extend_letters(lambda letter: self.images[names[letter]], target, 1)
-        self.apply_word, self.apply_monomial = extension.word, extension.monomial
-
-    def apply(self, elt: PoissElt) -> SparseVec:
-        return linear(self.apply_monomial, elt.vec)
-
-    def coalgebra_map_report(self) -> Report:
-        """Delta_T(image) must equal the image of Delta on every basis monomial."""
-        B = self.bialgebra
-        return check_coalgebra_map(B, B.labels_upto(), self.apply_monomial, self.target, "factorization")
-
-
-def factor_through_free(spec: CoalgebraSpec, images: dict, target, truncation: int) -> FreeFactorization:
-    """Extend a verified coalgebra map on C to the free Poisson bialgebra.
-
-    Raises CoalgebraMapError when the generator images fail the coalgebra
-    map laws; otherwise returns the extension, whose postconditions are
-    re-checked by ``coalgebra_map_report``.
-    """
-    pre = Report([
-        Violation("coalgebra-map-total", (name,), "missing image")
-        for name in spec.basis if name not in images
-    ])
-    if pre.ok:
-        pre = check_coalgebra_map(spec, spec.basis, images.__getitem__, target, "coalgebra-map")
-    if not pre.ok:
-        raise CoalgebraMapError(pre)
-    bialgebra = induce_bialgebra(spec, truncation)
-    return FreeFactorization(spec, bialgebra, target, images)
+    table = MorphismTable(induce_bialgebra(spec, truncation), target, images)
+    report = table.bialgebra_report()
+    if not report.ok:
+        raise CoalgebraMapError(report)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +289,6 @@ def bialgebra_coproduct(operands) -> BialgebraCoproduct:
             epsilon_table[tagged] = B.epsilon_table[name]
     result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1)
     return BialgebraCoproduct(result, cp.injections, cp.letter_maps)
-
-
-def bialgebra_morphism_report(table: MorphismTable) -> Report:
-    """Poisson well-definedness plus the coalgebra-map laws on generators."""
-    src = table.source
-    letters = letter_monomials(src.ambient)
-
-    def image_vec(m):
-        return table.apply(src.ambient.monomial_elt(m)).vec
-
-    report = table.well_defined_report()
-    if any(v.law == "morphism-total" for v in report.violations):
-        return report  # the coalgebra-map laws need every generator image
-    return report.merge(check_coalgebra_map(src, letters, image_vec, table.target, "morphism"))
 
 
 BialgebraCoequalizer = namedtuple("BialgebraCoequalizer", "bialgebra projection certificate")
@@ -422,12 +377,12 @@ def generator_certificate(B: PresentedPoissonBialgebra) -> Report:
 def bialgebra_coequalizer(f: MorphismTable, g: MorphismTable) -> BialgebraCoequalizer:
     """Coequalizer in Poisson bialgebras, with the coideal certificate.
 
-    ``bialgebra_morphism_report`` covers well-definedness, so the quotient
-    is taken without checking it again.  The fixpoint certificate runs
+    ``MorphismTable.bialgebra_report`` covers well-definedness, so the
+    quotient is taken without checking it again.  The fixpoint certificate runs
     before the coideal certificate, whose soundness rests on it.
     """
     for name, table in (("first", f), ("second", g)):
-        rep = bialgebra_morphism_report(table)
+        rep = table.bialgebra_report()
         if not rep.ok:
             raise ValueError(f"{name} morphism is not a bialgebra morphism: " + "; ".join(rep.lines()))
     tgt = f.target

@@ -4,14 +4,14 @@ Each artifact kind (``induce``, ``coproduct``, ``free-hopf``) has one
 construction, ``construct``, which its command and ``verify`` both run.
 Exit codes: 0 clean, 2 parse errors (expressions; spec, map and artifact
 files, all read by ``read_json``; a ``--degree`` below 1; a law the artifact
-has no structure for), 3 validation
-failures (coalgebra laws, axiom violations, ill-defined morphisms, a map
-file naming generators outside its source basis), 4 stage
-or degree overflow (``eval`` of an expression with terms above the budget; a
-free Hopf algebra with fewer than 2 stages or a degree budget below 2; a
-budget whose ambient would hold more than ``AMBIENT_CAP``, 50,000 monomials;
-a degree budget above ``DEGREE_CAP``, 64, which one letter reaches under the
-ambient cap: its ``verify`` took 1.7 s at degree 64 and 21 s at 150),
+has no structure for), 3 validation failures (coalgebra laws, axiom
+violations, ill-defined morphisms, a map file naming generators outside its
+source basis), 4 stage or degree overflow (``eval`` of an expression, or a
+``coequalize`` map-file image, with terms above the budget; a free Hopf
+algebra with fewer than 2 stages or a degree budget below 2; a budget whose
+ambient would hold more than ``AMBIENT_CAP``, 50,000 monomials; a degree
+budget above ``DEGREE_CAP``, 64, which one letter reaches under the ambient
+cap: its ``verify`` took 1.7 s at degree 64 and 21 s at 150),
 1 unexpected internal failure, among them a construction whose own
 certificate fails (``Report.require``).  A ``ValueError`` raised below the
 CLI carries its own code as the class attribute ``exit_code`` (2 on
@@ -186,6 +186,7 @@ def cmd_coequalize(args) -> int:
     from .coalgebra import SpecError, SpecParseError
     from .colimits import MorphismTable
     from .exprs import parse
+    from .poisson import StageOverflowError
 
     if len(args.maps) != 2:
         raise SpecParseError("coequalize needs exactly two --map files")
@@ -198,10 +199,11 @@ def cmd_coequalize(args) -> int:
         unknown = set(images) - set(source.ambient.alphabet)
         if unknown:
             raise SpecError(f"map file {path} gives images of unknown generators {sorted(unknown)}")
-        resolved = {
-            name: target.quotient.normal_form(parse(expr, target.ambient))
-            for name, expr in sorted(images.items())
-        }
+        resolved = {name: parse(expr, target.ambient) for name, expr in sorted(images.items())}
+        for name, elt in resolved.items():
+            if elt.lossy:
+                raise StageOverflowError(f"map file {path}: the image of {name!r} has terms above"
+                                         f" the degree budget {args.degree}")
         tables.append(MorphismTable(source, target, resolved))
     # a failed coideal certificate raises RuntimeError (exit 1)
     out = bialgebra_coequalizer(tables[0], tables[1])

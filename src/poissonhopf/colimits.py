@@ -28,13 +28,24 @@ op-cop twist keeps its quotient and carries the negated bracket as
 ``MorphismTable`` and ``poisson_coproduct`` read both off the objects they
 are given, and where the signs differ they extend the letter images over
 the swapped bracket (``poisson.extend_letters``).  Coequalizers quotient
-by the saturated difference ideal.  The paper needs only these colimits
-(for cocompleteness and the free Hopf construction), so no limits are built.
+by the saturated difference ideal.
+
+``MorphismTable`` is the one map fixed by generator images: the
+coproduct's injections and legs, the coequalizer's projection, and the
+factorization of a coalgebra map through a free bialgebra
+(``bialgebra.factor_through_free``), whose target may be a closed-form
+``targets.LabelTarget``.  It has two certificates: ``well_defined_report``
+(every source relation maps to zero, exactly) and ``bialgebra_report``
+(that, and the coalgebra-map law on the letters).  The paper needs only
+these colimits (for cocompleteness and the free Hopf construction), so no
+limits are built.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from functools import partial
+from itertools import accumulate
 
 from .linalg import EchelonBasis, SparseVec, SubspaceBasis, linear, unit_vec
 from .lyndon import LyndonWord
@@ -50,7 +61,7 @@ from .poisson import (
     poiss_product,
     render,
 )
-from .verify import Report, Violation
+from .verify import Report, Violation, check_coalgebra_map, render_vec
 
 
 def quotient_key(m: PoissMonomial):
@@ -220,13 +231,8 @@ class TruncatedQuotient:
         return dims
 
     def filtration_dims(self):
-        dims = self.graded_dims()
-        out = []
-        total = 0
-        for d in dims:
-            total += d
-            out.append(total)
-        return out
+        """Count of basis classes whose representative has degree at most d."""
+        return list(accumulate(self.graded_dims()))
 
     # -- checker protocol (Poisson-algebra laws on the quotient) --
 
@@ -288,16 +294,20 @@ def fixpoint_certificate(q: TruncatedQuotient) -> Report:
 
 
 class MorphismTable:
-    """Poisson map determined by generator images, applied by extension.
+    """The Poisson map fixed by generator images: the one certified morphism.
 
-    Source and target are quotients or bialgebras.  Images are elements of
-    the target ambient; a monomial's image is the extension of the letter
-    images, normalized once, over the target quotient's product and bracket
-    (``poisson.extend_letters``), so every image it sums is a normal form
-    and ``apply`` needs no second projection.  When exactly one of source
-    and target carries the negated bracket (``source.bracket_sign *
-    target.bracket_sign`` is -1), the map is a Poisson map of the twisted
-    structures and extends over the swapped bracket.
+    The source is a quotient or a bialgebra; the target is one of those or a
+    closed-form ``targets.LabelTarget``, which has no ``quotient``.  A
+    monomial's image is the extension of the letter images over the target
+    quotient's product and bracket (``poisson.extend_letters``), the letter
+    images normalized once, so every image it sums is a normal form and
+    ``apply`` needs no second projection.  Into a closed-form target the
+    images are vectors, normal forms already, and are used as given.  When
+    exactly one of source and target carries the negated bracket
+    (``source.bracket_sign * target.bracket_sign`` is -1), the map is a
+    Poisson map of the twisted structures and extends over the swapped
+    bracket.  ``well_defined_report`` and ``bialgebra_report`` are its two
+    certificates.
     """
 
     def __init__(self, source, target, images: dict):
@@ -306,19 +316,28 @@ class MorphismTable:
         self.images = dict(images)
         self.source_quotient = source.quotient
         self.target_quotient = tq = target.quotient
-        self._extension = extend_letters(self._letter_image, tq, source.bracket_sign * target.bracket_sign)
+        self._extension = extend_letters(self._letter_image, target if tq is None else tq,
+                                         source.bracket_sign * target.bracket_sign)
 
-    def _letter_image(self, letter: int) -> PoissElt:
+    def _letter_image(self, letter: int):
         name = self.source_quotient.ambient.alphabet[letter]
         try:
             out = self.images[name]
         except KeyError:
             raise ValueError(f"no image for generator {name!r}") from None
-        return self.target_quotient.normal_form(out)
+        return out if self.target_quotient is None else self.target_quotient.normal_form(out)
 
-    def apply(self, elt: PoissElt) -> PoissElt:
+    def image(self, m: PoissMonomial) -> SparseVec:
+        """The normal-form vector of a source monomial's image: the map as a label map."""
+        out = self._extension.monomial(m)
+        return out if self.target_quotient is None else out.vec
+
+    def apply(self, elt: PoissElt):
+        """The image of an element: a ``PoissElt`` tracking loss, or a closed-form target's vector."""
         if elt.algebra != self.source_quotient.ambient:
             raise ValueError("element not in the morphism source")
+        if self.target_quotient is None:
+            return linear(self.image, elt.vec)
         return self._extension.apply(elt, self.target_quotient.ambient)
 
     def well_defined_report(self) -> Report:
@@ -330,12 +349,31 @@ class MorphismTable:
             return report
         for r in sq.generators:
             image = self.apply(r)
-            if image.lossy:
+            if self.target_quotient is None:
+                report.record("morphism-relations", image, (r,), render, partial(render_vec, self.target))
+            elif image.lossy:
                 report.record("morphism-exact", True, (r,), render, lambda _: "image truncated")
             else:
                 report.record("morphism-relations", not image.is_zero(), (r,), render,
                               lambda _: render(image))
         return report
+
+    def bialgebra_report(self) -> Report:
+        """``well_defined_report``, then the coalgebra-map law on the source letters.
+
+        Lemma (within the truncation): once the relations map to zero, f is a
+        Poisson map out of Q/I, the source quotient, so Delta_T f and
+        (f (x) f) Delta are Poisson maps out of Q/I, as are eps_T f and eps;
+        the letters generate Q/I, so each pair agrees on every class once it
+        agrees on the letters.  A bialgebra map between Hopf algebras
+        preserves the antipode (Sweedler, *Hopf Algebras*, 1969, ch. IV), so
+        no antipode law is checked.
+        """
+        report = self.well_defined_report()
+        if any(v.law == "morphism-total" for v in report.violations):
+            return report  # the coalgebra-map law needs every generator image
+        letters = letter_monomials(self.source_quotient.ambient)
+        return report.merge(check_coalgebra_map(self.source, letters, self.image, self.target, "morphism"))
 
 
 # letter_maps, per operand: source letter index -> coproduct letter index

@@ -14,8 +14,8 @@ sparse vectors over the printed monomial labels given below.  Each target
 keeps only its label maps; ``LabelTarget`` derives the maps on vectors from
 them, through ``linalg.linear``, ``functional`` and ``bilinear``.  Its
 ``product``, ``bracket`` and ``one`` are the protocol of
-``poisson.extend_letters``, so a map out of a free Poisson algebra into a
-target is built like every other.
+``poisson.extend_letters``, so ``colimits.MorphismTable`` maps into a
+target as into a quotient.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .verify import tensor_product
 
 class LabelTarget:
     """The maps on vectors, from the label maps (``product_labels`` ... ``antipode_label``)."""
+
+    bracket_sign = 1  # untwisted, as a quotient
+    quotient = None  # closed form: every vector is a normal form already
 
     def zero(self) -> SparseVec:
         return SparseVec()

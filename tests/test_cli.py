@@ -258,6 +258,25 @@ def test_coequalize_reports_a_missing_generator_image(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("image, other, code_in_budget", [
+    # g1^3 is group-like: at degree 2 it is refused for its budget, not judged on a truncation
+    ("g1*g1*g1", "g1*g1*g1", 0),
+    # not group-like (counit 2); at degree 2 it was the truncated difference with g2 that failed
+    ("g1 + g1*g2*g1", "g2", 3),
+])
+def test_coequalize_refuses_an_image_above_the_budget(capsys, tmp_path, image, other, code_in_budget):
+    paths = []
+    for name, expr in (("f.json", image), ("g.json", other)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"source_spec": "builtin:grouplike-1", "images": {"g": expr}}))
+    argv = ("coequalize", "builtin:grouplike-2", "--map", str(paths[0]), "--map", str(paths[1]))
+    code, out, err = run(capsys, *argv, "--degree", "2")
+    assert (code, out) == (4, "")
+    assert err == f"overflow: map file {paths[0]}: the image of 'g' has terms above the degree budget 2\n"
+    code, out, err = run(capsys, *argv, "--degree", "3")
+    assert code == code_in_budget and "overflow" not in err
+
+
 def test_coequalize_refuses_images_of_unknown_generators(capsys, tmp_path):
     # h and zz are not generators of grouplike-1: the first map file's are named, sorted
     f_map = tmp_path / "f.json"

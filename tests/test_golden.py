@@ -1,10 +1,13 @@
-"""Golden CLI reports: ten pipelines must print byte-identical JSON.
+"""Golden CLI runs: seventeen invocations must keep their stdout, stderr and exit code.
 
 The files under ``tests/golden/`` were written by this module's
 ``__main__`` from a known-good tree; a change that is meant to keep
-behaviour must keep every byte.  So must the ``--help`` texts of the
-parser and its eight commands, pinned in ``help.txt`` at 100 columns.  Input files are written to the working
-directory and named relatively, so the reports hold no machine paths.
+behaviour must keep every byte.  A case's stdout is ``<case>.json`` (no
+file: it prints nothing), and ``streams.json`` holds every case's exit
+code and stderr, so a refusal is pinned as closely as a report.  So must
+the ``--help`` texts of the parser and its eight commands, pinned in
+``help.txt`` at 100 columns.  Input files are written to the working
+directory and named relatively, so no output holds a machine path.
 Regenerate (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,8 +15,7 @@ Regenerate (only for an intended output change) with
 
 import json
 import os
-import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -35,6 +37,9 @@ INPUTS = {
     },
     "map_g1.json": {"source_spec": "builtin:grouplike-1", "images": {"g": "g1"}},
     "map_g2.json": {"source_spec": "builtin:grouplike-1", "images": {"g": "g2"}},
+    "map_c.json": {"source_spec": "builtin:grouplike-1", "images": {"g": "c"}},
+    "map_partial.json": {"source_spec": "builtin:grouplike-2", "images": {"g1": "g1"}},
+    "map_cube.json": {"source_spec": "builtin:grouplike-1", "images": {"g": "g1*g1*g1"}},
 }
 
 CASES = {
@@ -62,6 +67,23 @@ CASES = {
         "coequalize", "builtin:grouplike-2", "--map", "map_g1.json",
         "--map", "map_g2.json", "--degree", "4",
     ],
+    "free_hopf_trig_n5": ["free-hopf", "builtin:trig", "--stages", "2", "--degree", "5"],
+    "free_hopf_matrix2_n4": ["free-hopf", "builtin:matrix-2", "--stages", "2", "--degree", "4"],
+    # refusals: c is not group-like (exit 3), g2 has no image (exit 3), one map file (exit 2),
+    # an image above the budget (exit 4), and an expression above it (exit 4)
+    "coequalize_not_grouplike": [
+        "coequalize", "builtin:trig", "--map", "map_c.json", "--map", "map_c.json", "--degree", "3",
+    ],
+    "coequalize_missing_image": [
+        "coequalize", "builtin:grouplike-2", "--map", "map_partial.json",
+        "--map", "map_partial.json", "--degree", "3",
+    ],
+    "coequalize_one_map": ["coequalize", "builtin:grouplike-2", "--map", "map_g1.json", "--degree", "4"],
+    "coequalize_image_above_budget": [
+        "coequalize", "builtin:grouplike-2", "--map", "map_cube.json",
+        "--map", "map_cube.json", "--degree", "2",
+    ],
+    "eval_above_budget": ["eval", "builtin:trig", "{c,{c,{c,{c,s}}}}", "--degree", "2"],
 }
 
 
@@ -74,10 +96,15 @@ def write_inputs(directory: Path) -> None:
 
 
 def run_case(argv) -> tuple:
-    out = StringIO()
-    with redirect_stdout(out):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def streams() -> dict:
+    return json.loads((GOLDEN / "streams.json").read_text(encoding="utf-8"))
 
 
 def help_text() -> str:
@@ -98,9 +125,10 @@ def help_text() -> str:
 def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    code, text = run_case(CASES[name])
-    assert code == 0
-    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    code, out, err = run_case(CASES[name])
+    stdout = GOLDEN / f"{name}.json"
+    assert out == (stdout.read_text(encoding="utf-8") if stdout.exists() else "")
+    assert {"exit": code, "stderr": err} == streams()[name]
 
 
 def test_help_texts_match_golden(monkeypatch):
@@ -117,12 +145,15 @@ if __name__ == "__main__":
     scratch.mkdir(exist_ok=True)
     write_inputs(scratch)
     os.chdir(scratch)
+    pinned = {}
     try:
         for name, argv in sorted(CASES.items()):
-            code, text = run_case(argv)
-            if code != 0:
-                sys.exit(f"{name}: exit {code}")
-            (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+            code, out, err = run_case(argv)
+            pinned[name] = {"exit": code, "stderr": err}
+            if out:
+                (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+        text = json.dumps(pinned, indent=2, sort_keys=True) + "\n"
+        (GOLDEN / "streams.json").write_text(text, encoding="utf-8")
     finally:
         os.chdir(here)
         for name in INPUTS:
