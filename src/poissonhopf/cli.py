@@ -199,12 +199,12 @@ def cmd_coequalize(args) -> int:
         unknown = set(images) - set(source.ambient.alphabet)
         if unknown:
             raise SpecError(f"map file {path} gives images of unknown generators {sorted(unknown)}")
-        resolved = {name: parse(expr, target.ambient) for name, expr in sorted(images.items())}
-        for name, elt in resolved.items():
-            if elt.lossy:
-                raise StageOverflowError(f"map file {path}: the image of {name!r} has terms above"
-                                         f" the degree budget {args.degree}")
-        tables.append(MorphismTable(source, target, resolved))
+        table = MorphismTable(source, target, {n: parse(e, target.ambient) for n, e in sorted(images.items())})
+        for v in table.letter_report().violations:
+            if v.law == "morphism-exact":  # a truncated image is not the map in the file
+                raise StageOverflowError(f"map file {path}: the image of {v.witnesses[0]!r} has terms"
+                                         f" above the degree budget {args.degree}")
+        tables.append(table)
     # a failed coideal certificate raises RuntimeError (exit 1)
     out = bialgebra_coequalizer(tables[0], tables[1])
     emit(

@@ -30,15 +30,10 @@ are given, and where the signs differ they extend the letter images over
 the swapped bracket (``poisson.extend_letters``).  Coequalizers quotient
 by the saturated difference ideal.
 
-``MorphismTable`` is the one map fixed by generator images: the
-coproduct's injections and legs, the coequalizer's projection, and the
-factorization of a coalgebra map through a free bialgebra
-(``bialgebra.factor_through_free``), whose target may be a closed-form
-``targets.LabelTarget``.  It has two certificates: ``well_defined_report``
-(every source relation maps to zero, exactly) and ``bialgebra_report``
-(that, and the coalgebra-map law on the letters).  The paper needs only
-these colimits (for cocompleteness and the free Hopf construction), so no
-limits are built.
+``MorphismTable`` is every map fixed by generator images: injections,
+legs, projections and ``bialgebra.factor_through_free``.  The paper needs
+only these colimits (for cocompleteness and the free Hopf construction),
+so no limits are built.
 """
 
 from __future__ import annotations
@@ -297,17 +292,17 @@ class MorphismTable:
     """The Poisson map fixed by generator images: the one certified morphism.
 
     The source is a quotient or a bialgebra; the target is one of those or a
-    closed-form ``targets.LabelTarget``, which has no ``quotient``.  A
-    monomial's image is the extension of the letter images over the target
-    quotient's product and bracket (``poisson.extend_letters``), the letter
-    images normalized once, so every image it sums is a normal form and
-    ``apply`` needs no second projection.  Into a closed-form target the
-    images are vectors, normal forms already, and are used as given.  When
-    exactly one of source and target carries the negated bracket
-    (``source.bracket_sign * target.bracket_sign`` is -1), the map is a
-    Poisson map of the twisted structures and extends over the swapped
-    bracket.  ``well_defined_report`` and ``bialgebra_report`` are its two
-    certificates.
+    closed-form ``targets.LabelTarget`` (``quotient`` None), whose vector
+    images are normal forms and are used as given.  Into a quotient the
+    letter images are normalized once and extended over its product and
+    bracket (``poisson.extend_letters``), so ``apply`` needs no second
+    projection.  When exactly one of source and target carries the negated
+    bracket (``source.bracket_sign * target.bracket_sign`` is -1), the map
+    extends over the swapped bracket.  ``image`` maps monomials into any
+    target, ``apply`` elements into a quotient.  The two certificates,
+    ``well_defined_report`` and ``bialgebra_report``, refuse a letter image
+    with terms above the truncation (``morphism-exact`` at the generator):
+    its in-budget part is not the map that was given.
     """
 
     def __init__(self, source, target, images: dict):
@@ -332,26 +327,32 @@ class MorphismTable:
         out = self._extension.monomial(m)
         return out if self.target_quotient is None else out.vec
 
-    def apply(self, elt: PoissElt):
-        """The image of an element: a ``PoissElt`` tracking loss, or a closed-form target's vector."""
+    def apply(self, elt: PoissElt) -> PoissElt:
+        """The image of an element in a quotient target, tracking loss."""
         if elt.algebra != self.source_quotient.ambient:
             raise ValueError("element not in the morphism source")
-        if self.target_quotient is None:
-            return linear(self.image, elt.vec)
         return self._extension.apply(elt, self.target_quotient.ambient)
+
+    def letter_report(self) -> Report:
+        """Every generator needs an image, exact within a quotient target's truncation."""
+        report = Report()
+        for name in self.source_quotient.ambient.alphabet:
+            if name not in self.images:
+                report.violations.append(Violation("morphism-total", (name,), "missing generator image"))
+            elif self.target_quotient is not None and self.images[name].lossy:
+                report.violations.append(Violation("morphism-exact", (name,), "image above the truncation"))
+        return report
 
     def well_defined_report(self) -> Report:
         """Every defining relation of the source must map into the target ideal."""
-        sq = self.source_quotient
-        report = Report([Violation("morphism-total", (name,), "missing generator image")
-                         for name in sq.ambient.alphabet if name not in self.images])
+        report = self.letter_report()
         if not report.ok:
             return report
-        for r in sq.generators:
-            image = self.apply(r)
+        for r in self.source_quotient.generators:
             if self.target_quotient is None:
-                report.record("morphism-relations", image, (r,), render, partial(render_vec, self.target))
-            elif image.lossy:
+                report.record("morphism-relations", linear(self.image, r.vec), (r,), render,
+                              partial(render_vec, self.target))
+            elif (image := self.apply(r)).lossy:
                 report.record("morphism-exact", True, (r,), render, lambda _: "image truncated")
             else:
                 report.record("morphism-relations", not image.is_zero(), (r,), render,
@@ -370,8 +371,8 @@ class MorphismTable:
         no antipode law is checked.
         """
         report = self.well_defined_report()
-        if any(v.law == "morphism-total" for v in report.violations):
-            return report  # the coalgebra-map law needs every generator image
+        if not self.letter_report().ok:
+            return report  # the coalgebra-map law needs every generator image, exactly
         letters = letter_monomials(self.source_quotient.ambient)
         return report.merge(check_coalgebra_map(self.source, letters, self.image, self.target, "morphism"))
 

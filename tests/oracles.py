@@ -22,7 +22,7 @@ from poissonhopf.colimits import quotient_key
 from poissonhopf.linalg import EchelonBasis, SparseVec, lincomb, row_reduce, unit_vec
 from poissonhopf.lyndon import LieElt, LyndonWord, standard_factorization
 from poissonhopf.poisson import PoissMonomial, poiss_bracket, poiss_product
-from poissonhopf.verify import Report, Violation, render_tensor
+from poissonhopf.verify import Report, Violation, check_coalgebra_map, render_tensor
 
 
 def bareiss_rank(matrix):
@@ -370,3 +370,8 @@ def symmetric_lie_delta_label(mono):
 
 def symmetric_lie_delta(u):
     return lincomb((c, symmetric_lie_delta_label(mono)) for mono, c in u.items())
+
+
+def class_report(f, law="factorization"):
+    """The coalgebra-map law of a ``MorphismTable`` on every class of its source."""
+    return check_coalgebra_map(f.source, f.source.labels_upto(), f.image, f.target, law)
