@@ -493,6 +493,9 @@ def test_morphism_carries_a_lossy_letter_image():
     f = MorphismTable(src, tgt, {"g": poiss_product(poiss_product(g1, g1), g1)})
     image = f.apply(src.ambient.gen("g"))
     assert image.lossy and image.is_zero()
+    # g1^3 is group-like, but its truncation 0 is not the map that was given: both certificates refuse it
+    for report in (f.well_defined_report(), f.bialgebra_report()):
+        assert [(v.law, v.witnesses) for v in report.violations] == [("morphism-exact", ("g",))]
 
 
 # ---- coequalizers ----
