@@ -186,6 +186,11 @@ def linear(f, v: SparseVec) -> SparseVec:
     return lincomb((c, f(a)) for a, c in v._entries.items())
 
 
+def relabel(f, v: SparseVec) -> SparseVec:
+    """``linear`` for an injective f from labels to labels: no entries merge, so one dict pass."""
+    return SparseVec._raw({f(a): c for a, c in v._entries.items()})
+
+
 def functional(f, v: SparseVec) -> int | Fraction:
     """Sum of c * f(a) over the entries (a, c) of v, for a scalar-valued f: ``linear``'s twin."""
     return exact(sum(c * f(a) for a, c in v._entries.items()))
@@ -275,7 +280,8 @@ class EchelonBasis:
         if not r:
             return None
         pivot, c = r.leading(self.key)
-        r = r.scaled(Fraction(1) / c)
+        if c != 1:
+            r = r.scaled(Fraction(1) / c)
         rows, cols = self._rows, self._cols
         labels = r._entries.keys()
         # back-substitute into the rows holding the pivot, oldest pivot first

@@ -17,14 +17,16 @@ from poissonhopf.colimits import (
     factorize_coproduct,
     fixpoint_certificate,
     free_quotient,
+    exact_letters,
     ideal_saturate,
-    letter_bracket_exact,
+    letter_bracket,
     poisson_coequalizer,
     poisson_coproduct,
     quotient,
+    row_product,
 )
 from poissonhopf.free_hopf import free_poisson_hopf, hopf_ideal_generators, staged_coproduct
-from poissonhopf.linalg import SparseVec
+from poissonhopf.linalg import EchelonBasis, SparseVec
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import (
     FreePoissonAlgebra,
@@ -135,21 +137,44 @@ def test_saturation_matches_brute_force_on_hopf_relations(name, stages, n):
     assert fast == brute_force_saturation(staged.ambient, relations, n)
 
 
-def test_saturation_expands_each_row_of_the_laurent_ideal_once(monkeypatch):
-    # every expansion asks the letter-bracket pre-test once per letter;
-    # queueing row snapshots instead of pivots made 762 expansions here
+def laurent_relations():
     staged = staged_coproduct(induce_bialgebra(builtin("grouplike-1"), 4), 4)
-    relations = [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
-    pretests = []
+    return staged.ambient, [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
 
-    def counting(letter, vec, n):
-        pretests.append(letter)
-        return letter_bracket_exact(letter, vec, n)
 
-    monkeypatch.setattr(colimits, "letter_bracket_exact", counting)
-    ideal = ideal_saturate(staged.ambient, relations)
+def test_saturation_expands_each_row_of_the_laurent_ideal_once(monkeypatch):
+    # every expansion reads the row's exact letters once;
+    # queueing row snapshots instead of pivots made 762 expansions here
+    ambient, relations = laurent_relations()
+    reads = []
+
+    def counting(vec, n, letters):
+        reads.append(vec)
+        return exact_letters(vec, n, letters)
+
+    monkeypatch.setattr(colimits, "exact_letters", counting)
+    ideal = ideal_saturate(ambient, relations)
     assert ideal.rank == 332
-    assert len(pretests) == 332 * staged.ambient.size
+    assert len(reads) == 332
+
+
+@pytest.mark.parametrize("name, stages, n, rewrites", [("grouplike-1", 4, 4, 212), ("trig", 2, 4, 141)])
+def test_saturation_takes_the_lowest_pivot_degree_first(monkeypatch, name, stages, n, rewrites):
+    # the back-substitutions pin the worklist order: one FIFO over every
+    # degree made 343 and 194 here
+    staged = staged_coproduct(induce_bialgebra(builtin(name), n), stages)
+    relations = [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
+    counts = []
+    insert = EchelonBasis.insert
+
+    def counting(self, vec):
+        out = insert(self, vec)
+        counts.append(len(self.rewritten))
+        return out
+
+    monkeypatch.setattr(EchelonBasis, "insert", counting)
+    ideal_saturate(staged.ambient, relations)
+    assert sum(counts) == rewrites
 
 
 def test_saturation_soundness_closure_property():
@@ -169,14 +194,27 @@ def test_saturation_soundness_closure_property():
                 assert ideal.contains(br.vec)
 
 
-def _pretest_outcomes_against_flag(ambient, vectors):
-    # letter_bracket_exact(x, v) is poiss_bracket(x, v)'s lossy flag, negated
+def _kernels_against_general_operations(ambient, vectors):
+    # row_product is poiss_product where that is exact, letter_bracket is
+    # poiss_bracket on every exact letter, and exact_letters are the letters
+    # whose poiss_bracket is not lossy
+    n = ambient.truncation
+    letters = ambient.lyndon_basis(1)
+    variables = [w for d in range(1, n) for w in ambient.lyndon_basis(d)]
     outcomes = set()
     for vec in vectors:
-        for i, x in enumerate(ambient.gens()):
-            exact = letter_bracket_exact(LyndonWord((i,)), vec, ambient.truncation)
-            assert exact == (not poiss_bracket(x, ambient.elt(vec)).lossy)
-            outcomes.add(exact)
+        elt = ambient.elt(vec)
+        for u in variables:
+            prod = poiss_product(ambient.monomial_elt(PoissMonomial((u,))), elt)
+            if not prod.lossy:
+                assert row_product(u, vec) == prod.vec
+        exact = exact_letters(vec, n, letters)
+        for x in letters:
+            br = poiss_bracket(ambient.monomial_elt(PoissMonomial((x,))), elt)
+            assert (x in exact) == (not br.lossy)
+            if x in exact:
+                assert letter_bracket(x, vec) == br.vec
+            outcomes.add(x in exact)
     return outcomes
 
 
@@ -186,7 +224,7 @@ def _pretest_outcomes_against_flag(ambient, vectors):
 )
 def test_letter_bracket_pretest_matches_lossy_flag_on_ideal_rows(name, stages, n):
     q = free_poisson_hopf(builtin(name), stages, n, check=False).quotient
-    assert _pretest_outcomes_against_flag(q.ambient, q.ideal.rows) == {True, False}
+    assert _kernels_against_general_operations(q.ambient, q.ideal.rows) == {True, False}
 
 
 _P2_4 = FreePoissonAlgebra(("a", "b"), 4)
@@ -196,31 +234,31 @@ _P2_4 = FreePoissonAlgebra(("a", "b"), 4)
 @given(
     st.dictionaries(
         st.sampled_from(_P2_4.monomials_upto()),
-        st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool),
         max_size=6,
     )
 )
 def test_letter_bracket_pretest_matches_lossy_flag_on_random_vectors(entries):
-    _pretest_outcomes_against_flag(_P2_4, [SparseVec(entries)])
+    _kernels_against_general_operations(_P2_4, [SparseVec(entries)])
 
 
 def test_saturation_and_fixpoint_form_no_lossy_letter_bracket(monkeypatch):
-    staged = staged_coproduct(induce_bialgebra(builtin("grouplike-1"), 4), 4)
-    relations = [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
-    lossy_flags = []
+    ambient, relations = laurent_relations()
+    agreed = []
 
-    def counted(x, y):
-        out = poiss_bracket(x, y)
-        lossy_flags.append(out.lossy)
+    def compared(x, vec):
+        out = letter_bracket(x, vec)
+        br = poiss_bracket(ambient.monomial_elt(PoissMonomial((x,))), ambient.elt(vec))
+        agreed.append(not br.lossy and out == br.vec)
         return out
 
-    monkeypatch.setattr(colimits, "poiss_bracket", counted)
-    q = quotient(staged.ambient, relations)
-    assert len(lossy_flags) == 312 and not any(lossy_flags)
-    lossy_flags.clear()
+    monkeypatch.setattr(colimits, "letter_bracket", compared)
+    q = quotient(ambient, relations)
+    assert len(agreed) == 312 and all(agreed)
+    agreed.clear()
     report = fixpoint_certificate(q)
     assert report.ok
-    assert len(lossy_flags) == 312 and not any(lossy_flags)
+    assert len(agreed) == 312 and all(agreed)
 
 
 def test_quotient_of_free_is_polynomial_ring():

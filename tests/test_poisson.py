@@ -144,11 +144,14 @@ def poisson_series(n, max_degree):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dimension_law_matches_generating_function_and_closed_form(n):
+    # graded_dimension is the closed form; the series and the enumeration are its oracles
     series = poisson_series(n, 6)
+    P = FreePoissonAlgebra(tuple(f"x{i}" for i in range(n)), 6)
     for d in range(1, 7):
         dim = graded_dimension(n, d)
         assert dim == series[d]
         assert dim == n**d
+        assert dim == len(P.monomials(d))
 
 
 @pytest.mark.parametrize("letters, n", [(1, 5), (2, 5), (3, 4), (3, 5)])
