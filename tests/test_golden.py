@@ -1,4 +1,4 @@
-"""Golden CLI runs: seventeen invocations must keep their stdout, stderr and exit code.
+"""Golden CLI runs: eighteen invocations must keep their stdout, stderr and exit code.
 
 The files under ``tests/golden/`` were written by this module's
 ``__main__`` from a known-good tree; a change that is meant to keep
@@ -28,6 +28,9 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = {
     "trig_hopf_artifact.json": {
         "construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 2,
+    },
+    "trig_hopf_m3_artifact.json": {
+        "construct": "free-hopf", "spec": "builtin:trig", "degree": 3, "stages": 3,
     },
     "matrix2_induce_artifact.json": {
         "construct": "induce", "spec": "builtin:matrix-2", "degree": 3,
@@ -59,6 +62,8 @@ CASES = {
         "coproduct", "builtin:trig", "builtin:grouplike-2", "--degree", "3",
     ],
     "verify_trig_hopf": ["verify", "trig_hopf_artifact.json", "--laws", "all"],
+    # S at three stages, on every class and every pair of classes
+    "verify_trig_hopf_m3": ["verify", "trig_hopf_m3_artifact.json", "--laws", "antipode"],
     "verify_induce_matrix2": ["verify", "matrix2_induce_artifact.json", "--laws", "all"],
     "verify_coproduct_trig_grouplike2": [
         "verify", "trig_grouplike2_coproduct_artifact.json", "--laws", "all",
