@@ -36,7 +36,12 @@ report the certificate.
 
 The bialgebra owns the op-cop twist: the twist keeps the underlying
 quotient and flips the stored pair tables, and the negated bracket is
-carried as ``bracket_sign`` -1, so the one ambient serves both twists.
+carried as ``bracket_sign`` -1, so the one ambient serves both twists.  A
+Hopf algebra carries S as a letter table, as it carries Delta, and
+``antipode_label`` is the table's sign -1 ``extend_letters`` extension over
+the quotient on both twists.  The twist keeps the table, as a commutative
+Hopf algebra's twist is Hopf with the same S (S^2 = id), and
+``bialgebra_coproduct`` carries it along the injections.
 
 The checker protocol's label maps are memoized per structure:
 ``product_labels`` reads the quotient's ``_products`` table and
@@ -44,7 +49,8 @@ The checker protocol's label maps are memoized per structure:
 op-cop twist and a Hopf quotient built on the same quotient), except that a
 twisted bialgebra keeps the negated brackets in its own ``_brackets``; and
 ``delta_label`` keeps its coproducts of monomials and Lyndon words in the
-memos of ``_delta_quotient``, beside the ambient ``_delta_ambient``.
+memos of ``_delta_quotient``, beside the ambient ``_delta_ambient``, and
+``antipode_label`` its antipodes in those of ``_antipode``.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from .poisson import (
     LetterExtension,
     PoissElt,
     PoissMonomial,
+    extend_letters,
     letter_monomials,
     monomial_str,
     render,
@@ -88,23 +95,22 @@ from .verify import (
 )
 
 
-def flip_pairs(t: SparseVec) -> SparseVec:
-    return SparseVec({(b, a): c for (a, b), c in t.items()})
-
-
 class PresentedPoissonBialgebra:
-    """Quotient of a truncated free Poisson algebra with induced Delta, epsilon.
+    """Quotient of a truncated free Poisson algebra with induced Delta, epsilon and S.
 
     ``bracket_sign`` is -1 on op-cop twisted objects; the stored pair tables
     are already flipped there, so all consumers just read the fields.
+    ``antipode_table`` maps each letter name to an ambient vector, S of the
+    letter's class, and is None on a bialgebra without an antipode.
     """
 
     def __init__(self, quotient: TruncatedQuotient, delta_table, epsilon_table,
-                 bracket_sign: int = 1):
+                 bracket_sign: int = 1, antipode_table=None):
         self.quotient = quotient
         self.delta_table = dict(delta_table)
         self.epsilon_table = {k: exact(v) for k, v in epsilon_table.items()}
         self.bracket_sign = bracket_sign
+        self.antipode_table = None if antipode_table is None else dict(antipode_table)
         self._brackets: dict = {}  # the negated brackets of a twisted bialgebra
         names = quotient.ambient.alphabet
         unit = unit_vec((UNIT_MONOMIAL, UNIT_MONOMIAL))
@@ -119,6 +125,9 @@ class PresentedPoissonBialgebra:
         # the counit is a Poisson map to Q, so it kills every bracket
         self._epsilon = LetterExtension(lambda letter: self.epsilon_table[names[letter]],
                                         operator.mul, lambda x, y: 0, lambda: 1)
+        # sign -1 on both twists: negating the bracket negates both sides of S{a, b} = {Sb, Sa}
+        self._antipode = extend_letters(lambda letter: quotient.normal_form(
+            quotient.ambient.elt(self.antipode_table[names[letter]])), quotient, -1)
 
     @property
     def ambient(self) -> FreePoissonAlgebra:
@@ -149,6 +158,10 @@ class PresentedPoissonBialgebra:
 
     def epsilon(self, elt: PoissElt) -> int | Fraction:
         return functional(self.epsilon_label, elt.vec)
+
+    def antipode(self, elt: PoissElt) -> PoissElt:
+        """S of an element's class, as a normal form; needs the antipode table."""
+        return self._antipode.apply(self.quotient.normal_form(elt), self.ambient)
 
     # -- ambient tensor-square bracket, truncated per side --
 
@@ -181,6 +194,10 @@ class PresentedPoissonBialgebra:
 
     def epsilon_label(self, m) -> int | Fraction:
         return self._epsilon.monomial(m)
+
+    def antipode_label(self, m) -> SparseVec:
+        """S of a monomial's class, memoized per monomial; needs the antipode table."""
+        return self._antipode.monomial(m).vec
 
     def product_labels(self, a, b) -> SparseVec:
         return self.quotient.product_labels(a, b)
@@ -224,12 +241,13 @@ def check_bialgebra(B: PresentedPoissonBialgebra) -> Report:
 
 
 def op_cop(B: PresentedPoissonBialgebra) -> PresentedPoissonBialgebra:
-    """Negated bracket, flipped comultiplication; involutive."""
+    """Negated bracket, flipped comultiplication, the same S; involutive."""
     return PresentedPoissonBialgebra(
         B.quotient,
-        {name: flip_pairs(t) for name, t in B.delta_table.items()},
+        {name: SparseVec({(b, a): c for (a, b), c in t.items()}) for name, t in B.delta_table.items()},
         B.epsilon_table,
         -B.bracket_sign,
+        B.antipode_table,
     )
 
 
@@ -270,24 +288,25 @@ def bialgebra_coproduct(operands) -> BialgebraCoproduct:
     """Coproduct of presented Poisson bialgebras.
 
     The underlying Poisson coproduct is decorated with the comultiplication
-    transported along the injections, stage by stage.  The result is a
-    bialgebra by construction, so nothing is checked here; callers that want
-    the axioms certified run ``generator_certificate`` or, exhaustively,
+    transported along the injections, stage by stage, and with the antipode
+    when every operand carries one.  The result is a bialgebra by
+    construction, so nothing is checked here; callers that want the axioms
+    certified run ``generator_certificate`` or, exhaustively,
     ``check_bialgebra`` on it.
     """
     operands = list(operands)
     cp = poisson_coproduct(operands)
     delta_table = {}
     epsilon_table = {}
+    antipode_table = None if any(B.antipode_table is None for B in operands) else {}
     for B, inj, lm in zip(operands, cp.injections, cp.letter_maps):
-        amb = B.ambient
-        for i, name in enumerate(amb.alphabet):
+        for i, name in enumerate(B.ambient.alphabet):
             tagged = cp.quotient.ambient.alphabet[lm[i]]
-            delta_table[tagged] = map_pairs(
-                B.delta_table[name], lambda m: inj.apply(amb.monomial_elt(m)).vec
-            )
+            delta_table[tagged] = map_pairs(B.delta_table[name], inj.image)
             epsilon_table[tagged] = B.epsilon_table[name]
-    result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1)
+            if antipode_table is not None:
+                antipode_table[tagged] = linear(inj.image, B.antipode_table[name])
+    result = PresentedPoissonBialgebra(cp.quotient, delta_table, epsilon_table, 1, antipode_table)
     return BialgebraCoproduct(result, cp.injections, cp.letter_maps)
 
 

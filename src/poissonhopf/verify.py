@@ -18,7 +18,7 @@ the budget and the maps they test:
     label_degree(l)           grading used for that budget
     product_labels(a, b)      SparseVec over labels
     bracket_labels(a, b)      SparseVec over labels
-    antipode_label(l)         SparseVec over labels, defined on every label
+    antipode_label(l)         SparseVec over labels, on any bialgebra that carries a table
     one()                     the unit's normal form, a SparseVec over labels
 
 The label maps are the one place that projects to a quotient: every vector
@@ -64,8 +64,8 @@ and ``check_jacobi`` stay as exhaustive checks of the label maps.
 The label maps must be pure functions of their labels: the checkers ask for
 the same product, bracket, coproduct or antipode many times, so a structure
 may memoize them (quotients and bialgebras memoize products, brackets and
-coproducts, Hopf quotients the antipode too) and must then return an equal
-value for equal labels.  Labels are dict keys; the interned algebra labels
+coproducts, and the antipode when they carry one) and must then return an
+equal value for equal labels.  Labels are dict keys; the interned algebra labels
 hash by identity, so no output may depend on hash order: dicts keep
 insertion order and every rendering is sorted by ``label_key``.
 """

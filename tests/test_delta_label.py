@@ -9,7 +9,8 @@ the constructions run, agrees with the one on every ideal row, and the
 generator certificate of the bialgebra laws agrees with ``check_bialgebra``.
 On the Hopf quotients among them the S'-stability certificate on the
 generators agrees with the one on every row, S is total and an involution,
-and the antipode, Leibniz and Jacobi laws hold on every class.
+S from the antipode table equals the projected stage map pi(S'(m)) on
+every class, and the antipode, Leibniz and Jacobi laws hold on every class.
 """
 
 import pytest
@@ -147,6 +148,18 @@ def test_antipode_is_a_total_involution_and_the_laws_hold(name):
     for report in (check_antipode(H), check_leibniz(H), check_jacobi(H)):
         assert report.ok and report.checked > 0, report.lines()
         assert {s.reason for s in report.skipped} <= {"2*deg > N, so S(a)*b may leave the budget"}
+
+
+@pytest.mark.parametrize("name", sorted(HOPF))
+def test_antipode_label_equals_the_projected_stage_map(name):
+    # the table's extension over the quotient against pi(S'(m)) on the ambient
+    H = HOPF[name]()
+    mismatches = [
+        H.render_label(m)
+        for m in H.labels_upto()
+        if H.antipode_label(m) != H.quotient.nf_vec(H.staged.s_prime(H.ambient.monomial_elt(m)).vec)
+    ]
+    assert not mismatches, mismatches[:5]
 
 
 BIALGEBRAS = {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poissonhopf import free_hopf
-from poissonhopf.bialgebra import bialgebra_coequalizer, check_bialgebra, induce_bialgebra
+from poissonhopf.bialgebra import bialgebra_coequalizer, check_bialgebra, induce_bialgebra, op_cop
 from poissonhopf.coalgebra import builtin
 from poissonhopf.colimits import MorphismTable, quotient
 from poissonhopf.free_hopf import (
@@ -397,6 +397,18 @@ def test_hopf_coproduct_of_hopf_quotients_passes_both_convolution_sides():
     report = hopf_coproduct_antipode([H, H]).report
     # c_0, s_0, c_1 and s_1 of each copy carry an antipode image, each with two sides
     assert report.ok and report.checked == 16 and not report.skipped
+
+
+@pytest.mark.parametrize("name, checked", [("grouplike-1", 8), ("trig", 16), ("matrix-2", 32)])
+def test_hopf_coproduct_with_the_op_cop_twist_keeps_the_antipode(name, checked):
+    # the op-cop twist of a commutative Hopf algebra is Hopf with the same S
+    H = free_poisson_hopf(builtin(name), 2, 3)
+    twisted = op_cop(H)
+    assert twisted.antipode_table == H.antipode_table
+    assert all(twisted.antipode_label(m) == H.antipode_label(m) for m in H.labels_upto())
+    for operands in ([H, H], [H, twisted]):
+        report = hopf_coproduct_antipode(operands).report
+        assert report.ok and report.checked == checked and not report.skipped, report.lines()
 
 
 def test_empty_ideal_fails_the_convolution_laws():
