@@ -19,7 +19,7 @@ from poissonhopf import (
 print("Stage the free bialgebra on one group-like g across two copies:")
 B = induce_bialgebra(builtin("grouplike-1"), 4)
 staged = staged_coproduct(B, 2)
-print("  staged generators:", staged.ambient.alphabet)
+print("  staged generators:", staged.bialgebra.ambient.alphabet)
 relations = hopf_ideal_generators(staged)
 print("  convolution relations:", sorted({render(r) for r in relations}))
 

@@ -37,10 +37,11 @@ report the certificate.
 The bialgebra owns the op-cop twist: the twist keeps the underlying
 quotient and flips the stored pair tables, and the negated bracket is
 carried as ``bracket_sign`` -1, so the one ambient serves both twists.  A
-Hopf algebra carries S as a letter table, as it carries Delta, and
-``antipode_label`` is the table's sign -1 ``extend_letters`` extension over
-the quotient on both twists.  The twist keeps the table, as a commutative
-Hopf algebra's twist is Hopf with the same S (S^2 = id), and
+Hopf algebra carries S as a letter table (S' on ``free_hopf``'s staged
+coproduct), as it carries Delta, and ``antipode_label`` is the table's
+sign -1 ``extend_letters`` extension over the quotient on both twists, the
+package's one antipode extension.  The twist keeps the table, as a
+commutative Hopf algebra's twist is Hopf with the same S (S^2 = id), and
 ``bialgebra_coproduct`` carries it along the injections.
 
 The checker protocol's label maps are memoized per structure:
@@ -101,7 +102,8 @@ class PresentedPoissonBialgebra:
     ``bracket_sign`` is -1 on op-cop twisted objects; the stored pair tables
     are already flipped there, so all consumers just read the fields.
     ``antipode_table`` maps each letter name to an ambient vector, S of the
-    letter's class, and is None on a bialgebra without an antipode.
+    letter's class (S' on the staged coproduct), and is None on a bialgebra
+    without an antipode, where S raises ``ValueError``.
     """
 
     def __init__(self, quotient: TruncatedQuotient, delta_table, epsilon_table,
@@ -125,9 +127,14 @@ class PresentedPoissonBialgebra:
         # the counit is a Poisson map to Q, so it kills every bracket
         self._epsilon = LetterExtension(lambda letter: self.epsilon_table[names[letter]],
                                         operator.mul, lambda x, y: 0, lambda: 1)
+
+        def antipode_letter(letter):
+            if self.antipode_table is None:
+                raise ValueError("no antipode table: this bialgebra carries no antipode")
+            return quotient.normal_form(quotient.ambient.elt(self.antipode_table[names[letter]]))
+
         # sign -1 on both twists: negating the bracket negates both sides of S{a, b} = {Sb, Sa}
-        self._antipode = extend_letters(lambda letter: quotient.normal_form(
-            quotient.ambient.elt(self.antipode_table[names[letter]])), quotient, -1)
+        self._antipode = extend_letters(antipode_letter, quotient, -1)
 
     @property
     def ambient(self) -> FreePoissonAlgebra:
@@ -160,7 +167,7 @@ class PresentedPoissonBialgebra:
         return functional(self.epsilon_label, elt.vec)
 
     def antipode(self, elt: PoissElt) -> PoissElt:
-        """S of an element's class, as a normal form; needs the antipode table."""
+        """S of an element's class, as a normal form."""
         return self._antipode.apply(self.quotient.normal_form(elt), self.ambient)
 
     # -- ambient tensor-square bracket, truncated per side --
@@ -196,7 +203,7 @@ class PresentedPoissonBialgebra:
         return self._epsilon.monomial(m)
 
     def antipode_label(self, m) -> SparseVec:
-        """S of a monomial's class, memoized per monomial; needs the antipode table."""
+        """S of a monomial's class, memoized per monomial."""
         return self._antipode.monomial(m).vec
 
     def product_labels(self, a, b) -> SparseVec:

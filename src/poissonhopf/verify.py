@@ -31,11 +31,12 @@ a residual: it is zero in the quotient exactly when it is the zero vector.
 reads only ``delta_label``, ``epsilon_label`` and ``render_label`` of a
 source and a target, and the map as label images.  In the same way
 ``convolution_residual`` is the one formula of the antipode axiom
-m(S (x) id) Delta = u eps = m(id (x) S) Delta at one label, with the label
-and S as arguments: ``check_antipode_convolution`` checks it on a Hopf
-quotient (``check_antipode``, the ``antipode`` law) and on a coproduct of
-Hopf quotients alike, and the free Hopf construction takes its residuals at
-the staged letters, with the stage shift for S, as its relations.
+m(S (x) id) Delta = u eps = m(id (x) S) Delta at one label, with S the
+structure's ``antipode_label``: ``check_antipode_convolution`` checks it on
+a Hopf quotient (``check_antipode``, the ``antipode`` law) and on a
+coproduct of Hopf quotients alike, and the free Hopf construction takes its
+residuals at the letters of the staged coproduct, whose S is the stage
+map, as its relations.
 
 Every check is exhaustive at the truncation.  The residuals of
 coassociativity, the counit laws and bracket-comultiplicativity at one
@@ -364,24 +365,24 @@ def check_antipode_antimorphism(structure) -> Report:
     return report
 
 
-def convolution_residual(structure, x, antipode, side: str):
+def convolution_residual(structure, x, side: str):
     """sum c S(a) b - eps(x) 1 (side "left") or sum c a S(b) - eps(x) 1 ("right").
 
-    Delta x = sum c a (x) b, and S is ``antipode(label)``, a normal form.
+    Delta x = sum c a (x) b, and S is ``antipode_label``.
     """
-    terms = []
+    antipode, terms = structure.antipode_label, []
     for (a, b), c in structure.delta_label(x).items():
         u, v = (antipode(a), unit_vec(b)) if side == "left" else (unit_vec(a), antipode(b))
         terms.append((c, bilinear(structure.product_labels, u, v)))
     return lincomb([*terms, (-structure.epsilon_label(x), structure.one())])
 
 
-def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
+def check_antipode_convolution(structure, labels, law: str) -> Report:
     """Both ``convolution_residual`` sides vanish on each given label x.
 
-    S is ``antipode(label)``, a normal form.  A label with 2 deg x > N is
-    skipped, as one skip with their count: the slots of Delta x reach deg x,
-    so S(a) b may leave the budget and a true law would read as a violation.
+    A label with 2 deg x > N is skipped, as one skip with their count: the
+    slots of Delta x reach deg x, so S(a) b may leave the budget and a true
+    law would read as a violation.
     """
     report, vector = Report(), partial(render_vec, structure)
     over_budget = 0
@@ -390,7 +391,7 @@ def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
             over_budget += 1
             continue
         for side in ("left", "right"):
-            report.record(f"{law}-{side}", convolution_residual(structure, x, antipode, side), (x,),
+            report.record(f"{law}-{side}", convolution_residual(structure, x, side), (x,),
                           structure.render_label, vector)
     report.skip(law, over_budget, "labels", "2*deg > N, so S(a)*b may leave the budget")
     return report
@@ -399,9 +400,7 @@ def check_antipode_convolution(structure, labels, antipode, law: str) -> Report:
 def check_antipode(structure) -> Report:
     """The anti-morphism laws on every label pair and both convolution laws on every label."""
     report = check_antipode_antimorphism(structure)
-    return report.merge(check_antipode_convolution(
-        structure, structure.labels_upto(), structure.antipode_label, "antipode-convolution"
-    ))
+    return report.merge(check_antipode_convolution(structure, structure.labels_upto(), "antipode-convolution"))
 
 
 def check_coalgebra_map(source, labels, image, target, law: str) -> Report:

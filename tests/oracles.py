@@ -284,29 +284,62 @@ def triple_expansion_coassociativity(structure) -> Report:
 # ---------------------------------------------------------------------------
 # the Hopf relations of a staged coproduct by element arithmetic:
 # sum c poiss_product(S'(a), b) - eps(x) 1 over the stored coproduct table
-# of the staged letter x, and the mirror with S' on the right slot
+# of the staged letter x, and the mirror with S' on the right slot; S' is
+# rebuilt here from the coproduct's letter maps, not read off its table
+
+
+def stage_shift(letter_maps):
+    """The stage map on letter indices: each letter one stage up, the last stage back to M-2."""
+    last = len(letter_maps) - 1
+    return {l: letter_maps[n + 1 if n < last else last - 1][i]
+            for n, lm in enumerate(letter_maps) for i, l in lm.items()}
+
+
+def s_prime_oracle(staged, vec):
+    """S' of an ambient vector: ``rename_letters(flip_bracket(vec), shift)``, factor by factor.
+
+    The renaming is order-preserving below the last stage only: the fold-back
+    of the last stage (the swap at M = 2) may turn a word into a non-Lyndon
+    one.  So each Lyndon factor is rebuilt from its standard bracketing on the
+    shifted letters with ``poiss_bracket``, one bracket flip each.
+    """
+    amb, shift = staged.bialgebra.ambient, stage_shift(staged.letter_maps)
+
+    def word(w):
+        if w.degree == 1:
+            return amb.gen(amb.alphabet[shift[w.letters[0]]])
+        u, v = standard_factorization(w)
+        return -poiss_bracket(word(u), word(v))
+
+    out = amb.zero()
+    for m, c in vec.items():
+        term = amb.one()
+        for f in m.factors:
+            term = poiss_product(term, word(f))
+        out = out + term.scaled(c)
+    return out
 
 
 def convolution_relation_oracle(staged, base, stage, side):
-    amb = staged.ambient
-    letter = staged.letter_maps[stage][staged.base.ambient.index(base)]
+    B, amb = staged.injections[0].source, staged.bialgebra.ambient
+    letter = staged.letter_maps[stage][B.ambient.index(base)]
     out = amb.zero()
     for (a, b), c in staged.bialgebra.delta_table[amb.alphabet[letter]].items():
         ea, eb = amb.monomial_elt(a), amb.monomial_elt(b)
         if side == "left":
-            term = poiss_product(staged.s_prime(ea), eb)
+            term = poiss_product(s_prime_oracle(staged, ea.vec), eb)
         else:
-            term = poiss_product(ea, staged.s_prime(eb))
+            term = poiss_product(ea, s_prime_oracle(staged, eb.vec))
         out = out + term.scaled(c)
-    return out - amb.scalar(staged.base.epsilon_table[base])
+    return out - amb.scalar(B.epsilon_table[base])
 
 
 def hopf_relations_oracle(staged):
     """Both relations per base letter and shiftable stage, in ``hopf_ideal_generators`` order."""
     return [
         convolution_relation_oracle(staged, base, n, side)
-        for n in range(staged.stages - 1)
-        for base in staged.base.ambient.alphabet
+        for n in range(len(staged.letter_maps) - 1)
+        for base in staged.injections[0].source.ambient.alphabet
         for side in ("left", "right")
     ]
 

@@ -133,13 +133,13 @@ def test_saturation_matches_brute_force_on_hopf_relations(name, stages, n):
         spec = builtin(name)
     staged = staged_coproduct(induce_bialgebra(spec, n), stages)
     relations = hopf_ideal_generators(staged)
-    fast = ideal_saturate(staged.ambient, relations)
-    assert fast == brute_force_saturation(staged.ambient, relations, n)
+    fast = ideal_saturate(staged.bialgebra.ambient, relations)
+    assert fast == brute_force_saturation(staged.bialgebra.ambient, relations, n)
 
 
 def laurent_relations():
     staged = staged_coproduct(induce_bialgebra(builtin("grouplike-1"), 4), 4)
-    return staged.ambient, [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
+    return staged.bialgebra.ambient, [*staged.bialgebra.quotient.generators, *hopf_ideal_generators(staged)]
 
 
 def test_saturation_expands_each_row_of_the_laurent_ideal_once(monkeypatch):
@@ -173,7 +173,7 @@ def test_saturation_takes_the_lowest_pivot_degree_first(monkeypatch, name, stage
         return out
 
     monkeypatch.setattr(EchelonBasis, "insert", counting)
-    ideal_saturate(staged.ambient, relations)
+    ideal_saturate(staged.bialgebra.ambient, relations)
     assert sum(counts) == rewrites
 
 

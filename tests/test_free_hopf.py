@@ -21,18 +21,25 @@ from poissonhopf.free_hopf import (
     staged_coproduct,
     verify_antipode,
 )
-from poissonhopf.linalg import SparseVec
-from poissonhopf.poisson import extend_letters, poiss_bracket, poiss_product
+from poissonhopf.linalg import SparseVec, unit_vec
+from poissonhopf.poisson import letter_monomials, poiss_bracket, poiss_product
 from poissonhopf.exprs import parse
-from poissonhopf.verify import Report, Violation
+from poissonhopf.verify import Report, Violation, convolution_residual
 
-from oracles import flip_bracket, hopf_relations_oracle, rename_letters
+from oracles import flip_bracket, hopf_relations_oracle, rename_letters, s_prime_oracle, stage_shift
+
+
+def convolution_relation(staged, base, stage, side):
+    # the relation hopf_ideal_generators takes at the stage-`stage` copy of `base`
+    B = staged.bialgebra
+    letter = staged.letter_maps[stage][staged.injections[0].source.ambient.index(base)]
+    return B.ambient.elt(convolution_residual(B, letter_monomials(B.ambient)[letter], side))
 
 
 def test_staged_coproduct_grouplike_two_stages():
     B = induce_bialgebra(builtin("grouplike-1"), 4)
     staged = staged_coproduct(B, 2)
-    amb = staged.ambient
+    amb = staged.bialgebra.ambient
     assert amb.alphabet == ("g_0", "g_1")
     for name in amb.alphabet:
         pairs = staged.bialgebra.delta_table[name]
@@ -54,7 +61,7 @@ def test_stage_one_bracket_is_negated():
     from poissonhopf.bialgebra import bialgebra_coproduct, op_cop
 
     cp = bialgebra_coproduct([B, op_cop(B)])
-    amb = staged.ambient
+    amb = staged.bialgebra.ambient
     base_bracket = poiss_bracket(B.ambient.gen("c"), B.ambient.gen("s"))
     img0 = cp.injections[0].apply(base_bracket)
     img1 = cp.injections[1].apply(base_bracket)
@@ -67,13 +74,14 @@ def test_stage_one_bracket_is_negated():
 def test_s_prime_on_generators_products_brackets():
     B = induce_bialgebra(builtin("grouplike-2"), 4)
     staged = staged_coproduct(B, 2)
-    amb = staged.ambient
+    amb = staged.bialgebra.ambient
     g0, h0 = amb.gen("g1_0"), amb.gen("g2_0")
     g1, h1 = amb.gen("g1_1"), amb.gen("g2_1")
-    assert staged.s_prime(g0) == g1
-    assert staged.s_prime(poiss_product(g0, h0)) == poiss_product(g1, h1)
+    s_prime = staged.bialgebra.antipode  # the staged relations are empty, so this is S' itself
+    assert s_prime(g0) == g1
+    assert s_prime(poiss_product(g0, h0)) == poiss_product(g1, h1)
     # anti-morphism on the bracket: S'({a,b}) = {S'b, S'a} = -{S'a, S'b}
-    assert staged.s_prime(poiss_bracket(g0, h0)) == -poiss_bracket(g1, h1)
+    assert s_prime(poiss_bracket(g0, h0)) == -poiss_bracket(g1, h1)
 
 
 @functools.cache
@@ -92,49 +100,54 @@ def test_s_prime_matches_the_renaming_oracle(name, data):
     # is the order-preserving renaming after the bracket flip; the fold-back
     # of the last stage does not preserve it, so those monomials are left out
     staged = _staged_m3_n4(name)
-    amb = staged.ambient
+    amb = staged.bialgebra.ambient
     last = set(staged.letter_maps[-1].values())
     below_last = [m for m in amb.monomials_upto() if not any(i in last for f in m.factors for i in f.letters)]
     entries = data.draw(st.dictionaries(st.sampled_from(below_last), _coefficients(), max_size=6))
     elt = amb.elt(SparseVec(entries))
-    assert staged.s_prime(elt) == amb.elt(rename_letters(flip_bracket(elt.vec), staged.shift))
+    shift = stage_shift(staged.letter_maps)
+    assert staged.bialgebra.antipode(elt) == amb.elt(rename_letters(flip_bracket(elt.vec), shift))
 
 
 def test_stage_swap_extends_to_a_bracket_antimorphism():
     # at M=2 the stage map is the stage-0 <-> stage-1 swap; it reverses letter
-    # order, so no order-preserving renaming expresses it; its extension is an
+    # order, so no order-preserving renaming expresses it; its extension, the
+    # antipode of the staged coproduct, whose relations are empty, is an
     # algebra map and a bracket anti-morphism on every in-budget pair, and an
     # involution
     n = 4
     staged = staged_coproduct(induce_bialgebra(builtin("trig"), n), 2)
-    amb = staged.ambient
+    amb = staged.bialgebra.ambient
     lm0, lm1 = staged.letter_maps
     swap = {**{lm0[i]: lm1[i] for i in lm0}, **{lm1[i]: lm0[i] for i in lm0}}
-    assert staged.shift == swap
+    letters = letter_monomials(amb)
+    assert staged.bialgebra.antipode_table == {amb.alphabet[l]: unit_vec(letters[up]) for l, up in swap.items()}
     c0c1 = poiss_bracket(amb.gen("c_0"), amb.gen("c_1"))
     with pytest.raises(ValueError, match="not a Lyndon word"):
         rename_letters(c0c1.vec, swap)
-    S = extend_letters(lambda letter: amb.gen(amb.alphabet[swap[letter]]), amb, -1)
+    S = staged.bialgebra.antipode
     monomials = amb.monomials_upto()
-    image = {m: S.monomial(m) for m in monomials}
+    image = {m: S(amb.monomial_elt(m)) for m in monomials}
     assert not any(x.lossy for x in image.values())
     pairs = 0
     for a, b in itertools.product(monomials, repeat=2):
         if a.degree + b.degree > n:
             continue
         ea, eb = amb.monomial_elt(a), amb.monomial_elt(b)
-        assert S.apply(poiss_product(ea, eb), amb) == poiss_product(image[a], image[b])
-        assert S.apply(poiss_bracket(ea, eb), amb) == poiss_bracket(image[b], image[a])
+        assert S(poiss_product(ea, eb)) == poiss_product(image[a], image[b])
+        assert S(poiss_bracket(ea, eb)) == poiss_bracket(image[b], image[a])
         pairs += 1
     assert pairs > 1000
-    assert all(S.apply(image[m], amb) == amb.monomial_elt(m) for m in monomials)
+    assert all(S(image[m]) == amb.monomial_elt(m) for m in monomials)
 
 
 def left_relations_hopf():
     # matrix-2 M=2 N=3 quotiented by the left convolution relations alone
-    staged = staged_coproduct(induce_bialgebra(builtin("matrix-2"), 3), 2)
-    left = [staged.convolution_relation(base, 0, "left") for base in staged.base.ambient.alphabet]
-    return TruncatedHopf(staged, quotient(staged.ambient, [*staged.bialgebra.quotient.generators, *left]))
+    B = induce_bialgebra(builtin("matrix-2"), 3)
+    staged = staged_coproduct(B, 2)
+    left = [convolution_relation(staged, base, 0, "left") for base in B.ambient.alphabet]
+    C = staged.bialgebra
+    return TruncatedHopf(staged, quotient(C.ambient, [*C.quotient.generators, *left]))
 
 
 @pytest.mark.parametrize("name, n, rank", [("trig", 4, 180), ("matrix-2", 3, 111)])
@@ -169,16 +182,20 @@ def test_fold_back_stage_map_keeps_the_three_stage_ideal():
 def test_shift_moves_each_letter_one_stage_up(name, stages):
     # ...and folds the last stage back to stage M-2
     staged = staged_coproduct(induce_bialgebra(builtin(name), 2), stages)
-    alphabet = staged.ambient.alphabet
+    alphabet = staged.bialgebra.ambient.alphabet
 
-    def parsed(letter):  # the oracle reads a staged letter's name as "<base>_<stage>"
-        base, _, stage = alphabet[letter].rpartition("_")
+    def parsed(name):  # the oracle reads a staged letter's name as "<base>_<stage>"
+        base, _, stage = name.rpartition("_")
         return base, int(stage)
 
-    assert sorted(staged.shift) == list(range(len(alphabet)))
-    for j, up in staged.shift.items():
-        base, stage = parsed(j)
-        assert parsed(up) == (base, stage + 1 if stage < stages - 1 else stages - 2)
+    table = staged.bialgebra.antipode_table
+    assert sorted(table) == sorted(alphabet)
+    for name, image in table.items():
+        ((m, c),) = image.items()
+        (word,) = m.factors
+        base, stage = parsed(name)
+        assert c == 1 and word.degree == 1
+        assert parsed(alphabet[word.letters[0]]) == (base, stage + 1 if stage < stages - 1 else stages - 2)
 
 
 def test_hopf_ideal_generators_grouplike():
@@ -186,7 +203,7 @@ def test_hopf_ideal_generators_grouplike():
     staged = staged_coproduct(B, 2)
     gens = hopf_ideal_generators(staged)
     assert len(gens) == 2 * 1 * 1
-    expected = parse("g_1*g_0 - 1", staged.ambient)
+    expected = parse("g_1*g_0 - 1", staged.bialgebra.ambient)
     assert all(g == expected for g in gens)
 
 
@@ -195,8 +212,8 @@ def test_hopf_ideal_generators_trig_expansion():
     staged = staged_coproduct(B, 2)
     gens = hopf_ideal_generators(staged)
     assert len(gens) == 2 * 2 * 1
-    left_c = staged.convolution_relation("c", 0, "left")
-    assert left_c == parse("c_1*c_0 - s_1*s_0 - 1", staged.ambient)
+    left_c = convolution_relation(staged, "c", 0, "left")
+    assert gens[0] == left_c == parse("c_1*c_0 - s_1*s_0 - 1", staged.bialgebra.ambient)
 
 
 def test_hopf_ideal_generator_count_three_stages():
@@ -340,7 +357,7 @@ def test_corrupted_ideal_shows_nonzero_residual():
     from poissonhopf.colimits import quotient as q_of
 
     # drop every generator: the convolution relations no longer reduce to zero
-    H = TruncatedHopf(staged, q_of(staged.ambient, []))
+    H = TruncatedHopf(staged, q_of(staged.bialgebra.ambient, []))
     report = verify_antipode(H, depth=1)
     assert not report.ok
 
@@ -351,15 +368,15 @@ def test_shift_identity_on_relations():
         B = induce_bialgebra(builtin(name), 3)
         staged = staged_coproduct(B, 3)
         for base in B.ambient.alphabet:
-            shifted = staged.s_prime(staged.convolution_relation(base, 0, "left"))
-            assert shifted == staged.convolution_relation(base, 1, "right")
+            shifted = s_prime_oracle(staged, convolution_relation(staged, base, 0, "left").vec)
+            assert shifted == convolution_relation(staged, base, 1, "right")
 
 
 def test_shift_identity_lands_in_ideal():
     H = free_poisson_hopf(builtin("grouplike-1"), 3, 4, check=False)
     staged = H.staged
-    for base in staged.base.ambient.alphabet:
-        shifted = staged.s_prime(staged.convolution_relation(base, 0, "left"))
+    for base in staged.injections[0].source.ambient.alphabet:
+        shifted = s_prime_oracle(staged, convolution_relation(staged, base, 0, "left").vec)
         assert H.quotient.ideal.contains(shifted.vec)
 
 
@@ -377,9 +394,10 @@ def test_hopf_coproduct_transports_antipodes():
     out = hopf_coproduct_antipode([H, H])
     assert out.report.ok, out.report.lines()
     amb = out.bialgebra.ambient
-    assert set(out.antipode_images) == {"g_0_0", "g_0_1", "g_1_0", "g_1_1"}
+    table = out.bialgebra.antipode_table
+    assert set(table) == {"g_0_0", "g_0_1", "g_1_0", "g_1_1"}
     # S(g_0 of copy 1) is the inverse class g_1 of copy 1
-    img = out.antipode_images["g_0_0"]
+    img = amb.elt(table["g_0_0"])
     assert img == out.bialgebra.quotient.normal_form(amb.gen("g_1_0"))
     prod = out.bialgebra.quotient.product(amb.gen("g_0_0"), img)
     assert prod == out.bialgebra.quotient.one()
@@ -416,7 +434,7 @@ def test_empty_ideal_fails_the_convolution_laws():
     from poissonhopf.colimits import quotient as q_of
 
     # without the Hopf relations S(g_0) g_0 = g_1 g_0 is not 1
-    report = verify_antipode(TruncatedHopf(staged, q_of(staged.ambient, [])), depth=1)
+    report = verify_antipode(TruncatedHopf(staged, q_of(staged.bialgebra.ambient, [])), depth=1)
     assert ("antipode-convolution-left", ("g_0",), "-1 + 1*g_0*g_1") in [tuple(v) for v in report.violations]
 
 
@@ -471,7 +489,7 @@ def test_staged_odd_copy_uses_flipped_delta():
 
     B = induce_bialgebra(builtin("matrix-2"), 2)
     staged = staged_coproduct(B, 2)
-    amb = staged.ambient
+    amb = staged.bialgebra.ambient
 
     def mono(name):
         return PoissMonomial((LyndonWord((amb.index(name),)),))

@@ -157,7 +157,7 @@ def test_column_index_matches_full_scan_on_trig_saturation(monkeypatch):
             return super().insert(v)
 
     monkeypatch.setattr(colimits, "EchelonBasis", Recording)
-    ideal = colimits.ideal_saturate(staged.ambient, relations)
+    ideal = colimits.ideal_saturate(staged.bialgebra.ambient, relations)
     assert _assert_inserts_match_full_scan(stream, colimits.quotient_key) > 0
     assert row_reduce(stream, key=colimits.quotient_key) == ideal
 

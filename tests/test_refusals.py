@@ -16,7 +16,7 @@ from poissonhopf.colimits import (
     ideal_saturate,
     poisson_coproduct,
 )
-from poissonhopf.poisson import FreePoissonAlgebra, PoissMonomial, graded_dimension
+from poissonhopf.poisson import FreePoissonAlgebra, PoissMonomial, graded_dimension, letter_monomials
 from poissonhopf.targets import GroupAlgebra, SymmetricLieHopf
 
 
@@ -59,6 +59,16 @@ def maps_without_a_common_target():
                                MorphismTable(S, U, {"x": U.ambient.gen("z")}))
 
 
+def antipode_label_without_a_table():
+    B = induce_bialgebra(builtin("trig"), 2)
+    return B.antipode_label(letter_monomials(B.ambient)[0])
+
+
+def antipode_without_a_table():
+    B = induce_bialgebra(builtin("trig"), 2)
+    return B.antipode(B.ambient.gen("c"))
+
+
 REFUSALS = {
     "saturate-foreign-generator": (
         lambda: ideal_saturate(xy(), [FreePoissonAlgebra(("x",), 3).gen("x")]),
@@ -96,6 +106,11 @@ REFUSALS = {
     "group-algebra-of-rank-0": (lambda: GroupAlgebra(0), ValueError, "rank must be >= 1"),
     "symmetric-hopf-with-a-nonzero-self-bracket": (
         lambda: SymmetricLieHopf(("x", "y"), {(0, 0): {1: 1}}, 3), ValueError, "bracket table not antisymmetric"),
+    # a free bialgebra carries no antipode table
+    "antipode-label-without-a-table": (
+        antipode_label_without_a_table, ValueError, "no antipode table: this bialgebra carries no antipode"),
+    "antipode-without-a-table": (
+        antipode_without_a_table, ValueError, "no antipode table: this bialgebra carries no antipode"),
     # delta(x) = 2 x (x) x needs epsilon(x) = 1/2, not 1
     "induce-on-an-invalid-coalgebra": (
         lambda: induce_bialgebra(CoalgebraSpec.make(("x",), {"x": [("x", "x", 2)]}, {"x": 1}), 2),

@@ -166,14 +166,14 @@ def test_convolution_skips_classes_past_half_the_budget():
     H = free_poisson_hopf(builtin("grouplike-1"), 2, 4, check=False)
     cube = gm((0,), (0,), (0,))
     assert cube in H.labels_upto()
-    report = check_antipode_convolution(H, [cube], H.antipode_label, "antipode-convolution")
+    report = check_antipode_convolution(H, [cube], "antipode-convolution")
     assert report.checked == 0 and report.ok
     assert report.skipped == [
         Skip("antipode-convolution", ("1 labels",), "2*deg > N, so S(a)*b may leave the budget")
     ]
     # formed anyway, the truncated product drops S(g_0^3) g_0^3 = 1 and a
     # true law reads as a violation: the guard must stay
-    naive = check_antipode_convolution(Corrupted(H, truncation=8), [cube], H.antipode_label, "naive")
+    naive = check_antipode_convolution(Corrupted(H, truncation=8), [cube], "naive")
     assert naive.violations == [
         Violation("naive-left", ("g_0*g_0*g_0",), "-1"),
         Violation("naive-right", ("g_0*g_0*g_0",), "-1"),
@@ -185,7 +185,7 @@ def test_symmetric_lie_hopf_passes_the_convolution_laws_without_a_stage_skip():
     report = check_antipode(S)
     assert report.ok and report.checked > 0
     assert [s.reason for s in report.skipped] == ["2*deg > N, so S(a)*b may leave the budget"]
-    convolution = check_antipode_convolution(S, S.labels_upto(), S.antipode_label, "antipode-convolution")
+    convolution = check_antipode_convolution(S, S.labels_upto(), "antipode-convolution")
     # the unit and every label of degree <= 2, two sides each
     assert convolution.checked == 2 * sum(1 for l in S.labels_upto() if len(l) <= 2)
 
