@@ -10,7 +10,9 @@ worklist of pivots, lowest degree first, and expands each row with two
 kernels on its labels, ``row_product`` and ``letter_bracket``, the latter
 only for the letters read off the row's degree-n factors
 (``exact_letters``), so a bracket that would be thrown away is never
-formed.  ``fixpoint_certificate`` forms its steps with the same kernels.
+formed.  The kernels read the ambient's step tables, so each step of a
+monomial is formed once per ambient: ``fixpoint_certificate`` runs them on
+the final rows and looks up the steps saturation formed.
 
 A quotient never changes once built, so it keeps three tables that live
 and die with it: ``_nf_cache`` (monomial -> normal form), and
@@ -42,13 +44,12 @@ from functools import partial
 from itertools import accumulate
 
 from .linalg import EchelonBasis, SparseVec, SubspaceBasis, linear, relabel, unit_vec
-from .lyndon import LyndonWord, bracket_words
+from .lyndon import LyndonWord
 from .poisson import (
     UNIT_MONOMIAL,
     FreePoissonAlgebra,
     PoissElt,
     PoissMonomial,
-    biderivation,
     extend_letters,
     letter_monomials,
     monomial_str,
@@ -79,21 +80,18 @@ def exact_letters(vec: SparseVec, n: int, letters) -> list:
     ``lossy`` rule): when a factor is not the letter (``lyndon.bracket_words``).
     """
     top = {f for m in vec if m.degree == n for f in m.factors}
-    return [x for x in letters if top <= {x}]
+    return [x for x in letters if top <= {x}] if len(top) < 2 else []
 
 
-def row_product(u: LyndonWord, vec: SparseVec) -> SparseVec:
+def row_product(ambient: FreePoissonAlgebra, u: LyndonWord, vec: SparseVec) -> SparseVec:
     """``u * vec`` in budget: multiplying by u is injective on monomials, so it relabels."""
-    return relabel(lambda m: PoissMonomial(m.factors + (u,)), vec)
+    return relabel(ambient.variable_products[u].__getitem__, vec)
 
 
-def letter_bracket(x: LyndonWord, vec: SparseVec) -> SparseVec:
-    """``{x, vec}`` for x in ``exact_letters``: one ``biderivation`` pass per monomial."""
-    return SparseVec(
-        (PoissMonomial(rest + (w,)), c * b)
-        for m, c in vec.items()
-        for rest, w, b in biderivation((x,), m.factors, bracket_words)
-    )
+def letter_bracket(ambient: FreePoissonAlgebra, x: LyndonWord, vec: SparseVec) -> SparseVec:
+    """``{x, vec}`` for x in ``exact_letters``: the ambient's ``letter_brackets`` terms of x, summed."""
+    terms = ambient.letter_brackets[x]
+    return SparseVec((w, c * b) for m, c in vec.items() for w, b in terms[m].items())
 
 
 def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
@@ -122,8 +120,8 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
     only the work.  A combination of rows whose lossy parts cancel is not
     formed; ``tests/oracles.brute_force_saturation`` closes current rows
     only in the same way.  The steps are formed on the row's labels:
-    ``row_product(u, row)`` is ``poiss_product`` by u in budget, and
-    ``letter_bracket(x, row)`` is ``poiss_bracket`` with each x in
+    ``row_product(ambient, u, row)`` is ``poiss_product`` by u in budget, and
+    ``letter_bracket(ambient, x, row)`` is ``poiss_bracket`` with each x in
     ``exact_letters(row)``.
 
     Products by letters alone would span the same ideal, but the
@@ -166,9 +164,9 @@ def ideal_saturate(ambient: FreePoissonAlgebra, generators) -> SubspaceBasis:
         for u in variables:
             if u.degree + pivot.degree > n:
                 break  # variables come in increasing degree
-            insert(row_product(u, row))
+            insert(row_product(ambient, u, row))
         for x in exact_letters(row, n, letters):
-            insert(letter_bracket(x, row))
+            insert(letter_bracket(ambient, x, row))
     return acc.freeze()
 
 
@@ -201,7 +199,8 @@ class TruncatedQuotient:
         return r
 
     def nf_vec(self, vec: SparseVec) -> SparseVec:
-        return linear(self.nf_label, vec)
+        """Normal form of a vector; over an ideal of rank 0, the vector itself."""
+        return linear(self.nf_label, vec) if self.ideal.rows else vec
 
     def normal_form(self, elt: PoissElt) -> PoissElt:
         if elt.algebra != self.ambient:
@@ -281,8 +280,9 @@ def free_quotient(ambient: FreePoissonAlgebra) -> TruncatedQuotient:
 def fixpoint_certificate(q: TruncatedQuotient) -> Report:
     """The ideal is closed under letter products and letter brackets in budget.
 
-    The steps are formed by saturation's kernels; an element is built only to
-    render a violation.
+    The steps are formed by saturation's kernels, mostly read off the
+    ambient's step tables, and each is reduced against the frozen ideal; an
+    element is built only to render a violation.
     """
     report = Report()
     n = q.ambient.truncation
@@ -298,11 +298,11 @@ def fixpoint_certificate(q: TruncatedQuotient) -> Report:
         exact = exact_letters(row, n, letters)
         for w, x in zip(letters, letter_vecs):
             if in_budget:
-                prod = row_product(w, row)
+                prod = row_product(q.ambient, w, row)
                 report.record("ideal-product-closure", not q.ideal.contains(prod), (x, row), show,
                               lambda _: show(prod))
             if w in exact:
-                br = letter_bracket(w, row)
+                br = letter_bracket(q.ambient, w, row)
                 report.record("ideal-bracket-closure", not q.ideal.contains(br), (x, row), show,
                               lambda _: show(br))
     return report

@@ -9,6 +9,8 @@ are given by their label maps, and only the free Poisson product and bracket
 keep loops, to track truncation loss.
 ``EchelonBasis``, the growing span, keeps a column index (label -> rows
 holding it) so that an insert back-substitutes without scanning every row.
+Its rows are mutually reduced, so a pivot label cancels exactly: reductions
+and back-substitution subtract only row tails, in place (``_subtract_tail``).
 Labels may be any hashable objects; the global order used for pivoting
 comes from ``label_key``, which is degree-lexicographic for the algebra
 label types defined elsewhere and plain ordering for ints, strings and
@@ -230,11 +232,31 @@ def map_pairs(t: SparseVec, f) -> SparseVec:
     return outer_sum((c, f(a), f(b)) for (a, b), c in t.items())
 
 
+def _subtract_tail(data: dict, c, row: SparseVec, pivot) -> None:
+    # data -= c * (row minus its pivot entry), in place, as lincomb sums
+    get = data.get
+    for l, x in row._entries.items():
+        if l is not pivot:
+            s = get(l, 0) - c * x
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
+            if s:
+                data[l] = s
+            else:
+                del data[l]
+
+
 def _reduce_by_pivots(rows: dict, v: SparseVec) -> SparseVec:
     # rows are mutually reduced, so the pivot coefficients of v are final and
-    # one combination clears every pivot label
-    hits = [(-c, rows[l]) for l, c in v._entries.items() if l in rows]
-    return lincomb([(_ONE, v), *hits]) if hits else v
+    # each pivot label cancels exactly: only the row tails are summed
+    if rows.keys().isdisjoint(v._entries):
+        return v
+    data = dict(v._entries)
+    for p, c in v._entries.items():
+        if p in rows:
+            _subtract_tail(data, c, rows[p], p)
+            data.pop(p, None)  # v's entry, unless cancelled above by a row pivot label equal to p but not p
+    return SparseVec._raw(data)
 
 
 def unit_vec(label, coeff=1) -> SparseVec:
@@ -276,28 +298,24 @@ class EchelonBasis:
     def insert(self, v: SparseVec):
         """Add v to the span; returns the new normalized row, or None."""
         self.pivot, self.rewritten = None, []
-        r = self.reduce(v)
+        r = _reduce_by_pivots(self._rows, v)
         if not r:
             return None
         pivot, c = r.leading(self.key)
         if c != 1:
-            r = r.scaled(Fraction(1) / c)
+            r = r.scaled(c if c == -1 else Fraction(1) / c)  # 1/c
         rows, cols = self._rows, self._cols
-        labels = r._entries.keys()
-        # back-substitute into the rows holding the pivot, oldest pivot first
+        labels = [l for l in r._entries if l is not pivot]
+        for l in labels:
+            cols.setdefault(l, set()).add(pivot)
+        # back-substitute into the rows holding the pivot, oldest first, summing r's tail
         self.rewritten = sorted(cols.pop(pivot, ()), key=self._order.__getitem__)
         for p in self.rewritten:
-            row = rows[p]
-            rows[p] = row = lincomb(((_ONE, row), (-row._entries[pivot], r)))
-            entries = row._entries
+            data = dict(rows[p]._entries)
+            _subtract_tail(data, data.pop(pivot), r, pivot)
+            rows[p] = SparseVec._raw(data)
             for l in labels:
-                if l in entries:
-                    cols.setdefault(l, set()).add(p)
-                elif l in cols:
-                    cols[l].discard(p)
-        for l in labels:
-            if l != pivot:
-                cols.setdefault(l, set()).add(pivot)
+                (cols[l].add if l in data else cols[l].discard)(p)
         self._order[pivot] = len(rows)
         rows[pivot] = r
         self.pivot = pivot

@@ -21,9 +21,11 @@ bracket anti-morphisms, into an ambient, a quotient or a closed-form target.
 Monomials are interned in the process-wide ``_monomial_table``, one entry
 per distinct monomial ever built, next to the word table and
 ``_bracket_memo`` of ``lyndon``; none of the three is ever cleared.  Each
-``FreePoissonAlgebra`` keeps two tables of its own, which go with it: its
-Lyndon words by degree, grouped once on first use, and its monomials by
-degree, built once, bottom-up.
+``FreePoissonAlgebra`` keeps four tables of its own, which go with it: its
+Lyndon words by degree, grouped once on first use; its monomials by
+degree, built once, bottom-up; and the steps of ideal closure,
+``variable_products`` (u -> m -> u*m) and ``letter_brackets`` (x -> m ->
+the terms of {x, m}), each formed on its first lookup.
 """
 
 from __future__ import annotations
@@ -84,6 +86,43 @@ class PoissMonomial:
 UNIT_MONOMIAL = PoissMonomial(())
 
 
+class _Steps(dict):
+    """key -> of(key), each entry formed on its first lookup."""
+
+    __slots__ = ("of",)
+
+    def __init__(self, of):
+        super().__init__()
+        self.of = of
+
+    def __missing__(self, key):
+        # setdefault, so threads racing on a new key still share one value
+        return self.setdefault(key, self.of(key))
+
+
+class _Products(_Steps):
+    """m -> u*m for the Lyndon word u = ``of``."""
+
+    __slots__ = ()
+
+    def __missing__(self, m):
+        return self.setdefault(m, PoissMonomial(m.factors + (self.of,)))
+
+
+class _LetterBrackets(_Steps):
+    """m -> {x, m} for the letter x = ``of``, as a dict of terms: ``biderivation``'s expansion."""
+
+    __slots__ = ()
+
+    def __missing__(self, m):
+        # one dict per entry, not a tuple per term: fewer objects for the collector to track
+        terms: dict = {}
+        for rest, w, c in biderivation((self.of,), m.factors, bracket_words):
+            w = PoissMonomial(rest + (w,))
+            terms[w] = terms.get(w, 0) + c
+        return self.setdefault(m, terms)
+
+
 class StageOverflowError(ValueError):
     """A stage, depth or degree budget out of range, refused up front."""
 
@@ -104,6 +143,9 @@ class FreePoissonAlgebra:
         self._index = {name: i for i, name in enumerate(alphabet)}
         self._words = None  # Lyndon words by degree, grouped on first use
         self._monomials = {0: [UNIT_MONOMIAL]}  # monomials by degree, built bottom-up
+        # the steps of ideal closure, by word and monomial; the caller keeps them in budget
+        self.variable_products = _Steps(_Products)
+        self.letter_brackets = _Steps(_LetterBrackets)
 
     @property
     def size(self) -> int:

@@ -8,6 +8,7 @@ formula, generating-function series for graded dimensions, a naive
 batch-closure loop for ideal saturation, the commutator expansion of
 Lie brackets in the tensor algebra, coassociativity expanded into
 triples, echelon back-substitution by scanning every stored row,
+reduction by a basis as the full combination of its rows,
 the Hopf relations by element arithmetic on the ambient coproduct table,
 maps fixed by order-preserving letter renamings by renaming each
 monomial and negating the bracket factor by factor, and the closed-form
@@ -106,6 +107,16 @@ def generating_function_dims(lyndon_counts, max_degree):
             for i in range(d, max_degree + 1):
                 series[i] += series[i - d]
     return series
+
+
+def reduce_by_pivots_oracle(basis, v):
+    """v minus c times the row of each pivot label of v, its entry c, as one full combination.
+
+    Each pivot label is added and then cancelled, where the implementation
+    sums only the rows' tails.
+    """
+    rows = dict(zip(basis.pivots, basis.rows))
+    return lincomb([(1, v), *((-c, rows[l]) for l, c in v.items() if l in rows)])
 
 
 class ScanEchelonBasis(EchelonBasis):

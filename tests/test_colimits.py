@@ -25,8 +25,13 @@ from poissonhopf.colimits import (
     quotient,
     row_product,
 )
-from poissonhopf.free_hopf import free_poisson_hopf, hopf_ideal_generators, staged_coproduct
-from poissonhopf.linalg import EchelonBasis, SparseVec
+from poissonhopf.free_hopf import (
+    free_poisson_hopf,
+    hopf_ideal_generators,
+    s_prime_stability_certificate,
+    staged_coproduct,
+)
+from poissonhopf.linalg import EchelonBasis, SparseVec, linear
 from poissonhopf.lyndon import LyndonWord
 from poissonhopf.poisson import (
     FreePoissonAlgebra,
@@ -197,7 +202,9 @@ def test_saturation_soundness_closure_property():
 def _kernels_against_general_operations(ambient, vectors):
     # row_product is poiss_product where that is exact, letter_bracket is
     # poiss_bracket on every exact letter, and exact_letters are the letters
-    # whose poiss_bracket is not lossy
+    # whose poiss_bracket is not lossy; each kernel runs twice, the first
+    # call filling the ambient's step tables where a step is new and the
+    # second reading them
     n = ambient.truncation
     letters = ambient.lyndon_basis(1)
     variables = [w for d in range(1, n) for w in ambient.lyndon_basis(d)]
@@ -207,13 +214,15 @@ def _kernels_against_general_operations(ambient, vectors):
         for u in variables:
             prod = poiss_product(ambient.monomial_elt(PoissMonomial((u,))), elt)
             if not prod.lossy:
-                assert row_product(u, vec) == prod.vec
+                assert row_product(ambient, u, vec) == prod.vec
+                assert row_product(ambient, u, vec) == prod.vec
         exact = exact_letters(vec, n, letters)
         for x in letters:
             br = poiss_bracket(ambient.monomial_elt(PoissMonomial((x,))), elt)
             assert (x in exact) == (not br.lossy)
             if x in exact:
-                assert letter_bracket(x, vec) == br.vec
+                assert letter_bracket(ambient, x, vec) == br.vec
+                assert letter_bracket(ambient, x, vec) == br.vec
             outcomes.add(x in exact)
     return outcomes
 
@@ -246,8 +255,8 @@ def test_saturation_and_fixpoint_form_no_lossy_letter_bracket(monkeypatch):
     ambient, relations = laurent_relations()
     agreed = []
 
-    def compared(x, vec):
-        out = letter_bracket(x, vec)
+    def compared(ambient, x, vec):
+        out = letter_bracket(ambient, x, vec)
         br = poiss_bracket(ambient.monomial_elt(PoissMonomial((x,))), ambient.elt(vec))
         agreed.append(not br.lossy and out == br.vec)
         return out
@@ -259,6 +268,46 @@ def test_saturation_and_fixpoint_form_no_lossy_letter_bracket(monkeypatch):
     report = fixpoint_certificate(q)
     assert report.ok
     assert len(agreed) == 312 and all(agreed)
+
+
+def test_step_tables_belong_to_their_ambient():
+    a, b = FreePoissonAlgebra(("x", "y"), 3), FreePoissonAlgebra(("x", "y"), 3)
+    assert a == b
+    for ambient in (a, b):
+        assert not ambient.variable_products and not ambient.letter_brackets
+    x, y = a.lyndon_basis(1)
+    vec = SparseVec({PoissMonomial((y,)): 2, PoissMonomial((x, y)): -1})
+    for ambient in (a, b):
+        assert row_product(ambient, x, vec) == poiss_product(ambient.gen("x"), ambient.elt(vec)).vec
+        assert letter_bracket(ambient, x, vec) == poiss_bracket(ambient.gen("x"), ambient.elt(vec)).vec
+    assert b.variable_products.keys() == a.variable_products.keys() == {x}
+    assert b.letter_brackets.keys() == a.letter_brackets.keys() == {x}
+    for name in ("variable_products", "letter_brackets"):
+        ta, tb = getattr(a, name)[x], getattr(b, name)[x]
+        assert ta is not tb and ta == tb and len(ta) == 2
+    assert not FreePoissonAlgebra(("x", "y"), 3).variable_products
+
+
+def test_laurent_closure_forms_each_step_once():
+    # saturation and the fixpoint certificate form 1,114 products and 860
+    # letter brackets of single monomials between them
+    ambient = free_poisson_hopf(builtin("grouplike-1"), 4, 4).ambient
+    assert sum(map(len, ambient.variable_products.values())) == 546
+    assert sum(map(len, ambient.letter_brackets.values())) == 340
+
+
+def test_rank_0_normal_form_is_the_input(monkeypatch):
+    H = free_poisson_hopf(builtin("trig"), 3, 3)
+    staged_quotient = H.staged.bialgebra.quotient
+    assert staged_quotient.ideal.rank == 0
+    for row in H.quotient.ideal.rows:
+        assert staged_quotient.nf_vec(row) is row
+    reports = {**H.certificates, "rows": s_prime_stability_certificate(H, H.quotient.ideal.rows)}
+    assert reports["rows"].checked == H.quotient.ideal.rank
+    # the same reports when every normal form sums the images of its monomials
+    monkeypatch.setattr(colimits.TruncatedQuotient, "nf_vec", lambda q, vec: linear(q.nf_label, vec))
+    H = free_poisson_hopf(builtin("trig"), 3, 3)
+    assert {**H.certificates, "rows": s_prime_stability_certificate(H, H.quotient.ideal.rows)} == reports
 
 
 def test_quotient_of_free_is_polynomial_ring():

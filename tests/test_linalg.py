@@ -22,7 +22,7 @@ def vec(*coords):
     return SparseVec({i: Fraction(c) for i, c in enumerate(coords) if c})
 
 
-from oracles import ScanEchelonBasis, bareiss_rank
+from oracles import ScanEchelonBasis, bareiss_rank, reduce_by_pivots_oracle
 
 
 def test_already_echelon_identity():
@@ -225,6 +225,33 @@ def test_bilinear_matches_double_sum_oracle(table, a, b):
     expected = _dict_oracle([(Fraction(ca) * Fraction(cb), table.get((x, y), {}))
                              for x, ca in a.items() for y, cb in b.items()])
     _assert_canonical(bilinear(op, SparseVec(a), SparseVec(b)), expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(raw_vecs, max_size=6), st.sampled_from(["pivots only", "no pivot", "mixed"]), st.data())
+def test_tail_only_reduction_matches_the_full_combination(spanning, shape, data):
+    basis = row_reduce([SparseVec(d) for d in spanning])
+    pivots = list(basis.pivots)
+    others = [l for l in range(10) if l not in basis.pivots]
+    labels = {"pivots only": pivots, "no pivot": others, "mixed": pivots + others}[shape]
+    v = SparseVec(data.draw(st.dictionaries(st.sampled_from(labels), scalars, max_size=6)) if labels else {})
+    reduced = basis.reduce(v)
+    _assert_canonical(reduced, dict(reduce_by_pivots_oracle(basis, v).items()))
+    assert not set(reduced.labels()) & set(pivots)
+    if not set(v.labels()) & set(pivots):
+        assert reduced is v
+
+
+def test_tail_only_reduction_with_equal_but_distinct_pivot_labels():
+    # a pickled basis rebuilds its large int labels as new objects
+    big = -(10**20)
+    basis = pickle.loads(pickle.dumps(row_reduce([SparseVec({big: 1, 3: 2}), SparseVec({big - 1: 1, 3: 1})])))
+    v = SparseVec({big: 4, big - 1: Fraction(1, 2), 5: 1})
+    assert basis.pivots == (big - 1, big)
+    assert not any(p is l for p in basis.pivots for row in basis.rows for l in (*row.labels(), *v.labels()))
+    reduced = basis.reduce(v)
+    assert reduced == reduce_by_pivots_oracle(basis, v) == SparseVec({3: Fraction(-17, 2), 5: 1})
+    assert not set(reduced.labels()) & set(basis.pivots)
 
 
 def test_unit_vec_zero_coeff_is_zero():
